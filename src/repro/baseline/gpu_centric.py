@@ -116,7 +116,6 @@ class GpuCentricServer:
                 yield env.charge(self.gpu.scaled(GPU_STACK_TX_US))
                 yield from self.helpers.run_calibrated(HELPER_COST_US)
                 self.responses.tick()
-                env.requests_completed += 1
                 self.nic.send_async(item)
 
     def _app_block(self, tb_index):

@@ -291,7 +291,6 @@ class HostCentricServer:
         yield from self.pool.run_calibrated(self.stack.tx_cost(response),
                                             priority=-1)
         self.responses.tick()
-        self.env.requests_completed += 1
         yield from self.nic.send(response)
 
 

@@ -262,8 +262,8 @@ def main(argv=None):
                         help="event-scheduler backend: 'heap' (binary "
                              "heap, the default and determinism oracle) "
                              "or 'wheel' (calendar queue + vectorized "
-                             "Channel landings; bit-identical rows, "
-                             "~2x kernel throughput).  Default: "
+                             "Channel landings); the rows are "
+                             "bit-identical either way.  Default: "
                              "$REPRO_SIM_BACKEND or heap")
     parser.add_argument("--kernel-stats", action="store_true",
                         help="after the runs, print the simulator kernel's "

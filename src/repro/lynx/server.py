@@ -539,7 +539,6 @@ class _TxOp:
         if response.proto == TCP and response.conn is not None:
             response.meta["tcp_seq"] = response.conn.next_seq(response.src)
         server.responses.count += 1       # inlined RateMeter.tick()
-        env.requests_completed += 1
         binding = server._ports.get(self.mq.bound_port)
         if binding is not None:
             binding.responses.count += 1
@@ -628,7 +627,6 @@ class _TxOp:
         server.responses.count += 1       # inlined RateMeter.tick()
         mq = self.mq
         if mq.kind == SERVER:
-            self.env.requests_completed += 1
             binding = server._ports.get(mq.bound_port)
         else:
             binding = None

@@ -832,6 +832,7 @@ class ClientPopulation:
             if n:
                 lat = lat + self.recv_cost
                 self.responses.count += n
+                self.env.requests_completed += n
                 self.latency.record_many(lat)
                 if len(self.flows) == 1:
                     self.flows[0].hist.record_many(lat)

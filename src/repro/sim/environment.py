@@ -219,8 +219,9 @@ class Environment:
         self.tasks_spawned = 0
         self.charges_created = 0
         self.charges_reused = 0
-        #: completed request/response exchanges, bumped by the servers
-        #: at response-to-wire time; feeds ``events_per_request``.
+        #: completed request/response exchanges, bumped once where an
+        #: end-user response resolves (client RX, population in-flight
+        #: table); feeds ``events_per_request``.
         self.requests_completed = 0
         self.heap_peak = 0
         self.wall_seconds = 0.0

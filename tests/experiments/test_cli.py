@@ -90,10 +90,15 @@ class TestMetricsFlag:
         assert header in out
         assert "events processed" in out
 
-    def test_kernel_stats_reports_events_per_request(self, capsys):
-        # E05 drives real request planes; E01 is a micro-benchmark with
-        # no data plane, so its requests-completed is legitimately zero.
-        assert main(["E05", "--kernel-stats"]) == 0
+    @pytest.mark.parametrize("exp", ["E05", "E12", "E17", "E18"])
+    def test_kernel_stats_reports_events_per_request(self, capsys, exp):
+        # Completions are counted where end-user responses resolve, so
+        # every request plane reports them: the scalar client (E12) and
+        # the population (E05, E17, E18), whether the server is Lynx, a
+        # baseline or memcached.
+        # E01 is a micro-benchmark with no data plane, so its
+        # requests-completed is legitimately zero.
+        assert main([exp, "--kernel-stats"]) == 0
         out = capsys.readouterr().out
         # An experiment that completes requests must report a non-zero
         # events-per-request figure (DESIGN.md §4.14): the whole frame

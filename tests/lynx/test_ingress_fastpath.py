@@ -4,17 +4,21 @@ The acceptance bar for the kernel fast-path work: message delivery on
 the ingress path must not allocate a simulation Process per message
 (asserted via the environment's processes-spawned counter), and the
 egress poll loop's sweep/drain interleaving must consume every doorbell
-a sweep satisfies.
+a sweep satisfies.  The memcached server and its closed-loop clients
+are held to the same bar.
 """
 
 import pytest
 
-from repro.config import DEFAULT_CONFIG, DEFAULT_RDMA, XEON_E5_2620
+from repro import Testbed
+from repro.apps.memcached import MemcachedServer, encode_get
+from repro.config import DEFAULT_CONFIG, DEFAULT_RDMA, XEON_E5_2620, XEON_VMA
 from repro.hw.cpu import CorePool
 from repro.hw.memory import MemoryRegion
 from repro.lynx.mqueue import MQueue, MQueueEntry
 from repro.lynx.rmq import RemoteMQManager
-from repro.net.packet import Address, Message
+from repro.net import ClosedLoopGenerator
+from repro.net.packet import TCP, UDP, Address, Message
 from repro.net.rdma import RdmaEngine
 from repro.sim import Environment
 
@@ -81,6 +85,27 @@ class TestIngressAllocations:
         mq = manager.register(MQueue(env, accel.memory, 8))
         assert mq in manager._mqueue_set
         assert manager.mqueues == [mq]  # list API preserved for callers
+
+
+class TestMemcachedServingAllocations:
+    @pytest.mark.parametrize("proto", [UDP, TCP])
+    def test_serving_spawns_no_process(self, proto):
+        tb = Testbed(seed=1)
+        env = tb.env
+        host = tb.machine("10.0.0.2")
+        client = tb.client("10.0.1.1")
+        spawned_before = env.processes_spawned
+        server = MemcachedServer(env, host.nic,
+                                 host.pool(count=2, name="mc"), XEON_VMA)
+        gen = ClosedLoopGenerator(env, client, Address("10.0.0.2", 11211),
+                                  concurrency=8,
+                                  payload_fn=lambda i: encode_get(b"k"),
+                                  proto=proto)
+        env.run(until=5000)
+        assert gen.completed > 100 and server.ops.count >= gen.completed
+        # Neither setting up nor serving creates a simulation Process:
+        # server workers and client workers are callback state machines.
+        assert env.processes_spawned == spawned_before
 
 
 class TestSweepDrainInterleaving:

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro import telemetry
 from repro.config import XEON_E5_2620, XEON_VMA
 from repro.hw.cpu import CorePool
 from repro.hw.nic import Nic
@@ -12,6 +13,7 @@ from repro.net import (
     Network,
     OpenLoopGenerator,
 )
+from repro.net import client as client_mod
 from repro.net.packet import TCP, UDP
 from repro.net.stack import NetworkStack
 from repro.sim import Environment, RngRegistry
@@ -298,6 +300,81 @@ class TestRetries:
                     tuple(client.latency._samples))
 
         assert run_once() == run_once()
+
+
+def _reference_worker(gen, index):
+    """The retired ``ClosedLoopGenerator._worker`` generator process,
+    kept as the parity oracle for the ``_ClosedLoopOp`` state machine."""
+    env = gen.env
+    conn = None
+    if gen.use_tcp_connections:
+        conn = yield from gen.client.connect(gen.dst)
+    seq = 0
+    while not gen._stopped:
+        payload = gen.payload_fn(index * 1000000 + seq)
+        seq += 1
+        response = yield from gen.client.request(
+            payload, gen.dst, proto=gen.proto, conn=conn,
+            timeout=gen.timeout, retries=gen.retries,
+            retry_backoff=gen.retry_backoff)
+        if response is None:
+            gen.timeouts += 1
+        elif response.kind == "error":
+            gen.errors += 1
+        else:
+            gen.completed += 1
+        if gen.think_time > 0:
+            yield env.charge(gen.think_time)
+
+
+def _drive(monkeypatch, reference, server_kw, gen_kw):
+    """Run a closed loop against a flaky echo server, stop it, drain;
+    return response timestamps, counters and the event-id sequence."""
+    with telemetry.scope() as reg, monkeypatch.context() as patch:
+        if reference:
+            patch.setattr(client_mod, "_ClosedLoopOp", lambda gen, i:
+                          gen.env.process(_reference_worker(gen, i)))
+        env = Environment()
+        network = Network(env)
+        _FlakyEchoServer(env, network, "10.0.0.1", 7777, **server_kw)
+        client = Client(env, network, "10.0.1.1", rng=RngRegistry(9))
+        gen = ClosedLoopGenerator(env, client, Address("10.0.0.1", 7777),
+                                  concurrency=3,
+                                  payload_fn=lambda i: b"p%d" % i, **gen_kw)
+        env.run(until=3000)
+        gen.stop()
+        env.run(until=6000)
+        recovered = reg.get("faults.recovered.client_retry")
+    return (env._eid, env.events_processed,
+            tuple(client.latency._samples), gen.completed, gen.timeouts,
+            gen.errors, client.retries, client.sent.count,
+            recovered.value if recovered is not None else 0,
+            len(client._waiters))
+
+
+class TestClosedLoopParity:
+    """The ``_ClosedLoopOp`` state machine consumes exactly the event ids
+    of the generator it replaced, in every configuration in use."""
+
+    @pytest.mark.parametrize("server_kw, gen_kw", [
+        (dict(heal_at=1500), dict(proto=UDP, timeout=200)),
+        (dict(heal_at=800), dict(proto=UDP, timeout=150, retries=4,
+                                 retry_backoff=120.0)),
+        (dict(heal_at=800, fail="error"),
+         dict(proto=UDP, timeout=500, retries=3)),
+        (dict(heal_at=600), dict(proto=UDP, retries=2, retry_backoff=100.0)),
+        (dict(heal_at=0), dict(proto=TCP)),
+        (dict(heal_at=0), dict(proto=UDP, think_time=7.5)),
+    ], ids=["timeout", "retry-backoff", "retry-error", "retry-default-deadline",
+            "tcp-connect", "think-time"])
+    def test_matches_reference_generator(self, monkeypatch, server_kw,
+                                         gen_kw):
+        got = _drive(monkeypatch, False, server_kw, gen_kw)
+        want = _drive(monkeypatch, True, server_kw, gen_kw)
+        assert got == want
+        assert got[3] > 0                        # it really completed
+        if gen_kw.get("retries"):
+            assert got[6] > 0 and got[8] > 0     # retried and recovered
 
 
 class TestClientEdgeCases:
