@@ -1,20 +1,10 @@
 """Simulator-throughput benchmarks for the DES kernel fast path.
 
-Six measurements, written to ``benchmarks/results/kernel_throughput.json``:
+Three measurements, written to ``benchmarks/results/kernel_throughput.json``:
 
 * **kernel churn** — a pure event ping-pong through the run loop
   (pooled charges, no model code), reported as events/second from the
-  kernel's own counters; measured per scheduler backend (heap and
-  wheel), each gated against its own recorded floor;
-* **landing churn** — the workload the calendar-queue backend exists
-  for: homogeneous 64-message Channel bursts coalesced by the landing
-  table into vectorized deliveries.  Run as interleaved heap/wheel
-  pairs and gated on the wheel:heap rate ratio (>= 2x, DESIGN.md
-  §4.11) so the gate is immune to machine-speed drift;
-* **frame churn** — the frame-execution workload (DESIGN.md §4.14): a
-  synthetic data-plane op running a multi-stage grant+charge chain per
-  message, interleaved scalar/frame pairs on one backend, gated on the
-  frame:scalar message-rate ratio (>= 3x, machine-independent);
+  kernel's own counters and gated against a recorded floor;
 * **E09 / E04 fast runs** — wall-clock of the two experiment runs the
   fast-path work targeted (LeNet serving and the Fig 6 saturation
   grid), compared against the pre-optimisation baseline.
@@ -34,8 +24,7 @@ import time
 
 import pytest
 
-from repro.sim import Environment, Resource, WheelEnvironment, batchexec
-from repro.sim.channel import Channel
+from repro.sim import Environment
 
 from conftest import RESULTS_DIR, SEED
 
@@ -51,21 +40,6 @@ BASELINE_CALIBRATION_SECONDS = 0.1944
 #: post-optimisation dev-machine churn rate was ~1.07M events/s; the
 #: floor asserts half of that, machine-scaled.
 DEV_CHURN_EVENTS_PER_SEC = 1.07e6
-
-#: the wheel backend's dev-machine rate on the same churn workload
-#: (~1.09x the heap — the two-queue core wins modestly on charge
-#: ping-pong; its big wins are the landing bursts gated below).
-DEV_CHURN_WHEEL_EVENTS_PER_SEC = 1.15e6
-
-#: minimum wheel:heap rate ratio on the landing-burst workload (dev
-#: machine measured ~3.8x median over interleaved pairs; the gate
-#: keeps margin for noisy hosts).
-LANDING_RATIO_FLOOR = 2.0
-
-#: minimum frame:scalar message-rate ratio on the frame-execution
-#: workload (ISSUE 9 acceptance: >= 3.0x, machine-independent — both
-#: sides of each interleaved pair run back to back).
-FRAME_RATIO_FLOOR = 3.0
 
 RESULTS_PATH = os.path.join(RESULTS_DIR, "kernel_throughput.json")
 
@@ -112,105 +86,9 @@ def _churn(env, chains=64, horizon=20000.0):
     return env.kernel_stats()
 
 
-def _landing_churn(env, horizon=5000.0):
-    """The landing table's target load: 64-push homogeneous bursts on
-    one Channel every microsecond, drained in batches.  On the heap
-    each burst costs 64 pooled defer events; on the wheel it coalesces
-    into one flush entry plus a bulk sink extend."""
-    chan = Channel(env, "bench", latency=1.0)
-
-    def pump(_e, env=env, chan=chan):
-        for _ in range(64):
-            chan.push(0, 64)
-        chan.recv_batch()
-        if env.now < horizon:
-            env.defer(1.0, pump)
-
-    env.defer(1.0, pump)
-    env.run()
-    return env.kernel_stats()
-
-
-#: per-stage durations of the synthetic frame pipeline (span = 1.0us)
-FRAME_STAGES = (0.4, 0.3, 0.3)
-FRAME_MESSAGES = 20000
-
-
-class _FramePipelineOp:
-    """A synthetic data-plane op: each message runs a grant+charge
-    chain over :data:`FRAME_STAGES` on a serialized pool — six
-    scheduler events on the scalar oracle.  Under frame execution the
-    whole span coalesces into ONE completion event at the exact scalar
-    timestamp (``span_times`` + ``defer_at``), burning the other five
-    sequence numbers — the same turbo-step shape the real planes use.
-    """
-
-    __slots__ = ("env", "res", "left", "stage", "request")
-
-    def __init__(self, env, res, messages):
-        self.env = env
-        self.res = res
-        self.left = messages
-        self.stage = 0
-        self.request = None
-        env._kick(self._next)
-
-    def _next(self, _event):
-        if self.left <= 0:
-            return
-        env = self.env
-        res = self.res
-        if env.frame_exec:
-            times = batchexec.span_times(env.now, FRAME_STAGES)
-            if (batchexec.pool_ready(res)
-                    and batchexec.clear_span(env, times[-1])):
-                batchexec.seize(res)
-                batchexec.burn(env, 2 * len(FRAME_STAGES) - 1)
-                env.defer_at(times[-1], self._turbo_done)
-                return
-        self.stage = 0
-        self._request()
-
-    def _turbo_done(self, _event):
-        batchexec.unseize(self.res)
-        self.left -= 1
-        self.env.requests_completed += 1
-        self._next(_event)
-
-    def _request(self):
-        req = self.res.request(0)
-        self.request = req
-        req.callbacks.append(self._granted)
-
-    def _granted(self, _event):
-        self.env.charge(FRAME_STAGES[self.stage]).callbacks.append(
-            self._charged)
-
-    def _charged(self, _event):
-        self.request.release()
-        self.request = None
-        self.stage += 1
-        if self.stage < len(FRAME_STAGES):
-            self._request()
-        else:
-            self.left -= 1
-            self.env.requests_completed += 1
-            self._next(_event)
-
-
-def _frame_churn(env, frame, messages=FRAME_MESSAGES):
-    """Drain *messages* through the synthetic pipeline; kernel stats."""
-    env.frame_exec = frame
-    res = Resource(env, 1, name="frame-bench")
-    _FramePipelineOp(env, res, messages)
-    env.run()
-    return env.kernel_stats()
-
-
-def _churn_section(stats, factor, calib, floor, backend):
+def _churn_section(stats, factor, calib, floor):
     rate = stats["events_processed"] / stats["wall_seconds"]
     return rate, {
-        "backend": backend,
         "events_processed": stats["events_processed"],
         "wall_seconds": round(stats["wall_seconds"], 4),
         "events_per_second": round(rate),
@@ -223,91 +101,19 @@ def _churn_section(stats, factor, calib, floor, backend):
 
 
 class TestKernelChurn:
-    @pytest.mark.parametrize("section,make_env,dev_rate", [
-        ("kernel_churn", Environment, DEV_CHURN_EVENTS_PER_SEC),
-        ("kernel_churn_wheel", WheelEnvironment,
-         DEV_CHURN_WHEEL_EVENTS_PER_SEC),
-    ])
-    def test_event_churn_rate(self, benchmark, section, make_env, dev_rate):
-        stats = benchmark.pedantic(lambda: _churn(make_env()),
+    def test_event_churn_rate(self, benchmark):
+        stats = benchmark.pedantic(lambda: _churn(Environment()),
                                    rounds=3, iterations=1)
         factor, calib = _machine_speed_factor()
-        floor = 0.5 * dev_rate / factor
-        rate, payload = _churn_section(stats, factor, calib, floor,
-                                       make_env.backend)
-        _save(section, payload)
+        floor = 0.5 * DEV_CHURN_EVENTS_PER_SEC / factor
+        rate, payload = _churn_section(stats, factor, calib, floor)
+        _save("kernel_churn", payload)
         # The churn path spawns no processes and keeps the heap small:
         # both are the point of the pooled fast path.
         assert stats["processes_spawned"] == 0
         assert rate >= floor, (
-            "%s churn %.0f ev/s below machine-scaled floor %.0f"
-            % (make_env.backend, rate, floor))
-
-    def test_landing_burst_ratio(self):
-        """Interleaved heap/wheel pairs; the gate is the best per-pair
-        rate ratio, which cancels machine-speed drift entirely — both
-        sides of a pair run within the same scheduling minute."""
-        pairs = []
-        for _ in range(5):
-            heap_stats = _landing_churn(Environment())
-            wheel_stats = _landing_churn(WheelEnvironment())
-            assert (heap_stats["events_processed"]
-                    == wheel_stats["events_processed"])
-            heap_rate = (heap_stats["events_processed"]
-                         / heap_stats["wall_seconds"])
-            wheel_rate = (wheel_stats["events_processed"]
-                          / wheel_stats["wall_seconds"])
-            pairs.append((wheel_rate / heap_rate, heap_rate, wheel_rate))
-        pairs.sort()
-        best_ratio, heap_rate, wheel_rate = pairs[-1]
-        _save("kernel_churn_landing", {
-            "events_processed": heap_stats["events_processed"],
-            "heap_events_per_second": round(heap_rate),
-            "wheel_events_per_second": round(wheel_rate),
-            "best_ratio": round(best_ratio, 2),
-            "median_ratio": round(pairs[len(pairs) // 2][0], 2),
-            "rounds": len(pairs),
-            "ratio_floor": LANDING_RATIO_FLOOR,
-        })
-        assert best_ratio >= LANDING_RATIO_FLOOR, (
-            "landing burst churn: wheel only %.2fx the heap (floor %.1fx)"
-            % (best_ratio, LANDING_RATIO_FLOOR))
-
-    def test_frame_execution_ratio(self):
-        """Interleaved scalar/frame pairs on the heap backend (so the
-        gain is frame execution alone, not the landing table); the gate
-        is the best per-pair message-rate ratio — machine-independent,
-        like the landing gate above."""
-        pairs = []
-        for _ in range(5):
-            scalar = _frame_churn(Environment(), frame=False)
-            framed = _frame_churn(Environment(), frame=True)
-            # Same simulated history either way: every message, and
-            # the same virtual span; only scheduler events collapse.
-            assert scalar["requests_completed"] == FRAME_MESSAGES
-            assert framed["requests_completed"] == FRAME_MESSAGES
-            assert framed["events_processed"] < scalar["events_processed"]
-            scalar_rate = FRAME_MESSAGES / scalar["wall_seconds"]
-            framed_rate = FRAME_MESSAGES / framed["wall_seconds"]
-            pairs.append((framed_rate / scalar_rate, scalar, framed))
-        pairs.sort(key=lambda p: p[0])
-        best_ratio, scalar, framed = pairs[-1]
-        _save("kernel_churn_frames", {
-            "messages": FRAME_MESSAGES,
-            "scalar_events_per_request": scalar["events_per_request"],
-            "frame_events_per_request": framed["events_per_request"],
-            "scalar_messages_per_second": round(
-                FRAME_MESSAGES / scalar["wall_seconds"]),
-            "frame_messages_per_second": round(
-                FRAME_MESSAGES / framed["wall_seconds"]),
-            "best_ratio": round(best_ratio, 2),
-            "median_ratio": round(pairs[len(pairs) // 2][0], 2),
-            "rounds": len(pairs),
-            "ratio_floor": FRAME_RATIO_FLOOR,
-        })
-        assert best_ratio >= FRAME_RATIO_FLOOR, (
-            "frame churn: frame execution only %.2fx the scalar chain "
-            "(floor %.1fx)" % (best_ratio, FRAME_RATIO_FLOOR))
+            "churn %.0f ev/s below machine-scaled floor %.0f"
+            % (rate, floor))
 
 
 def _timed_run(module, rounds):

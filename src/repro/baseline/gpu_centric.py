@@ -91,27 +91,16 @@ class GpuCentricServer:
 
     # -- GPU-side network stack ----------------------------------------------------
 
-    # Frame execution (DESIGN.md §4.14), generator-native: the two ring
-    # hops of each loop — a get with an item already queued, a put into
-    # a ring with no parked consumer — resolve at the current instant
-    # anyway; under the clear-span guard Channel.frame_pop/frame_push
-    # do them inline, burn the skipped event's sequence number, and the
-    # generator keeps running instead of round-tripping the schedule.
-
     def _io_block(self, tb_index):
         env = self.env
         work = self._work
         app_ring = self._app_ring
         while True:
-            popped = work.frame_pop()
-            if popped is None:
-                popped = yield work.get()
-            kind, item = popped
+            kind, item = yield work.get()
             if kind == "rx":
                 yield env.charge(self.gpu.scaled(GPU_STACK_RX_US))
                 self.requests.tick()
-                if not app_ring.frame_push(item):
-                    yield app_ring.put(item)
+                yield app_ring.put(item)
             else:  # "tx": a response produced by an application block
                 yield env.charge(self.gpu.scaled(GPU_STACK_TX_US))
                 yield from self.helpers.run_calibrated(HELPER_COST_US)
@@ -123,11 +112,8 @@ class GpuCentricServer:
         work = self._work
         app_ring = self._app_ring
         while True:
-            msg = app_ring.frame_pop()
-            if msg is None:
-                msg = yield app_ring.get()
+            msg = yield app_ring.get()
             result = self.app.compute(msg.payload)
             yield env.charge(self.gpu.scaled(self.app.gpu_duration))
             response = msg.reply(result, created_at=env.now)
-            if not work.frame_push(("tx", response)):
-                yield work.put(("tx", response))
+            yield work.put(("tx", response))

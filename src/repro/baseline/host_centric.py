@@ -15,7 +15,7 @@ from ..config import XEON_VMA
 from ..errors import ConfigError, NetworkError
 from ..net.packet import Address, Message, TCP, UDP, payload_size
 from ..net.stack import NetworkStack, TcpConnection
-from ..sim import RateMeter, Resource, batchexec
+from ..sim import RateMeter, Resource
 
 
 class HostContext:
@@ -136,14 +136,7 @@ class _HostRxOp:
         # stack.process_rx: run_calibrated(rx_cost) on the serving pool.
         pool = self.pool
         self.msg = msg
-        duration = server.stack.rx_cost(msg)
-        # Frame execution (DESIGN.md §4.14): grant + charge collapse to
-        # one event when the slot is free and the window is clear.
-        if self.env.frame_exec and batchexec.try_stage(
-                self.env, pool._res, duration, self._rx_stage_done,
-                pool=pool):
-            return
-        self.duration = duration
+        self.duration = server.stack.rx_cost(msg)
         self.mi = pool.default_memory_intensity
         self.ws = pool.default_working_set
         req = pool._res.request(0)
@@ -170,13 +163,6 @@ class _HostRxOp:
             self.token = None
         self.request.release()
         self.request = None
-        self._after_rx()
-
-    def _rx_stage_done(self, _event):
-        batchexec.unseize(self.pool._res)
-        self._after_rx()
-
-    def _after_rx(self):
         server = self.server
         msg = self.msg
         if msg.proto == TCP and msg.conn is not None:

@@ -402,20 +402,6 @@ class SimConfig:
     app: AppTimings = DEFAULT_APP_TIMINGS
     cache: CacheProfile = DEFAULT_CACHE
     trace: bool = False
-    #: scheduler backend for testbeds built from this config: "heap",
-    #: "wheel", or None to follow the process-wide selection
-    #: (``--sim-backend`` / ``$REPRO_SIM_BACKEND``; heap by default).
-    #: Both backends produce bit-identical fixed-seed results — the
-    #: wheel is the fast path, the heap the determinism oracle.
-    sim_backend: str = None
-    #: frame-native (batched) execution of the data-plane hot loops:
-    #: True/False to force, or None to follow the backend default
-    #: (on for "wheel", off for "heap" golden runs) and the
-    #: ``$REPRO_FRAME_EXEC`` override.  Frame execution coalesces the
-    #: per-message Charge chains into one vectorized charge per frame
-    #: span; fixed-seed rows are bit-identical either way (DESIGN.md
-    #: §4.14), only the scheduler-event counts differ.
-    frame_exec: bool = None
 
     def with_(self, **kwargs):
         """Return a copy with the given fields replaced."""

@@ -21,9 +21,7 @@ from . import ablations, breakdown, sweep
 from . import testbed as testbed_mod
 from .. import telemetry
 from ..config import DEFAULT_CONFIG
-from ..sim import active_backend, configure_backend, kernel_totals, \
-    reset_kernel_totals
-from ..sim.environment import BACKENDS
+from ..sim import kernel_totals, reset_kernel_totals
 from ..sim import trace as trace_mod
 from ..telemetry.export import format_kernel_stats
 
@@ -81,11 +79,6 @@ def campaign_main(argv):
     parser.add_argument("--pairwise", action="store_true",
                         help="also run two-knob-off interaction points "
                              "(multi-knob campaigns only)")
-    parser.add_argument("--sim-backend", choices=BACKENDS, default=None,
-                        metavar="{heap,wheel}",
-                        help="event-scheduler backend (rows and "
-                             "importance are bit-identical across "
-                             "backends)")
     parser.add_argument("--out", metavar="PATH", default=None,
                         help="write the %s JSON document (rows, run ids, "
                              "importance) for the report scorecard"
@@ -111,8 +104,6 @@ def campaign_main(argv):
                      % ", ".join(unknown))
 
     telemetry.push_scope()
-    if args.sim_backend is not None:
-        configure_backend(args.sim_backend)
     sweep.configure(jobs)
     docs = []
     try:
@@ -136,13 +127,10 @@ def campaign_main(argv):
         if args.out:
             telemetry.dump_campaign(
                 docs, args.out,
-                meta={"seed": args.seed, "fast": not args.full,
-                      "sim_backend": active_backend()})
+                meta={"seed": args.seed, "fast": not args.full})
             print("\ncampaign document written to %s" % args.out)
     finally:
         sweep.configure(None)
-        if args.sim_backend is not None:
-            configure_backend(None)
         telemetry.pop_scope()
     return 0
 
@@ -185,10 +173,6 @@ def slo_main(argv):
                         help="measure window per probe (default: the "
                              "workload's full-preset window)")
     parser.add_argument("--seed", type=int, default=42)
-    parser.add_argument("--sim-backend", choices=BACKENDS, default=None,
-                        metavar="{heap,wheel}",
-                        help="event-scheduler backend (the knee is "
-                             "bit-identical across backends)")
     args = parser.parse_args(argv)
     if args.iters < 1:
         parser.error("--iters must be >= 1")
@@ -198,8 +182,6 @@ def slo_main(argv):
         measure = args.measure
         warmup = min(warmup, measure / 2.0)
     telemetry.push_scope()
-    if args.sim_backend is not None:
-        configure_backend(args.sim_backend)
     try:
         start = time.time()
         outcome = e17.measure_frontier(
@@ -227,8 +209,6 @@ def slo_main(argv):
                   "relax --slo-us)")
         print("(%.1fs)" % (time.time() - start))
     finally:
-        if args.sim_backend is not None:
-            configure_backend(None)
         telemetry.pop_scope()
     return 0
 
@@ -257,14 +237,6 @@ def main(argv=None):
                         help="fan sweep points across N worker processes "
                              "(default: $REPRO_JOBS or 1; results are "
                              "bit-identical to a serial run)")
-    parser.add_argument("--sim-backend", choices=BACKENDS, default=None,
-                        metavar="{heap,wheel}",
-                        help="event-scheduler backend: 'heap' (binary "
-                             "heap, the default and determinism oracle) "
-                             "or 'wheel' (calendar queue + vectorized "
-                             "Channel landings); the rows are "
-                             "bit-identical either way.  Default: "
-                             "$REPRO_SIM_BACKEND or heap")
     parser.add_argument("--kernel-stats", action="store_true",
                         help="after the runs, print the simulator kernel's "
                              "own throughput counters (events processed, "
@@ -340,8 +312,6 @@ def main(argv=None):
     telemetry.push_scope()
     if args.kernel_stats:
         reset_kernel_totals()
-    if args.sim_backend is not None:
-        configure_backend(args.sim_backend)
 
     if overrides:
         testbed_mod.set_active_config(DEFAULT_CONFIG.with_(**overrides))
@@ -379,16 +349,12 @@ def main(argv=None):
         if args.metrics is not None:
             snap = telemetry.snapshot()
             if args.metrics == "-":
-                print(telemetry.format_snapshot(
-                    snap, title="telemetry [sim-backend=%s]" % active_backend()))
+                print(telemetry.format_snapshot(snap))
             else:
-                telemetry.dump_metrics(snap, args.metrics,
-                                       meta={"sim_backend": active_backend()})
+                telemetry.dump_metrics(snap, args.metrics)
                 print("metrics written to %s" % args.metrics)
     finally:
         sweep.configure(None)
-        if args.sim_backend is not None:
-            configure_backend(None)
         if overrides:
             testbed_mod.set_active_config(None)
         trace_mod.clear_enabled_tracers()

@@ -46,8 +46,6 @@ scorecard surfaces first.
 """
 
 import hashlib
-import os
-
 from dataclasses import replace
 
 from .. import telemetry
@@ -609,21 +607,7 @@ def _run_variant(module, exp_id, scenario_kwargs, seed=42):
     variant, inline or in a worker.
     """
     campaign = find_campaign(exp_id, module)
-    # Importance scores diff kernel churn across variants
-    # (snapshot_signals' ``kernel_events``): pin the scalar oracle so
-    # the signal measures the canonical per-message event chain,
-    # invariant across scheduler backends and their frame-execution
-    # defaults (DESIGN.md §4.14).  Model observables are identical
-    # either way; only the churn diagnostics depend on the mode.
-    prior = os.environ.get("REPRO_FRAME_EXEC")
-    os.environ["REPRO_FRAME_EXEC"] = "0"
-    try:
-        value = campaign.scenario(seed=seed, **scenario_kwargs)
-    finally:
-        if prior is None:
-            os.environ.pop("REPRO_FRAME_EXEC", None)
-        else:
-            os.environ["REPRO_FRAME_EXEC"] = prior
+    value = campaign.scenario(seed=seed, **scenario_kwargs)
     return value, telemetry.snapshot()
 
 

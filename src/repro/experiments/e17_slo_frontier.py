@@ -25,10 +25,9 @@ Workloads × designs:
 
 Determinism: a whole bisection is one sweep point; every trial inside
 it derives its seed from the point seed and trial index, all arrival
-generation rides named numpy streams, and the population plane is
-bit-identical across scheduler backends — so rows are bit-identical
-across ``--jobs 1/N`` and ``--sim-backend heap/wheel`` at a fixed
-seed (pinned by ``tests/experiments/test_e17_slo.py``).
+generation rides named numpy streams — so rows are bit-identical
+across ``--jobs 1/N`` at a fixed seed (pinned by
+``tests/experiments/test_e17_slo.py``).
 """
 
 from ..apps.lenet import LeNetApp, MnistStream
@@ -222,5 +221,5 @@ def run(fast=True, seed=42, measure=None, iters=None, arrivals="poisson",
     result.note("driven by the flyweight population plane "
                 "(repro.net.population): aggregate arrivals, Zipf keys, "
                 "struct-of-arrays in-flight tracking; rows bit-identical "
-                "across --jobs 1/N and heap/wheel backends at a fixed seed")
+                "across --jobs 1/N at a fixed seed")
     return result

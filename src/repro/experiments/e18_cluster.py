@@ -34,9 +34,8 @@ The campaign's three knobs ask the three scale-out questions:
 
 Determinism: arrivals, Zipf draws, and p2c candidate picks all ride
 named RNG streams; the failover window and the timeline sampler ride
-``env.defer`` — rows are bit-identical across ``--jobs 1/N`` and
-heap/wheel backends at a fixed seed (pinned by
-``tests/experiments/test_e18_cluster.py``).
+``env.defer`` — rows are bit-identical across ``--jobs 1/N`` at a
+fixed seed (pinned by ``tests/experiments/test_e18_cluster.py``).
 """
 
 from ..apps.memcached import MemcachedServer, encode_get

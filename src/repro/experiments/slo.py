@@ -21,8 +21,7 @@ Determinism: the bisection runs a fixed number of iterations over
 fixed float arithmetic, and every trial derives its seed from the
 caller's seed and the trial index via the sweep executor's blake2s
 derivation — the whole search is one deterministic unit of work, so an
-E17 point is bit-identical across ``--jobs 1/N`` and heap/wheel
-backends.
+E17 point is bit-identical across ``--jobs 1/N``.
 """
 
 import math

@@ -51,7 +51,6 @@ import os
 
 from ..errors import ConfigError
 from .. import telemetry
-from ..sim import environment as env_mod
 from ..sim import trace as trace_mod
 from . import testbed as testbed_mod
 
@@ -189,7 +188,7 @@ def _run_pool(points, jobs):
         ctx = multiprocessing.get_context("spawn")
     config = testbed_mod.active_config()
     pool = ctx.Pool(processes=jobs, initializer=_worker_init,
-                    initargs=(config, env_mod.active_backend()))
+                    initargs=(config,))
     try:
         # map() preserves input order, which is what makes parallel
         # output indistinguishable from serial output.  Chunked
@@ -210,13 +209,12 @@ def _run_pool(points, jobs):
     return values
 
 
-def _worker_init(config, sim_backend):
-    """Pool initializer: scrub inherited state, apply the parent's
-    active-config override and scheduler backend (no-ops under
-    ``fork``, the only way workers learn about them under ``spawn``)."""
+def _worker_init(config):
+    """Pool initializer: scrub inherited state and apply the parent's
+    active-config override (a no-op under ``fork``, the only way
+    workers learn about it under ``spawn``)."""
     _reset_worker_state()
     testbed_mod.set_active_config(config)
-    env_mod.configure_backend(sim_backend)
 
 
 def _reset_worker_state():

@@ -20,7 +20,7 @@ from ..errors import ConfigError
 from ..hw import BluefieldSNIC, InnovaSNIC, IntelVCA, Machine
 from ..lynx import LynxRuntime, LynxServer
 from ..net import Client, MultiRackNetwork, Network
-from ..sim import RngRegistry, Tracer, make_environment
+from ..sim import Environment, RngRegistry, Tracer
 
 
 #: process-wide config override installed by the CLI (see
@@ -54,18 +54,7 @@ class Testbed:
         self.config = config or _active_config or DEFAULT_CONFIG
         if seed is not None:
             self.config = self.config.with_(seed=seed)
-        #: kernel backend: per-config override, else the process-wide
-        #: selection (--sim-backend / $REPRO_SIM_BACKEND / heap)
-        self.env = make_environment(backend=self.config.sim_backend)
-        #: frame-native execution: per-config override, else the
-        #: make_environment resolution ($REPRO_FRAME_EXEC / backend
-        #: default).  Channel tracing needs per-message events, so
-        #: --trace-channel forces the scalar oracle, exactly as it
-        #: disables the LandingTable bulk path.
-        if self.config.frame_exec is not None:
-            self.env.frame_exec = bool(self.config.frame_exec)
-        if self.config.trace:
-            self.env.frame_exec = False
+        self.env = Environment()
         #: event tracer (enabled via SimConfig.trace) — installed on the
         #: environment *before* any Channel exists, so every hop built
         #: by this testbed picks it up at construction time

@@ -22,7 +22,7 @@ Two types (§4.3):
 """
 
 from ..errors import ConfigError
-from ..sim import Channel, batchexec
+from ..sim import Channel
 from .. import telemetry
 
 SERVER = "server"
@@ -139,31 +139,6 @@ class MQueue:
         # The put cannot block: claim accounting guarantees space
         # (complete_claim raises CapacityError otherwise).
         self.rx_ring.complete_claim(entry)
-
-    def complete_rx_frame(self, entry):
-        """Frame-native :meth:`complete_rx` (DESIGN.md §4.14).
-
-        A buffered ring put schedules one completion event that carries
-        no callbacks — pure scheduler churn.  While the ring is plain
-        (no parked consumer to wake, no tracer, a free slot and a held
-        claim), push the entry inline and burn the put's sequence
-        number: the entry lands in the same slot with the same
-        ``enqueued_at`` and the same counter updates, and every later
-        event keeps its scalar sequence number.  Anything else falls
-        back to the scalar put — which is the path that can actually
-        wake a consumer.
-        """
-        ring = self.rx_ring
-        if (ring._getters or ring._tracer is not None
-                or len(ring._items) >= ring.capacity or ring._claimed <= 0):
-            self.complete_rx(entry)
-            return
-        entry.enqueued_at = self.env.now
-        self.delivered += 1
-        ring.delivered += 1
-        ring._push_item(entry)
-        ring.total_put += 1
-        batchexec.burn(self.env, 1)
 
     def abort_rx(self):
         """Release a claimed slot after a failed delivery."""

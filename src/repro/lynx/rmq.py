@@ -132,10 +132,7 @@ class _DeliveryOp:
         self.mq = self.msg = self.entry = self.plan = None
         if len(manager._op_pool) < manager.OP_POOL_CAP:
             manager._op_pool.append(self)
-        if manager.env.frame_exec:
-            mq.complete_rx_frame(entry)
-        else:
-            mq.complete_rx(entry)
+        mq.complete_rx(entry)
 
 
 class _BatchDeliveryOp:
@@ -220,18 +217,11 @@ class _BatchDeliveryOp:
         # accelerator pop triggered by complete_rx may synchronously
         # call deliver() again, which must append to the backlog rather
         # than start a second in-flight batch.
-        # Frame mode lands each entry inline where the ring permits;
-        # batch order is preserved (grouping by mqueue would shift the
-        # consumer-handoff event ids of the fallback puts).
-        frame = manager.env.frame_exec
         for mq, msg, entry in self.batch:
             manager.deliveries += 1
             if msg.meta is not None:
                 msg.meta["t_delivered"] = now
-            if frame:
-                mq.complete_rx_frame(entry)
-            else:
-                mq.complete_rx(entry)
+            mq.complete_rx(entry)
         self.plan = None
         if manager._backlog:
             self.batch = ()
@@ -365,16 +355,8 @@ class _PollerOp:
         sink = manager._tx_sink
         if sink is None:
             raise ConfigError("no forwarder installed on %s" % manager.name)
-        sink_many = manager._tx_sink_many
-        if (sink_many is not None and len(pending) > 1
-                and manager.env.frame_exec):
-            # Frame mode: hand the whole sweep to the forwarder in one
-            # call so it can coalesce the per-entry start kicks
-            # (DESIGN.md §4.14 — doorbell batches stay batched).
-            sink_many(pending)
-        else:
-            for mq, entry in pending:
-                sink(mq, entry)
+        for mq, entry in pending:
+            sink(mq, entry)
         self._after_sweep(len(pending))
 
     def _after_sweep(self, collected):
@@ -420,7 +402,6 @@ class RemoteMQManager:
                          if self.batch_size > 1 else None)
         self._doorbells = Channel(env, name="%s-doorbells" % self.name)
         self._tx_sink = None
-        self._tx_sink_many = None
         self._poller = _PollerOp(self)
         self.deliveries = 0
         self.sweeps = 0
@@ -451,16 +432,6 @@ class RemoteMQManager:
     def on_tx(self, callback):
         """Install the forwarder callback: ``callback(mq, entry)``."""
         self._tx_sink = callback
-
-    def on_tx_many(self, callback):
-        """Install the frame forwarder: ``callback([(mq, entry), ...])``.
-
-        Optional; only consulted in frame mode for sweeps that fetched
-        more than one entry.  The forwarder must process the pairs in
-        order and reproduce the per-entry sink's event-id consumption
-        (see :meth:`LynxServer._on_accelerator_tx_many`).
-        """
-        self._tx_sink_many = callback
 
     # -- ingress -------------------------------------------------------------------
 

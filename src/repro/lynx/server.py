@@ -21,11 +21,11 @@ path allocates no frames and spawns no processes per message.
 """
 
 from ..errors import ConfigError, NetworkError
-from ..net.packet import Address, Message, TCP, TCP_HEADER, UDP_HEADER
+from ..net.packet import Address, Message, TCP
 from ..net.stack import NetworkStack, TcpConnection
-from ..sim import NullTracer, RateMeter, batchexec
+from ..sim import NullTracer, RateMeter
 from .. import telemetry
-from .dispatch import ClientSteering, LeastLoaded, RoundRobin
+from .dispatch import RoundRobin
 from .mqueue import (
     CLIENT,
     ERR_CONNECTION,
@@ -50,10 +50,6 @@ class _PortBinding:
         self.responses = RateMeter(env, name="port%d-resps" % port)
 
 
-# Per-stage coalescing shared across the data planes (DESIGN.md §4.14).
-_try_stage = batchexec.try_stage
-
-
 class _RxOp:
     """One worker core's ingress loop as a callback state machine.
 
@@ -66,8 +62,7 @@ class _RxOp:
     """
 
     __slots__ = ("server", "env", "pool", "msg", "mq", "manager",
-                 "binding", "request", "duration", "mi", "ws", "token",
-                 "_t1", "_t2")
+                 "binding", "request", "duration", "mi", "ws", "token")
 
     def __init__(self, server):
         self.server = server
@@ -82,9 +77,6 @@ class _RxOp:
         self.mi = 0.0
         self.ws = 0
         self.token = None
-        #: frame execution: stage-boundary timestamps of a turbo span
-        self._t1 = 0.0
-        self._t2 = 0.0
 
     def start(self):
         # URGENT kick at the current time: the exact schedule slot the
@@ -95,118 +87,9 @@ class _RxOp:
         self._arm()
 
     def _arm(self):
-        """Wait for the next RX-ring message (the loop's ``nic.recv()``).
-
-        Every call site reaches here as the tail of its callback, which
-        is what makes the frame-execution admission guard sound (see
-        :mod:`repro.sim.batchexec`): after :meth:`_try_turbo` checks the
-        schedule, nothing else runs at the current instant.
-        """
-        if self.env.frame_exec and self._try_turbo():
-            return
+        """Wait for the next RX-ring message (the loop's ``nic.recv()``)."""
         get = self.server.nic.rx.get()
         get.callbacks.append(self._on_msg)
-
-    # -- frame execution (DESIGN.md §4.14) ---------------------------------
-
-    def _try_turbo(self):
-        """Coalesce the whole rx -> dispatch -> post span into one event.
-
-        The scalar chain burns seven schedule slots per message (ring
-        pop, three grants, three charges); when the span is provably
-        unobservable this runs it as a single completion at the exact
-        final timestamp, replaying every intermediate effect with the
-        same arithmetic.  Any precondition failure falls back to the
-        unchanged scalar path — which is also the determinism oracle.
-        """
-        env = self.env
-        server = self.server
-        if server.tracer.enabled or env.tracer.enabled:
-            return False
-        rx = server.nic.rx
-        items = rx._items
-        if not items or not batchexec.ring_plain(rx):
-            return False
-        msg = items[0]
-        kind = msg.kind
-        if kind == "tcp-syn" or kind == "tcp-synack":
-            return False
-        port = msg.dst.port
-        if server._client_mq_by_port.get(port) is not None:
-            return False
-        binding = server._ports.get(port)
-        if binding is None or not binding.mqueues:
-            return False
-        pool = self.pool
-        res = pool._res
-        if not batchexec.pool_ready(res):
-            return False
-        if not batchexec.calibration_plain(pool):
-            return False
-        # Preview the dispatch decision without committing policy state;
-        # only the known-pure policies (plus round-robin's counter,
-        # advanced below once the span commits) are previewable.
-        policy = binding.policy
-        ptype = type(policy)
-        mqueues = binding.mqueues
-        if ptype is RoundRobin:
-            mq = mqueues[policy._next % len(mqueues)]
-        elif ptype is LeastLoaded or ptype is ClientSteering:
-            mq = policy.select(mqueues, msg)
-        else:
-            return False
-        manager = server._manager_of(mq)
-        if server._dark_managers and manager in server._dark_managers:
-            return False
-        # Stage timestamps: the exact sequential additions the scalar
-        # charges perform (batchexec.span_times, unrolled).
-        t1 = env.now + server.stack.rx_cost(msg)
-        t2 = t1 + server.profile.dispatch_cost / pool.profile.speed_factor
-        t3 = t2 + manager.engine.profile.post_cost
-        if not batchexec.clear_span(env, t3):
-            return False
-        # -- commit ----------------------------------------------------
-        items.popleft()
-        server.nic.rx_rate.count += 1       # inlined nic.recv() rate tick
-        if ptype is RoundRobin:
-            policy._next += 1
-        batchexec.seize(res)
-        self.msg = msg
-        self.mq = mq
-        self.manager = manager
-        self.binding = binding
-        self._t1 = t1
-        self._t2 = t2
-        # Scalar slots for this span: ring pop, three grants, two
-        # stage charges (6 eids) — then defer_at issues the seventh, so
-        # the completion fires with the final charge's exact sequence
-        # number and everything scheduled afterwards is unperturbed.
-        batchexec.burn(env, 6)
-        env.defer_at(t3, self._turbo_done)
-        return True
-
-    def _turbo_done(self, _event):
-        """Span completion: replay the scalar chain's effects at their
-        recorded timestamps, then deliver and re-arm."""
-        server = self.server
-        msg = self.msg
-        res = self.pool._res
-        gauge = res.utilization
-        # The scalar chain's zero-width release/re-grant pairs at the
-        # two stage boundaries, then the real release at now (== t3).
-        batchexec.touch_gauge(gauge, self._t1)
-        batchexec.touch_gauge(gauge, self._t2)
-        batchexec.unseize(res)
-        if msg.proto == TCP and msg.conn is not None:
-            msg.conn.deliver(msg)
-        msg.meta["t_rx_done"] = self._t1
-        server.requests.count += 1        # inlined RateMeter.tick()
-        self.binding.requests.count += 1
-        msg.meta["t_dispatched"] = self._t2
-        manager, mq = self.manager, self.mq
-        self.manager = self.mq = self.msg = self.binding = None
-        manager.deliver(mq, msg)
-        self._arm()
 
     def _on_msg(self, get):
         server = self.server
@@ -223,12 +106,7 @@ class _RxOp:
             return
         # stack.process_rx: calibrated rx cost on the worker pool.
         self.msg = msg
-        duration = server.stack.rx_cost(msg)
-        if self.env.frame_exec and _try_stage(self.env, self.pool._res,
-                                              duration, self._rx_stage_done,
-                                              pool=self.pool):
-            return
-        self._acquire_calibrated(duration, self._rx_granted)
+        self._acquire_calibrated(server.stack.rx_cost(msg), self._rx_granted)
 
     # -- pool occupancy (twins of CorePool.run_calibrated/_timed) ----------
 
@@ -270,13 +148,6 @@ class _RxOp:
 
     def _rx_charged(self, _event):
         self._release_calibrated()
-        self._after_rx()
-
-    def _rx_stage_done(self, _event):
-        batchexec.unseize(self.pool._res)
-        self._after_rx()
-
-    def _after_rx(self):
         server = self.server
         msg = self.msg
         if msg.proto == TCP and msg.conn is not None:
@@ -302,11 +173,7 @@ class _RxOp:
         # Lynx's own dispatcher code scales with the platform's core
         # speed (run_compute with no cache args: a plain charge).
         pool = self.pool
-        duration = server.profile.dispatch_cost / pool.profile.speed_factor
-        if self.env.frame_exec and _try_stage(self.env, pool._res, duration,
-                                              self._cmp_stage_done):
-            return
-        self.duration = duration
+        self.duration = server.profile.dispatch_cost / pool.profile.speed_factor
         req = pool._res.request(0)
         self.request = req
         req.callbacks.append(self._cmp_granted)
@@ -317,13 +184,6 @@ class _RxOp:
     def _cmp_charged(self, _event):
         self.request.release()
         self.request = None
-        self._after_cmp()
-
-    def _cmp_stage_done(self, _event):
-        batchexec.unseize(self.pool._res)
-        self._after_cmp()
-
-    def _after_cmp(self):
         server = self.server
         binding = self.binding
         self.binding = None
@@ -344,12 +204,8 @@ class _RxOp:
         self.mq = mq
         self.manager = manager
         # CPU cost of posting the one-sided RDMA write (§5.1: <1us).
-        duration = manager.engine.profile.post_cost
-        if self.env.frame_exec and _try_stage(self.env, self.pool._res,
-                                              duration, self._post_stage_done,
-                                              pool=self.pool):
-            return
-        self._acquire_calibrated(duration, self._post_granted)
+        self._acquire_calibrated(manager.engine.profile.post_cost,
+                                 self._post_granted)
 
     def _shed(self, mq):
         """Graceful degradation: the accelerator behind *mq* is dark.
@@ -377,13 +233,6 @@ class _RxOp:
 
     def _post_charged(self, _event):
         self._release_calibrated()
-        self._after_post()
-
-    def _post_stage_done(self, _event):
-        batchexec.unseize(self.pool._res)
-        self._after_post()
-
-    def _after_post(self):
         # Ring-full drops are counted once, by the mqueue itself;
         # ``server.dropped`` tracks only undeliverable traffic.
         manager, mq, msg = self.manager, self.mq, self.msg
@@ -402,7 +251,7 @@ class _TxOp:
     """
 
     __slots__ = ("server", "env", "pool", "mq", "entry", "response",
-                 "request", "duration", "mi", "ws", "token", "_t1", "_t3")
+                 "request", "duration", "mi", "ws", "token")
 
     def __init__(self, server):
         self.server = server
@@ -416,9 +265,6 @@ class _TxOp:
         self.mi = 0.0
         self.ws = 0
         self.token = None
-        #: frame execution: stage-boundary timestamps of a turbo span
-        self._t1 = 0.0
-        self._t3 = 0.0
 
     def start(self, mq, entry):
         self.mq = mq
@@ -427,34 +273,8 @@ class _TxOp:
         self.env._kick(self._begin)
 
     def _begin(self, _event):
-        # Frame-execution admission happens here, in the kick's own
-        # callback, NOT in start(): a poller sweep can start several ops
-        # back to back, and each later kick must already be visible to
-        # the earlier op's clear-span guard.
-        if self.env.frame_exec and self._try_turbo():
-            return
         # Egress runs at higher core priority than ingress: the real
         # forwarder round-robins and is never starved by a request flood.
-        pool = self.pool
-        duration = (self.server.profile.forward_cost
-                    / pool.profile.speed_factor)
-        if self.env.frame_exec and _try_stage(self.env, pool._res, duration,
-                                              self._fwd_stage_done):
-            return
-        self.duration = duration
-        req = pool._res.request(-1)
-        self.request = req
-        req.callbacks.append(self._fwd_granted)
-
-    def _begin_swept(self, _event):
-        """Scalar ``_begin`` body for sweep-coalesced starts — no turbo.
-
-        All ops of a sweep begin inside one kick callback, so when an
-        earlier op probed ``clear_span`` the later ops' grant events
-        would not be in the queue yet and the guard would falsely
-        admit.  Turbo resumes downstream, where every stage boundary is
-        a real queue event again.
-        """
         pool = self.pool
         self.duration = (self.server.profile.forward_cost
                          / pool.profile.speed_factor)
@@ -462,114 +282,12 @@ class _TxOp:
         self.request = req
         req.callbacks.append(self._fwd_granted)
 
-    # -- frame execution (DESIGN.md §4.14) ---------------------------------
-
-    def _try_turbo(self):
-        """Coalesce forward -> stack tx -> wire into two scheduled events.
-
-        The scalar chain costs six slots after the kick; the turbo step
-        runs one completion at the stack-tx timestamp (where the issue
-        slot changes hands) and one at wire-out.  Only the plain
-        server-mqueue response path qualifies — client-mqueue egress
-        (fresh backend requests, watchdogs) stays scalar.
-        """
-        env = self.env
-        server = self.server
-        if server.tracer.enabled or env.tracer.enabled:
-            return False
-        mq, entry = self.mq, self.entry
-        if mq.kind != SERVER:
-            return False
-        request = entry.request_msg
-        if request is None:
-            return False
-        size = 0 if entry.error else entry.size
-        if size is None:
-            return False
-        pool = self.pool
-        res = pool._res
-        if not batchexec.pool_ready(res):
-            return False
-        if not batchexec.calibration_plain(pool):
-            return False
-        issue = server.nic.tx.issue
-        if issue is None or not batchexec.pool_ready(issue):
-            return False
-        proto = request.proto
-        header = TCP_HEADER if proto == TCP else UDP_HEADER
-        t1 = env.now + server.profile.forward_cost / pool.profile.speed_factor
-        t2 = t1 + server.stack.tx_cost_for(proto, size)
-        t3 = t2 + server.nic.tx.occupancy(size + header)
-        if not batchexec.clear_span(env, t3):
-            return False
-        # -- commit ----------------------------------------------------
-        batchexec.seize(res)
-        self._t1 = t1
-        self._t3 = t3
-        # Scalar slots: forward grant + charge, then the tx-leg grant
-        # (3 eids); defer_at issues the tx charge's exact slot.
-        batchexec.burn(env, 3)
-        env.defer_at(t2, self._turbo_fwd_done)
-        return True
-
-    def _turbo_fwd_done(self, _event):
-        """now == t2: worker-pool span over; replay t1's bookkeeping,
-        build the response at its scalar values, claim the wire."""
-        server = self.server
-        env = self.env
-        res = self.pool._res
-        batchexec.touch_gauge(res.utilization, self._t1)
-        batchexec.unseize(res)
-        entry = self.entry
-        request = entry.request_msg
-        t1 = self._t1
-        if entry.error:
-            response = request.reply(b"", created_at=t1, size=0,
-                                     kind="error")
-            response.meta["error"] = entry.error
-        else:
-            response = request.reply(entry.payload, created_at=t1,
-                                     size=entry.size)
-        self.response = response
-        if server.collect_breakdowns:
-            stamps = dict(request.meta)
-            stamps["t_tx_ready"] = t1
-            response.meta["breakdown"] = {
-                k: v for k, v in stamps.items() if k.startswith("t_")}
-        if response.proto == TCP and response.conn is not None:
-            response.meta["tcp_seq"] = response.conn.next_seq(response.src)
-        server.responses.count += 1       # inlined RateMeter.tick()
-        binding = server._ports.get(self.mq.bound_port)
-        if binding is not None:
-            binding.responses.count += 1
-        batchexec.seize(server.nic.tx.issue)
-        batchexec.burn(env, 1)            # the scalar issue-grant slot
-        env.defer_at(self._t3, self._turbo_wire_done)
-
-    def _turbo_wire_done(self, _event):
-        """now == t3: wire serialization done — deliver and recycle."""
-        nic = self.server.nic
-        batchexec.unseize(nic.tx.issue)
-        response = self.response
-        nic.tx.sent += 1                  # inlined Channel.transfer stats
-        nic.tx.bytes_moved += response.wire_size
-        nic.tx_rate.count += 1            # inlined RateMeter.tick()
-        nic.network.deliver(response)
-        self._finish()
-
     def _fwd_granted(self, _event):
         self.env.charge(self.duration).callbacks.append(self._fwd_charged)
 
     def _fwd_charged(self, _event):
         self.request.release()
         self.request = None
-        self._after_fwd()
-
-    def _fwd_stage_done(self, _event):
-        batchexec.unseize(self.pool._res)
-        self._after_fwd()
-
-    def _after_fwd(self):
         server = self.server
         mq, entry = self.mq, self.entry
         response = server._build_response(mq, entry)
@@ -586,11 +304,7 @@ class _TxOp:
             response.meta["tcp_seq"] = response.conn.next_seq(response.src)
         # run_calibrated(stack.tx_cost, priority=-1) on the worker pool.
         pool = self.pool
-        duration = server.stack.tx_cost(response)
-        if self.env.frame_exec and _try_stage(self.env, pool._res, duration,
-                                              self._tx_stage_done, pool=pool):
-            return
-        self.duration = duration
+        self.duration = server.stack.tx_cost(response)
         self.mi = pool.default_memory_intensity
         self.ws = pool.default_working_set
         req = pool._res.request(-1)
@@ -616,13 +330,6 @@ class _TxOp:
             self.token = None
         self.request.release()
         self.request = None
-        self._after_txleg()
-
-    def _tx_stage_done(self, _event):
-        batchexec.unseize(self.pool._res)
-        self._after_txleg()
-
-    def _after_txleg(self):
         server = self.server
         server.responses.count += 1       # inlined RateMeter.tick()
         mq = self.mq
@@ -636,12 +343,7 @@ class _TxOp:
             server.tracer.emit(server.name, "tx", self.response.msg_id)
         # nic.send(response) through the TX channel: claim the port's
         # issue slot, hold it for the wire occupancy, then deliver.
-        issue = server.nic.tx.issue
-        duration = server.nic.tx.occupancy(self.response.wire_size)
-        if self.env.frame_exec and _try_stage(self.env, issue, duration,
-                                              self._wire_stage_done):
-            return
-        req = issue.request()
+        req = server.nic.tx.issue.request()
         self.request = req
         req.callbacks.append(self._wire_granted)
 
@@ -653,13 +355,6 @@ class _TxOp:
     def _wire_charged(self, _event):
         self.request.release()
         self.request = None
-        self._after_wire()
-
-    def _wire_stage_done(self, _event):
-        batchexec.unseize(self.server.nic.tx.issue)
-        self._after_wire()
-
-    def _after_wire(self):
         nic = self.server.nic
         response = self.response
         nic.tx.sent += 1                  # inlined Channel.transfer stats
@@ -733,8 +428,6 @@ class LynxServer:
     def add_manager(self, manager):
         """Attach a Remote MQ Manager (one per accelerator)."""
         manager.on_tx(self._on_accelerator_tx)
-        if hasattr(manager, "on_tx_many"):
-            manager.on_tx_many(self._on_accelerator_tx_many)
         self._managers.append(manager)
         return manager
 
@@ -836,32 +529,6 @@ class LynxServer:
         pool = self._tx_op_pool
         op = pool.pop() if pool else _TxOp(self)
         op.start(mq, entry)
-
-    def _on_accelerator_tx_many(self, pairs):
-        """Frame twin of the per-entry sink for one poller sweep.
-
-        The scalar path posts one URGENT kick per entry: k events whose
-        callbacks each run :meth:`_TxOp._begin`.  Since same-time URGENT
-        kicks all fire before any NORMAL grant they create, the k
-        ``_begin`` bodies run back to back either way — so one kick
-        runs them all in order, the k-1 phantom kick ids are burned,
-        and every grant event the bodies create keeps its scalar id.
-        """
-        pool = self._tx_op_pool
-        ops = []
-        for mq, entry in pairs:
-            op = pool.pop() if pool else _TxOp(self)
-            op.mq = mq
-            op.entry = entry
-            ops.append(op)
-
-        def run(_event):
-            for op in ops:
-                op._begin_swept(_event)
-
-        env = self.env
-        env._kick(run)
-        batchexec.burn(env, len(ops) - 1)
 
     def _build_response(self, mq, entry):
         if mq.kind == SERVER:

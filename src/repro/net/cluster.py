@@ -29,7 +29,7 @@ a sharded, replicated service tier.  This module is that tier
 Determinism: steering consumes schedule slots only through
 ``env.defer`` and draws only from the named stream
 ``cluster.p2c.<vip>``, so fixed-seed cluster runs are bit-identical
-across ``--jobs 1/N`` and heap/wheel backends.
+across ``--jobs 1/N``.
 """
 
 import hashlib

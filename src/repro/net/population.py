@@ -22,10 +22,9 @@ every per-request quantity in struct-of-arrays numpy columns:
   telemetry :class:`~repro.telemetry.instruments.LogHistogram`\\ s via
   ``record_many``;
 * injection is frame-coalesced: arrivals within ``coalesce_us`` of
-  each other wake the population once and are pushed back-to-back onto
-  the destination's wire channel, so on the wheel backend the whole
-  frame collapses into one landing-table batch (O(1) scheduler events
-  per burst, DESIGN.md §4.11).
+  each other wake the population once and ride one
+  ``Channel.push_many`` landing onto the destination's wire channel
+  (O(1) scheduler events per burst, DESIGN.md §4.13).
 
 Timing is calibrated to the scalar client path: a request created at
 arrival time ``t`` reaches the wire channel at
@@ -406,10 +405,9 @@ class InFlightTable:
     Columns: request ``msg_id`` (monotonically increasing — the global
     Message counter only moves forward), send time, deadline, flow
     (stream) id, and a done flag.  Appends stage into a python list and
-    bulk-materialize into the columns at resolve/expiry boundaries (the
-    landing-table pattern, DESIGN.md §4.11); responses resolve ids to
-    rows with one ``searchsorted`` per batch.  No per-request objects,
-    no ``_waiters`` dict.
+    bulk-materialize into the columns at resolve/expiry boundaries;
+    responses resolve ids to rows with one ``searchsorted`` per batch.
+    No per-request objects, no ``_waiters`` dict.
     """
 
     def __init__(self, capacity=8192):

@@ -16,8 +16,6 @@ paper real, without modelling retransmission.
 
 from itertools import count
 
-import numpy as np
-
 from ..errors import NetworkError
 from .. import telemetry
 from .packet import Message, TCP, UDP
@@ -110,44 +108,6 @@ class NetworkStack:
         if msg.proto == TCP:
             return p.tcp_tx_fixed + p.tcp_per_byte * msg.size
         return p.udp_tx_fixed + p.udp_per_byte * msg.size
-
-    # (proto, size) twins of the cost model, for frame execution: a
-    # turbo span prices its stages before the response Message exists.
-    # Same arithmetic, same operand order — the timestamps they produce
-    # must match the Message-based path bit for bit.
-
-    def rx_cost_for(self, proto, size):
-        p = self.profile
-        if proto == TCP:
-            return p.tcp_rx_fixed + p.tcp_per_byte * size
-        return p.udp_rx_fixed + p.udp_per_byte * size
-
-    def tx_cost_for(self, proto, size):
-        p = self.profile
-        if proto == TCP:
-            return p.tcp_tx_fixed + p.tcp_per_byte * size
-        return p.udp_tx_fixed + p.udp_per_byte * size
-
-    def rx_costs(self, proto, sizes):
-        """Vectorized receive costs of a frame of message *sizes*.
-
-        numpy elementwise ``fixed + per_byte * size`` rounds identically
-        to the scalar expression, so per-message frame charges built
-        from this array match the scalar chain's.
-        """
-        sizes = np.asarray(sizes, dtype=float)
-        p = self.profile
-        if proto == TCP:
-            return p.tcp_rx_fixed + p.tcp_per_byte * sizes
-        return p.udp_rx_fixed + p.udp_per_byte * sizes
-
-    def tx_costs(self, proto, sizes):
-        """Vectorized transmit costs of a frame of message *sizes*."""
-        sizes = np.asarray(sizes, dtype=float)
-        p = self.profile
-        if proto == TCP:
-            return p.tcp_tx_fixed + p.tcp_per_byte * sizes
-        return p.udp_tx_fixed + p.udp_per_byte * sizes
 
     # -- processing ------------------------------------------------------------
 

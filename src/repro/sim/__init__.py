@@ -12,19 +12,11 @@ Public surface::
 """
 
 from .environment import (
-    BACKENDS,
     Environment,
-    active_backend,
-    configure_backend,
     kernel_totals,
-    make_environment,
     merge_kernel_totals,
     reset_kernel_totals,
-    resolve_frame_exec,
 )
-from . import batchexec
-from .landing import LandingTable
-from .wheel import WheelEnvironment
 from .events import (
     Event,
     Timeout,
@@ -46,18 +38,10 @@ from .stats import LatencyRecorder, RateMeter, TimeWeightedGauge, Counter
 from .trace import Tracer, NullTracer
 
 __all__ = [
-    "BACKENDS",
     "Environment",
-    "WheelEnvironment",
-    "LandingTable",
-    "active_backend",
-    "configure_backend",
-    "make_environment",
     "kernel_totals",
     "merge_kernel_totals",
     "reset_kernel_totals",
-    "resolve_frame_exec",
-    "batchexec",
     "Event",
     "Timeout",
     "Charge",

@@ -25,7 +25,6 @@ a Channel leaves fixed-seed results bit-identical.
 from collections import deque
 
 from ..errors import CapacityError, SimulationError
-from .batchexec import burn, clear_span, ring_plain
 from .events import Event
 from .resources import Resource
 from .store import Store
@@ -78,22 +77,6 @@ class Channel(Store):
         self.issue = (Resource(env, 1, name="%s-issue" % self.name)
                       if serialized else None)
         self._sink = sink if sink is not None else self
-        #: the environment's landing table (wheel backend; None on the
-        #: heap) — cached here so _push_staged() skips an attribute hop
-        self._landing = env._landing
-        # Adaptive staging (wheel backend): channels whose batches never
-        # coalesce pay the table's bookkeeping for nothing, so after
-        # enough consecutive single-message batches with no burst ever
-        # seen, push falls back to the defer route.  The route choice
-        # is observably identical either way (same sequence numbers,
-        # same delivery order), so the heuristic cannot perturb results.
-        self._stage_off = False
-        self._stage_bursts = False
-        self._solo_batches = 0
-        if self._landing is not None:
-            # Instance-level rebind: heap channels keep the class-level
-            # push() untouched (no wheel bookkeeping on that hot path).
-            self.push = self._push_staged
         #: items pushed but not yet landed; FIFO matches fire order
         #: because every push on one channel defers the same latency
         self._in_flight = deque()
@@ -166,34 +149,11 @@ class Channel(Store):
 
         Drop-tail on a full sink (the receiver counts nothing; the
         channel's ``dropped`` statistic does).
-
-        On the wheel backend ``__init__`` rebinds ``push`` to
-        :meth:`_push_staged`, which replaces the per-message ``defer``
-        with a row in the environment's struct-of-arrays landing table
-        (DESIGN.md §4.11).  Keeping the route choice out of this body
-        leaves the heap backend's hot path free of wheel bookkeeping.
         """
         self.sent += 1
         self.bytes_moved += nbytes
         self._in_flight.append(item)
         self.env.defer(self.latency, self._land)
-
-    def _push_staged(self, item, nbytes=0):
-        """Wheel-backend ``push``: stage a landing-table row.
-
-        Coalesces homogeneous bursts into vectorized deliveries with
-        bit-identical observable order.  ``_stage_off`` is the adaptive
-        bypass for channels whose batches never coalesce (set by the
-        landing table itself); the defer route it falls back to is
-        observably identical.
-        """
-        self.sent += 1
-        self.bytes_moved += nbytes
-        self._in_flight.append(item)
-        if self._stage_off:
-            self.env.defer(self.latency, self._land)
-        else:
-            self._landing.stage(self, item, nbytes)
 
     def _land(self, _event):
         item = self._in_flight.popleft()
@@ -357,51 +317,6 @@ class Channel(Store):
                 break
             out.append(item)
         return out
-
-    # -- frame handoff (DESIGN.md §4.14) -----------------------------------
-
-    def frame_pop(self):
-        """Inline pop in place of a ``get()`` event, when unobservable.
-
-        A ``get()`` with an item already buffered resolves at the
-        current instant anyway — pop + one resume event.  Under frame
-        execution, when the ring is on the plain Store fast path (no
-        tracer, no fault ``_land`` shadow, no parked waiters) and the
-        clear-span guard holds at ``now``, the consumer can pop inline,
-        burn the skipped resume's sequence number, and keep running.
-        Returns the item, or ``None`` when the hop must stay scalar —
-        callers fall back to ``yield self.get()`` (items are never
-        ``None``; ``put`` rejects it).
-        """
-        env = self.env
-        if (env.frame_exec and self._items
-                and ring_plain(self)
-                and clear_span(env, env.now)):
-            burn(env, 1)
-            return self._pop_item()
-        return None
-
-    def frame_push(self, item):
-        """Inline buffered put in place of a ``put()`` event.
-
-        The mirror of :meth:`frame_pop` for the producer side: a
-        ``put`` into a ring with room and no parked consumer buffers
-        the item and schedules one resume event.  Under the same
-        guards the producer buffers inline (with the same
-        ``total_put`` accounting) and burns the skipped sequence
-        number.  Returns False when the hop must stay scalar —
-        callers fall back to ``yield self.put(item)``.
-        """
-        env = self.env
-        if (env.frame_exec
-                and len(self._items) < self.capacity
-                and ring_plain(self)
-                and clear_span(env, env.now)):
-            self._push_item(item)
-            self.total_put += 1
-            burn(env, 1)
-            return True
-        return False
 
     # -- traced method shadows (installed per instance when tracing) -------
 

@@ -24,7 +24,6 @@ unchanged for a fixed seed.
 
 import gc
 import heapq
-import os
 from heapq import heappush
 from time import perf_counter
 
@@ -48,79 +47,15 @@ _TOTAL_KEYS = (
 
 _PREFIX = "sim.kernel."
 
-#: Scheduler backends selectable via :func:`make_environment` /
-#: ``--sim-backend`` / ``$REPRO_SIM_BACKEND``.  ``heap`` is the classic
-#: binary-heap schedule; ``wheel`` is the calendar-queue backend
-#: (:class:`~repro.sim.wheel.WheelEnvironment`) with identical event
-#: ordering (see DESIGN.md §4.11).
-BACKENDS = ("heap", "wheel")
 
-#: backend installed by :func:`configure_backend` (the CLI hook);
-#: ``None`` defers to ``$REPRO_SIM_BACKEND``, then the heap default.
-_configured_backend = None
-
-
-def configure_backend(backend):
-    """Install the process-wide scheduler backend (``None`` resets)."""
-    global _configured_backend
-    if backend is not None and backend not in BACKENDS:
-        raise SimulationError("unknown sim backend %r (choose from %s)"
-                              % (backend, "/".join(BACKENDS)))
-    _configured_backend = backend
-
-
+# The benchmark's run metadata (benchmarks/e2e/child.py) calls these two:
+# the binary heap is the only scheduler, per-message ops the only mode.
 def active_backend():
-    """The effective backend for environments built without an explicit
-    choice: :func:`configure_backend`, then ``$REPRO_SIM_BACKEND``, then
-    ``heap``.  An unknown env-var value falls back to ``heap`` rather
-    than crashing every import site."""
-    if _configured_backend is not None:
-        return _configured_backend
-    raw = os.environ.get("REPRO_SIM_BACKEND", "").strip().lower()
-    if raw in BACKENDS:
-        return raw
     return "heap"
 
 
-def make_environment(initial_time=0.0, backend=None):
-    """Build an :class:`Environment` with the selected scheduler backend.
-
-    *backend* overrides the process-wide selection (see
-    :func:`active_backend`).  Testbeds construct their kernel through
-    this factory, so ``--sim-backend``/``$REPRO_SIM_BACKEND`` reach every
-    experiment; direct ``Environment()`` calls keep the heap.
-    """
-    name = backend if backend is not None else active_backend()
-    if name == "heap":
-        env = Environment(initial_time)
-    elif name == "wheel":
-        from .wheel import WheelEnvironment
-        env = WheelEnvironment(initial_time)
-    else:
-        raise SimulationError("unknown sim backend %r (choose from %s)"
-                              % (name, "/".join(BACKENDS)))
-    env.frame_exec = resolve_frame_exec(name)
-    return env
-
-
-def resolve_frame_exec(backend, configured=None):
-    """Effective frame-execution setting for a *backend* environment.
-
-    Precedence mirrors the backend knob: an explicit *configured*
-    True/False (``SimConfig.frame_exec``) wins, then ``$REPRO_FRAME_EXEC``
-    (``1``/``0``), then the backend default — on for the wheel fast
-    path, off for heap golden runs.  Frame execution only coalesces
-    scheduler events; fixed-seed simulated results are bit-identical
-    either way (DESIGN.md §4.14).
-    """
-    if configured is not None:
-        return bool(configured)
-    raw = os.environ.get("REPRO_FRAME_EXEC", "").strip()
-    if raw in ("1", "true", "on", "yes"):
-        return True
-    if raw in ("0", "false", "off", "no"):
-        return False
-    return backend == "wheel"
+def resolve_frame_exec(_backend):
+    return False
 
 
 def kernel_totals():
@@ -145,7 +80,6 @@ def kernel_totals():
     reqs = totals["requests_completed"]
     totals["events_per_request"] = (
         totals["events_processed"] / reqs if reqs > 0 else 0.0)
-    totals["backend"] = active_backend()
     return totals
 
 
@@ -183,28 +117,12 @@ class Environment:
 
     POOL_CAP = _POOL_CAP
 
-    #: scheduler backend name (subclasses override; see make_environment)
-    backend = "heap"
-
-    #: frame-native execution of the data-plane hot loops (see
-    #: repro.sim.batchexec and DESIGN.md §4.14).  Class default keeps
-    #: direct ``Environment()`` construction on the scalar oracle;
-    #: :func:`make_environment` and testbeds resolve the effective
-    #: setting via :func:`resolve_frame_exec`.
-    frame_exec = False
-
     def __init__(self, initial_time=0.0):
         self.now = float(initial_time)
         # The shared trigger sites (Event.succeed, Store completions,
         # Resource grants) heappush ``(time, priority, eid, event)``
-        # entries straight onto ``_queue``.  The wheel backend aliases
-        # ``_queue`` to its live heap — trigger sites always push at
-        # ``now``, which is exactly the live heap's domain — so those
-        # hot paths stay byte-identical across backends.
+        # entries straight onto ``_queue``.
         self._queue = []
-        #: vectorized Channel landing table (wheel backend only; see
-        #: repro.sim.landing) — ``None`` keeps Channel.push on defer()
-        self._landing = None
         self._eid = 0
         self._active_process = None
         self._charge_pool = []
@@ -290,32 +208,6 @@ class Environment:
         eid = self._eid
         self._eid = eid + 1
         heappush(self._queue, (self.now + delay, priority, eid, event))
-        return event
-
-    def defer_at(self, when, callback, priority=NORMAL):
-        """Invoke *callback(event)* at absolute simulated time *when*.
-
-        The absolute-time twin of :meth:`defer`, for frame execution
-        (:mod:`repro.sim.batchexec`): a coalesced span must complete at
-        the exact float timestamp the scalar chain's sequential
-        additions produce, and ``defer(when - now)`` cannot guarantee
-        that — ``now + (when - now)`` need not round back to ``when``.
-        """
-        if when < self.now:
-            raise SimulationError("defer_at into the past: %r" % when)
-        pool = self._charge_pool
-        if pool:
-            event = pool.pop()
-            event._value = None
-            event.delay = when - self.now
-            self.charges_reused += 1
-        else:
-            event = Charge(self, when - self.now, None)
-            self.charges_created += 1
-        event.callbacks.append(callback)
-        eid = self._eid
-        self._eid = eid + 1
-        heappush(self._queue, (when, priority, eid, event))
         return event
 
     def _kick(self, callback):
@@ -514,8 +406,6 @@ class Environment:
         wall = self.wall_seconds
         reqs = self.requests_completed
         return {
-            "backend": self.backend,
-            "frame_exec": self.frame_exec,
             "events_processed": self.events_processed,
             "processes_spawned": self.processes_spawned,
             "tasks_spawned": self.tasks_spawned,
@@ -547,8 +437,7 @@ class Environment:
                 reg.counter(_PREFIX + key).inc(delta)
                 flushed[key] = value
         reg.peak(_PREFIX + "heap_peak").record(self.heap_peak)
-        # Derived: events per completed request (the frame-execution
-        # figure of merit, DESIGN.md §4.14).  A ratio instrument, not a
+        # Derived: events per completed request.  A ratio instrument, not a
         # counter: the operands merge across workers and scopes, the
         # ratio recomputes from them at snapshot time.
         reg.ratio(_PREFIX + "events_per_request",

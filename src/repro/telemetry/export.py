@@ -91,11 +91,7 @@ def format_snapshot(snapshot, prefix="", title="telemetry"):
 def format_kernel_stats(stats):
     """Render a kernel counter block (see ``Environment.kernel_stats`` /
     ``sim.kernel_totals``) as an aligned, human-readable table."""
-    backend = stats.get("backend")
-    # Tag the header only for non-default backends so existing heap
-    # output (and anything parsing it) stays byte-identical.
-    lines = ["simulator kernel%s:"
-             % ("" if backend in (None, "heap") else " [%s backend]" % backend)]
+    lines = ["simulator kernel:"]
     total_charges = stats.get("charges_created", 0) + stats.get("charges_reused", 0)
     reuse = (100.0 * stats.get("charges_reused", 0) / total_charges
              if total_charges else 0.0)
@@ -116,24 +112,16 @@ def format_kernel_stats(stats):
     return "\n".join(lines)
 
 
-def dumps_metrics(snapshot, meta=None):
-    """Serialize a registry snapshot to the ``repro.telemetry/1`` JSON.
-
-    *meta* (optional dict, e.g. ``{"sim_backend": "wheel"}``) rides in a
-    top-level ``meta`` block; readers of ``doc["metrics"]`` are
-    unaffected and :func:`load_metrics` ignores it.
-    """
-    doc = {"schema": SCHEMA}
-    if meta:
-        doc["meta"] = dict(meta)
-    doc["metrics"] = snapshot
-    return json.dumps(doc, indent=2, sort_keys=False)
+def dumps_metrics(snapshot):
+    """Serialize a registry snapshot to the ``repro.telemetry/1`` JSON."""
+    return json.dumps({"schema": SCHEMA, "metrics": snapshot},
+                      indent=2, sort_keys=False)
 
 
-def dump_metrics(snapshot, path, meta=None):
+def dump_metrics(snapshot, path):
     """Write the ``repro.telemetry/1`` JSON document to *path*."""
     with open(path, "w") as fh:
-        fh.write(dumps_metrics(snapshot, meta=meta))
+        fh.write(dumps_metrics(snapshot))
         fh.write("\n")
 
 

@@ -58,7 +58,7 @@ class TestKnob:
 
     def test_config_path_validated_at_declaration(self):
         Knob("ok", values=(1, 2), config="lynx.ring_entries")
-        Knob("ok2", values=("heap", "wheel"), config="sim_backend")
+        Knob("ok2", values=("connectx", "roce"), config="rdma.name")
         with pytest.raises(ConfigError):
             Knob("bad", values=(1, 2), config="lynx.no_such_field")
         with pytest.raises(ConfigError):
@@ -175,16 +175,16 @@ class TestConfigKnobs:
         assert kwargs["config"] == DEFAULT_CONFIG.with_(
             lynx=DEFAULT_CONFIG.lynx)
 
-    def test_sim_backend_knob(self):
+    def test_string_config_knob(self):
         camp = Campaign(
-            "TOY-BACKEND", "toy", "test", scenario=_toy_scenario,
+            "TOY-RNIC", "toy", "test", scenario=_toy_scenario,
             components=[Component(
-                "scheduler",
-                [Knob("sim.backend", values=("heap", "wheel"),
-                      baseline="heap", config="sim_backend")])])
+                "rnic",
+                [Knob("rdma.name", values=("connectx", "roce"),
+                      baseline="connectx", config="rdma.name")])])
         variants = camp.variants(fast=True)
         configs = [camp.scenario_kwargs(True, v)["config"] for v in variants]
-        assert [c.sim_backend for c in configs] == ["heap", "wheel"]
+        assert [c.rdma.name for c in configs] == ["connectx", "roce"]
 
 
 class TestImportance:

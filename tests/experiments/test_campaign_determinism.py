@@ -1,14 +1,11 @@
 """Golden campaign determinism (DESIGN.md §4.8 + §4.12).
 
 One real (but cheap) campaign — ABL-CO, two simulated variants — must
-produce bit-identical rows, run ids, and importance scores:
-
-* at ``--jobs 1`` vs ``--jobs 4`` (the sweep executor clamps to the
-  machine's usable cores, so on a small runner both may run inline —
-  the contract under test is that the jobs knob can never change
-  values, clamped or not);
-* across the ``heap`` and ``wheel`` scheduler backends (§4.11's
-  bit-identity contract extends through snapshot-derived importance).
+produce bit-identical rows, run ids, and importance scores at
+``--jobs 1`` vs ``--jobs 4``.  The sweep executor clamps to the
+machine's usable cores, so on a small runner both may run inline — the
+contract under test is that the jobs knob can never change values,
+clamped or not.
 """
 
 import json
@@ -17,16 +14,11 @@ import pytest
 
 from repro import telemetry
 from repro.experiments.ablations import coalescing_study
-from repro.sim import configure_backend
 
 
-def _doc(jobs, backend):
-    configure_backend(backend)
-    try:
-        with telemetry.scope():
-            outcome = coalescing_study.run(fast=True, seed=42, jobs=jobs)
-    finally:
-        configure_backend(None)
+def _doc(jobs):
+    with telemetry.scope():
+        outcome = coalescing_study.run(fast=True, seed=42, jobs=jobs)
     # wall-clock-free by construction: to_doc carries rows, run ids,
     # scores, and snapshot-derived importance, never raw wall seconds
     return json.loads(json.dumps(outcome.to_doc()))
@@ -34,18 +26,12 @@ def _doc(jobs, backend):
 
 @pytest.fixture(scope="module")
 def reference():
-    return _doc(jobs=1, backend="heap")
+    return _doc(jobs=1)
 
 
 class TestCampaignDeterminism:
     def test_parallel_matches_serial(self, reference):
-        assert _doc(jobs=4, backend="heap") == reference
-
-    def test_wheel_backend_matches_heap(self, reference):
-        assert _doc(jobs=1, backend="wheel") == reference
-
-    def test_parallel_wheel_matches_serial_heap(self, reference):
-        assert _doc(jobs=4, backend="wheel") == reference
+        assert _doc(jobs=4) == reference
 
     def test_reference_shape(self, reference):
         assert reference["exp_id"] == "ABL-CO"

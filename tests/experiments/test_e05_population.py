@@ -2,11 +2,7 @@
 
 The re-based grid must stay inside the determinism contract: rows
 bit-identical at ``jobs=1`` vs ``jobs=4`` (the executor clamps to
-usable cores — the knob can never change values) and across the
-``heap``/``wheel`` scheduler backends.  Because ``wheel`` resolves
-``frame_exec`` on by default and ``heap`` off, the backend axis also
-pins scalar-vs-frame execution (DESIGN.md §4.14) end to end through a
-real deployment grid.
+usable cores — the knob can never change values).
 """
 
 import json
@@ -14,32 +10,21 @@ import json
 import pytest
 
 from repro.experiments import e05_fig7_latency as e05
-from repro.sim import configure_backend
 
 
-def _rows(jobs, backend):
-    configure_backend(backend)
-    try:
-        result = e05.run(fast=True, seed=42, jobs=jobs)
-    finally:
-        configure_backend(None)
+def _rows(jobs):
+    result = e05.run(fast=True, seed=42, jobs=jobs)
     return json.loads(json.dumps(result.rows))
 
 
 @pytest.fixture(scope="module")
 def reference():
-    return _rows(jobs=1, backend="heap")
+    return _rows(jobs=1)
 
 
 class TestE05PopulationDeterminism:
     def test_parallel_matches_serial(self, reference):
-        assert _rows(jobs=4, backend="heap") == reference
-
-    def test_wheel_backend_matches_heap(self, reference):
-        assert _rows(jobs=1, backend="wheel") == reference
-
-    def test_parallel_wheel_matches_serial_heap(self, reference):
-        assert _rows(jobs=4, backend="wheel") == reference
+        assert _rows(jobs=4) == reference
 
     def test_reference_shape(self, reference):
         assert len(reference) == 6

@@ -150,54 +150,3 @@ class TestTxRing:
         env.run()
         assert mq.sent == 1
         assert len(mq.tx_ring) == 1
-
-
-class TestCompleteRxFrame:
-    """Frame-native RDMA completion (DESIGN.md §4.14)."""
-
-    def _claimed_mq(self, env, memory):
-        mq = MQueue(env, memory, 8, kind=SERVER)
-        assert mq.claim_rx_slot()
-        env.run()  # drain any bookkeeping events so the instant is clean
-        return mq
-
-    def test_inline_completion_matches_scalar_state(self, env, memory):
-        scalar = self._claimed_mq(env, memory)
-        framed = self._claimed_mq(env, memory)
-
-        scalar.complete_rx(make_entry(b"abc"))
-        env.run()
-        eid = env._eid
-        framed.complete_rx_frame(make_entry(b"abc"))
-        assert env._eid == eid + 1  # burned the put's sequence number
-
-        for mq in (scalar, framed):
-            assert mq.delivered == 1
-            assert len(mq.rx_ring._items) == 1
-            assert mq.rx_ring._items[0].payload == b"abc"
-            assert mq.rx_ring._items[0].enqueued_at == env.now
-            assert mq.rx_ring.total_put == scalar.rx_ring.total_put
-
-    def test_falls_back_when_consumer_parked(self, env, memory):
-        mq = self._claimed_mq(env, memory)
-        popped = []
-
-        def consumer(env):
-            popped.append((yield mq.pop_rx()))
-
-        env.process(consumer(env))
-        env.run()
-        assert mq.rx_ring._getters  # consumer parked on the empty ring
-        mq.complete_rx_frame(make_entry(b"zzz"))
-        env.run()
-        # The scalar put woke the parked consumer; inline push couldn't.
-        assert [e.payload for e in popped] == [b"zzz"]
-
-    def test_falls_back_without_a_held_claim(self, env, memory):
-        mq = MQueue(env, memory, 8, kind=SERVER)
-        env.run()
-        with pytest.raises(Exception):
-            # No claim held: the scalar path's accounting must reject
-            # this, and the frame path must route into it rather than
-            # silently pushing past the credit accounting.
-            mq.complete_rx_frame(make_entry())

@@ -215,60 +215,3 @@ class TestEgress:
         assert len(forwarded) == 4
         # batched: far fewer sweeps than messages is allowed; at least 1
         assert 1 <= manager.sweeps <= 4
-
-
-class TestFrameEgress:
-    """One-kick sweeps (DESIGN.md §4.14): a multi-entry sweep hands the
-    whole batch to the many-forwarder in frame mode, and falls back to
-    per-entry forwarding otherwise."""
-
-    def _send_batch(self, env, mqs):
-        def accel_send(env):
-            from repro.lynx.mqueue import MQueueEntry
-
-            for mq in mqs:
-                yield mq.push_tx(MQueueEntry(b"r", 1))
-                mq.ring_doorbell()
-
-        env.process(accel_send(env))
-
-    def test_frame_sweep_uses_many_forwarder(self, setup):
-        env, accel, manager = setup
-        env.frame_exec = True
-        mqs = [manager.register(MQueue(env, accel.memory, 8,
-                                       name="f%d" % i)) for i in range(3)]
-        single, batched = [], []
-        manager.on_tx(lambda q, e: single.append(q))
-        manager.on_tx_many(lambda pairs: batched.append(list(pairs)))
-        self._send_batch(env, mqs)
-        env.run(until=200)
-        delivered = len(single) + sum(len(b) for b in batched)
-        assert delivered == 3
-        # At least one sweep collected >1 entry and went through the
-        # many-forwarder in a single call.
-        assert any(len(b) > 1 for b in batched)
-
-    def test_scalar_mode_ignores_many_forwarder(self, setup):
-        env, accel, manager = setup
-        env.frame_exec = False
-        mqs = [manager.register(MQueue(env, accel.memory, 8,
-                                       name="s%d" % i)) for i in range(3)]
-        single, batched = [], []
-        manager.on_tx(lambda q, e: single.append(q))
-        manager.on_tx_many(lambda pairs: batched.append(list(pairs)))
-        self._send_batch(env, mqs)
-        env.run(until=200)
-        assert len(single) == 3
-        assert batched == []
-
-    def test_single_entry_sweep_stays_on_scalar_sink(self, setup):
-        env, accel, manager = setup
-        env.frame_exec = True
-        mq = manager.register(MQueue(env, accel.memory, 8, name="solo"))
-        single, batched = [], []
-        manager.on_tx(lambda q, e: single.append(q))
-        manager.on_tx_many(lambda pairs: batched.append(list(pairs)))
-        self._send_batch(env, [mq])
-        env.run(until=200)
-        assert len(single) == 1
-        assert batched == []

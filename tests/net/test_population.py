@@ -20,7 +20,7 @@ from repro.net import (
     TraceReplay,
     arrival_factory,
 )
-from repro.sim import RngRegistry, configure_backend
+from repro.sim import RngRegistry
 
 
 def _take_all(source, until, step=1000.0):
@@ -422,37 +422,7 @@ class TestGoldenParity:
             float(np.percentile(samples, 99)), rel=0.35)
 
 
-class TestBackendParity:
-    def test_heap_and_wheel_bit_identical(self):
-        def run(backend):
-            configure_backend(backend)
-            try:
-                dep = _spin_deployment()
-                tb = dep.tb
-                flows = [
-                    Flow("p", PoissonPopulation(0.03, tb.rng.stream("a")),
-                         PayloadPool.single(b"x" * 64)),
-                    Flow("b", OnOffPopulation(0.08, 300.0, 500.0,
-                                              tb.rng.stream("b")),
-                         PayloadPool.zipf([b"k%d" % i for i in range(8)],
-                                          tb.rng.stream("z"))),
-                ]
-                pop = ClientPopulation(dep.env, tb.network, "10.0.9.1",
-                                       dep.address, flows, timeout=4000.0)
-                tb.warmup_then_measure([pop], 10000.0, 25000.0)
-                pop.flush()
-                return json.dumps(
-                    {"offered": pop.offered,
-                     "responses": pop.responses.count,
-                     "timeouts": pop.timeouts, "late": pop.late,
-                     "hist": pop.latency.snapshot(),
-                     "flows": [f.hist.snapshot() for f in pop.flows]},
-                    sort_keys=True)
-            finally:
-                configure_backend(None)
-
-        assert run("heap") == run("wheel")
-
+class TestReproducibility:
     def test_same_seed_reproduces(self):
         def run():
             dep = _spin_deployment(seed=7)

@@ -33,6 +33,28 @@ class TestBuffering:
         assert ch.recv_batch() == [2, 3, 4]
         assert ch.recv_batch() == []
 
+    def test_recv_batch_wakes_parked_putter(self, env):
+        ch = Channel(env, name="bounded", capacity=2)
+        done = []
+        got = []
+
+        def producer(env):
+            for i in range(4):
+                yield ch.put(i)
+            done.append(env.now)
+
+        def consumer(env):
+            yield env.timeout(1.0)
+            got.extend(ch.recv_batch())
+            yield env.timeout(1.0)
+            got.extend(ch.recv_batch())
+
+        env.process(producer(env))
+        env.process(consumer(env))
+        env.run()
+        assert got == [0, 1, 2, 3]
+        assert done  # producer unblocked by the batched drain
+
 
 class TestCostModel:
     def test_occupancy_from_bandwidth(self, env):

@@ -41,10 +41,10 @@ def _entry(exp_id="ABL-X"):
 class TestRoundTrip:
     def test_dump_and_load(self, tmp_path):
         path = str(tmp_path / "campaign.json")
-        dump_campaign([_entry()], path, meta={"sim_backend": "heap"})
+        dump_campaign([_entry()], path, meta={"seed": 42})
         doc = load_campaign(path)
         assert doc["schema"] == CAMPAIGN_SCHEMA
-        assert doc["meta"] == {"sim_backend": "heap"}
+        assert doc["meta"] == {"seed": 42}
         assert doc["campaigns"] == [_entry()]
 
     def test_dumps_is_valid_json_with_schema_first(self):

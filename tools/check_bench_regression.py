@@ -24,8 +24,8 @@ over-measures times) and the check fails when the normalized rate
 machine-independent ``best_ratio`` (interleaved A/B pairs) need no
 normalization and are gated on the ratio directly; when such a section
 also records a ``ratio_floor``, the *current* ratio must additionally
-clear that absolute floor — a hard acceptance bar (e.g. frame
-execution must stay >= 3x the scalar chain) that no amount of
+clear that absolute floor — a hard acceptance bar (e.g. batched VIP
+steering must stay >= 1.05x the per-message drain) that no amount of
 baseline drift can relax.
 
 Sections present on only one side are skipped with a note — a freshly
