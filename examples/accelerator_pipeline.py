@@ -94,7 +94,8 @@ def main():
                                  lenet, noisy_stream, 40)
     print("denoise->LeNet pipeline:  %d/%d noisy digits correct" %
           (good, total))
-    busy = max(core.utilization for core in host.socket.cores)
+    busy = max((pool.utilization for pool in host.socket.pools),
+               default=0.0)
     print("  stages: %d, relay errors: %d, host CPU: %.0f%%"
           % (pipe.depth, pipe.relay_errors, 100 * busy))
 

@@ -70,7 +70,8 @@ def main():
         tb.warmup_then_measure([client.responses], 30_000, 100_000)
         tput = client.responses.per_sec()
         base = base or tput
-        busy = max(core.utilization for core in host.socket.cores)
+        busy = max((pool.utilization for pool in host.socket.pools),
+                   default=0.0)
         print("  %d GPU(s): %6.0f queries/s  (%.2fx, host CPU %.0f%%)"
               % (n_gpus, tput, tput / base, 100 * busy))
 

@@ -46,8 +46,8 @@ def run_config(local_gpus, remote_gpus_per_host, seed=5):
     meters = [c.responses for c in clients]
     tb.warmup_then_measure(meters, 60_000, 120_000)
     tput = sum(m.per_sec() for m in meters)
-    host_busy = max(core.utilization for m in machines
-                    for core in m.socket.cores)
+    host_busy = max((pool.utilization for m in machines
+                     for pool in m.socket.pools), default=0.0)
     return total, tput, host_busy
 
 

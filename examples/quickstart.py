@@ -63,9 +63,9 @@ def main():
     print("  latency    : p50 %.1fus  p99 %.1fus"
           % (client.latency.p50(), client.latency.p99()))
     print("  SNIC cores : %.0f%% busy" % (100 * snic.workers.utilization))
-    print("  host cores : %s  <- the whole point of Lynx"
-          % ", ".join("%.1f%%" % (100 * core.utilization)
-                      for core in host.socket.cores))
+    print("  host cores : %.0f%% busy  <- the whole point of Lynx"
+          % (100 * max((pool.utilization for pool in host.socket.pools),
+                       default=0.0)))
 
 
 if __name__ == "__main__":

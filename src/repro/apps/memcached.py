@@ -99,17 +99,15 @@ class _WorkerOp:
     replaced, kept as the parity reference in
     ``tests/apps/test_memcached.py`` (DESIGN.md §4.6 eid-mirroring
     rule): the init kick, the RX-ring get, then three
-    ``CorePool.run_calibrated`` legs (stack receive, the store op at its
-    calibrated cost, stack transmit at egress priority) as the same
-    request/charge/release triples, and finally ``nic.send`` as the TX
-    channel's issue request, occupancy charge and release.  One op per
+    :meth:`CorePool.run_then` legs (stack receive, the store op at its
+    calibrated cost, stack transmit at egress priority), and finally
+    ``nic.send`` as one :meth:`Channel.transfer_then` hop.  One op per
     worker core lives for the whole simulation, so serving allocates no
     frames and spawns no processes.
     """
 
     __slots__ = ("server", "env", "pool", "nic", "msg", "result",
-                 "response", "request", "duration", "mi", "ws", "token",
-                 "then")
+                 "response")
 
     def __init__(self, server):
         self.server = server
@@ -119,13 +117,6 @@ class _WorkerOp:
         self.msg = None
         self.result = None
         self.response = None
-        self.request = None
-        self.duration = 0.0
-        self.mi = 0.0
-        self.ws = 0
-        self.token = None
-        #: the stage to run once the current pool leg completes
-        self.then = None
         # URGENT kick at now: the slot the worker Process's init used.
         self.env._kick(self._begin)
 
@@ -148,48 +139,7 @@ class _WorkerOp:
         # stack.process_rx: trace, then the receive cost on the pool.
         if stack._tracer is not None:
             stack._tracer.emit(stack.name, "rx", msg.msg_id, msg.proto)
-        pool = self.pool
-        self._run(stack.rx_cost(msg), 0, pool.default_memory_intensity,
-                  pool.default_working_set, self._received)
-
-    # -- one CorePool.run_calibrated leg ----------------------------------
-
-    def _run(self, duration, priority, mi, ws, then):
-        if duration < 0:
-            raise ConfigError("negative duration")
-        self.duration = duration
-        self.mi = mi
-        self.ws = ws
-        self.then = then
-        req = self.pool._res.request(priority)
-        self.request = req
-        req.callbacks.append(self._granted)
-
-    def _granted(self, _event):
-        llc = self.pool.llc
-        duration = self.duration
-        if llc is None or self.ws <= 0:
-            if llc is not None and self.mi > 0:
-                duration *= llc.penalty(self.mi)
-        else:
-            # _timed leg: LLC occupancy held for the span of the charge.
-            self.token = llc.occupy(self.ws)
-            if self.mi > 0:
-                duration *= llc.penalty(self.mi)
-        self.env.charge(duration).callbacks.append(self._charged)
-
-    def _charged(self, _event):
-        token = self.token
-        if token is not None:
-            self.pool.llc.release(token)
-            self.token = None
-        self.request.release()
-        self.request = None
-        then = self.then
-        self.then = None
-        then()
-
-    # -- stages -----------------------------------------------------------
+        self.pool.run_then(stack.rx_cost(msg), self._received)
 
     def _received(self):
         server = self.server
@@ -202,8 +152,9 @@ class _WorkerOp:
         # with the LLC pressure of a large working set.
         cost = (server.op_cost_fn(msg, result)
                 if server.op_cost_fn is not None else server.op_cost)
-        self._run(cost, 0, server.memory_intensity, server.working_set,
-                  self._executed)
+        self.pool.run_then(cost, self._executed,
+                           memory_intensity=server.memory_intensity,
+                           working_set=server.working_set)
 
     def _executed(self):
         msg = self.msg
@@ -212,39 +163,14 @@ class _WorkerOp:
         if response.conn is not None:
             response.meta["tcp_seq"] = response.conn.next_seq(response.src)
         self.response = response
-        pool = self.pool
-        self._run(self.server.stack.tx_cost(response), -1,
-                  pool.default_memory_intensity, pool.default_working_set,
-                  self._replied)
+        self.pool.run_then(self.server.stack.tx_cost(response), self._replied,
+                           priority=-1)
 
     def _replied(self):
         self.server.ops.count += 1          # inlined RateMeter.tick()
-        # nic.send -> tx.transfer: claim the port's issue slot and hold
-        # it for the wire occupancy.
-        req = self.nic.tx.issue.request()
-        self.request = req
-        req.callbacks.append(self._wire_granted)
+        self.nic.tx.transfer_then(self.response.wire_size, self._sent)
 
-    def _wire_granted(self, _event):
-        tx = self.nic.tx
-        charge = self.env.charge(tx.occupancy(self.response.wire_size))
-        charge.callbacks.append(self._wire_charged)
-
-    def _wire_charged(self, _event):
-        self.request.release()
-        self.request = None
-        tx = self.nic.tx
-        nbytes = self.response.wire_size
-        tx.sent += 1                        # inlined Channel.transfer stats
-        tx.bytes_moved += nbytes
-        if tx._tracer is not None:
-            tx._tracer.emit(tx.name, "xfer", None, nbytes)
-        if tx.latency:
-            self.env.charge(tx.latency).callbacks.append(self._wire_done)
-        else:
-            self._wire_done(None)
-
-    def _wire_done(self, _event):
+    def _sent(self):
         nic = self.nic
         response = self.response
         self.response = None

@@ -76,27 +76,22 @@ class _HostRxOp:
     """One serving core's ingress loop as a callback state machine.
 
     Mirrors the retired ``_rx_loop`` generator process event for event:
-    NIC recv, control handling, stack rx cost on the serving pool (with
-    the pool's cache defaults, so E02's noisy-neighbor setup still
-    applies), CUDA-stream claim, then the detached per-request GPU
-    stage.  The app-specific ``_gpu_stage`` stays a generator — it is
-    spawned through the pooled detached-task path, which consumes the
-    same schedule slot the old inline ``env.detached`` call did.
+    NIC recv, control handling, stack rx cost as one
+    :meth:`CorePool.run_then` leg on the serving pool (with the pool's
+    cache defaults, so E02's noisy-neighbor setup still applies),
+    CUDA-stream claim, then the detached per-request GPU stage.  The
+    app-specific ``_gpu_stage`` stays a generator — it is spawned
+    through the pooled detached-task path, which consumes the same
+    schedule slot the old inline ``env.detached`` call did.
     """
 
-    __slots__ = ("server", "env", "pool", "msg", "request", "duration",
-                 "mi", "ws", "token")
+    __slots__ = ("server", "env", "pool", "msg")
 
     def __init__(self, server):
         self.server = server
         self.env = server.env
         self.pool = server.pool
         self.msg = None
-        self.request = None
-        self.duration = 0.0
-        self.mi = 0.0
-        self.ws = 0
-        self.token = None
 
     def start(self):
         # URGENT kick at now: the slot Process.__init__ used to consume.
@@ -134,35 +129,10 @@ class _HostRxOp:
             self._arm()
             return
         # stack.process_rx: run_calibrated(rx_cost) on the serving pool.
-        pool = self.pool
         self.msg = msg
-        self.duration = server.stack.rx_cost(msg)
-        self.mi = pool.default_memory_intensity
-        self.ws = pool.default_working_set
-        req = pool._res.request(0)
-        self.request = req
-        req.callbacks.append(self._rx_granted)
+        self.pool.run_then(server.stack.rx_cost(msg), self._received)
 
-    def _rx_granted(self, _event):
-        llc = self.pool.llc
-        duration = self.duration
-        if llc is None or self.ws <= 0:
-            if llc is not None and self.mi > 0:
-                duration *= llc.penalty(self.mi)
-        else:
-            # _timed leg: LLC occupancy held for the span of the charge.
-            self.token = llc.occupy(self.ws)
-            if self.mi > 0:
-                duration *= llc.penalty(self.mi)
-        self.env.charge(duration).callbacks.append(self._rx_charged)
-
-    def _rx_charged(self, _event):
-        token = self.token
-        if token is not None:
-            self.pool.llc.release(token)
-            self.token = None
-        self.request.release()
-        self.request = None
+    def _received(self):
         server = self.server
         msg = self.msg
         if msg.proto == TCP and msg.conn is not None:

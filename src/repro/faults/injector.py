@@ -305,8 +305,10 @@ class FaultInjector:
 
     def _begin_snic(self, spec):
         pool = self._worker_pool()
-        self._active[spec] = [pool._res.request(SEIZE_PRIORITY)
-                              for _ in range(pool.count)]
+        # Seize every core until the fault ends: a held claim, not a leg.
+        self._active[spec] = [
+            pool._res.request(SEIZE_PRIORITY)  # lint: allow-resource-leg
+            for _ in range(pool.count)]
         self._counter("injected." + spec.kind).inc()
 
     def _end_snic(self, spec):

@@ -3,7 +3,7 @@
 from .memory import MemoryRegion, HOST_DRAM_LATENCY, GPU_GDDR_LATENCY, SNIC_DRAM_LATENCY
 from .pcie import PcieLink, PcieFabric
 from .cache import LLCModel
-from .cpu import Core, CorePool, CpuSocket
+from .cpu import CorePool, CpuSocket
 from .nic import Nic, RdmaNic
 from .gpu import GPU, CudaDriver
 from .smartnic import BluefieldSNIC, InnovaSNIC
@@ -18,7 +18,6 @@ __all__ = [
     "PcieLink",
     "PcieFabric",
     "LLCModel",
-    "Core",
     "CorePool",
     "CpuSocket",
     "Nic",

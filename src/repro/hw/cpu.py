@@ -1,4 +1,4 @@
-"""CPU cores and sockets.
+"""CPU core pools and sockets.
 
 Two kinds of work run on cores:
 
@@ -8,6 +8,13 @@ Two kinds of work run on cores:
 * *compute* work — application cycles expressed in Xeon-core
   microseconds; scaled by the core's ``speed_factor`` and subject to
   LLC interference when a working set / memory intensity is declared.
+
+Every occupancy of a pool core is one *leg*: request a core, charge the
+(LLC-adjusted) duration, release.  Generator code runs a leg with
+``yield from pool.run_calibrated(...)``/``run_compute(...)``; callback
+state machines use :meth:`CorePool.run_then`, which consumes the same
+event ids in the same order.  :func:`_llc_leg` is the one place the
+LLC occupancy and penalty rule lives.
 """
 
 from ..errors import ConfigError
@@ -15,54 +22,59 @@ from ..sim import Resource
 from .. import telemetry
 
 
-class Core:
-    """One CPU core (a unit-capacity resource with a cost model)."""
+def _llc_leg(llc, duration, memory_intensity, working_set, aggressor=False):
+    """Apply the LLC model to one granted leg: ``(duration, token)``.
 
-    def __init__(self, env, profile, index, llc=None, name=None):
-        self.env = env
-        self.profile = profile
-        self.index = index
-        self.llc = llc
-        self.name = name or "%s/core%d" % (profile.name, index)
-        self._res = Resource(env, 1, name=self.name)
+    A declared working set is occupied *before* the penalty is drawn,
+    so the task's own footprint counts toward the pressure it feels;
+    the caller releases *token* (if not None) once the charge ends.
+    """
+    if llc is None:
+        return duration, None
+    token = llc.occupy(working_set) if working_set > 0 else None
+    if aggressor:
+        duration *= llc.aggressor_penalty()
+    elif memory_intensity > 0:
+        duration *= llc.penalty(memory_intensity)
+    return duration, token
 
-    @property
-    def busy(self):
-        return self._res.in_use > 0
 
-    @property
-    def utilization(self):
-        return self._res.utilization.mean()
+class _CoreLeg:
+    """One :meth:`CorePool.run_then` occupancy, pooled on its pool.
 
-    def run_calibrated(self, duration):
-        """Generator: occupy the core for a platform-calibrated duration."""
-        if duration < 0:
-            raise ConfigError("negative duration")
-        with self._res.request() as req:
-            yield req
-            yield self.env.charge(duration)
+    request -> (LLC rule) charge -> release LLC token and core -> callback:
+    the event ids of :meth:`CorePool.run_calibrated`, in its order.
+    """
 
-    def run_compute(self, xeon_us, memory_intensity=0.0, working_set=0):
-        """Generator: run compute work of *xeon_us* Xeon-microseconds.
+    __slots__ = ("pool", "request", "duration", "mi", "ws", "token",
+                 "callback")
 
-        The duration is scaled by the core speed and, if a working set
-        is declared, by the socket's LLC interference model.
-        """
-        if xeon_us < 0:
-            raise ConfigError("negative duration")
-        with self._res.request() as req:
-            yield req
-            duration = xeon_us / self.profile.speed_factor
-            token = None
-            if self.llc is not None and working_set > 0:
-                token = self.llc.occupy(working_set)
-            try:
-                if self.llc is not None and memory_intensity > 0:
-                    duration *= self.llc.penalty(memory_intensity)
-                yield self.env.charge(duration)
-            finally:
-                if token is not None:
-                    self.llc.release(token)
+    def __init__(self, pool):
+        self.pool = pool
+        self.request = None
+        self.duration = 0.0
+        self.mi = 0.0
+        self.ws = 0
+        self.token = None
+        self.callback = None
+
+    def _granted(self, _event):
+        pool = self.pool
+        duration, self.token = _llc_leg(pool.llc, self.duration, self.mi,
+                                        self.ws)
+        pool.env.defer(duration, self._charged)
+
+    def _charged(self, _event):
+        pool = self.pool
+        if self.token is not None:
+            pool.llc.release(self.token)
+            self.token = None
+        self.request.release()
+        self.request = None
+        callback = self.callback
+        self.callback = None
+        pool._legs.append(self)
+        callback()
 
 
 class CorePool:
@@ -82,6 +94,8 @@ class CorePool:
         self.llc = llc
         self.name = name or "%s-pool" % profile.name
         self._res = Resource(env, count, name=self.name)
+        #: idle run_then leg records (steady state allocates none)
+        self._legs = []
         #: pool-wide cache behaviour of calibrated (serving-path) work
         self.default_memory_intensity = 0.0
         self.default_working_set = 0
@@ -125,16 +139,13 @@ class CorePool:
         req = self._res.request(priority=priority)
         try:
             yield req
-            llc = self.llc
-            if llc is None or working_set <= 0:
-                # Fast path: no LLC occupancy to register, so skip the
-                # _timed sub-generator and charge directly.
-                if llc is not None and memory_intensity > 0:
-                    duration *= llc.penalty(memory_intensity)
+            duration, token = _llc_leg(self.llc, duration, memory_intensity,
+                                       working_set)
+            try:
                 yield self.env.charge(duration)
-            else:
-                yield from self._timed(duration, memory_intensity,
-                                       working_set, aggressor=False)
+            finally:
+                if token is not None:
+                    self.llc.release(token)
         finally:
             req.release()
 
@@ -147,39 +158,51 @@ class CorePool:
         """
         if xeon_us < 0:
             raise ConfigError("negative duration")
-        duration = xeon_us / self.profile.speed_factor
         req = self._res.request(priority=priority)
         try:
             yield req
-            llc = self.llc
-            if llc is None or (working_set <= 0 and not aggressor):
-                if llc is not None and memory_intensity > 0:
-                    duration *= llc.penalty(memory_intensity)
+            duration, token = _llc_leg(
+                self.llc, xeon_us / self.profile.speed_factor,
+                memory_intensity, working_set, aggressor)
+            try:
                 yield self.env.charge(duration)
-            else:
-                yield from self._timed(duration, memory_intensity,
-                                       working_set, aggressor)
+            finally:
+                if token is not None:
+                    self.llc.release(token)
         finally:
             req.release()
 
-    def _timed(self, duration, memory_intensity, working_set, aggressor):
-        token = None
-        if self.llc is not None and working_set > 0:
-            token = self.llc.occupy(working_set)
-        try:
-            if self.llc is not None:
-                if aggressor:
-                    duration *= self.llc.aggressor_penalty()
-                elif memory_intensity > 0:
-                    duration *= self.llc.penalty(memory_intensity)
-            yield self.env.charge(duration)
-        finally:
-            if token is not None:
-                self.llc.release(token)
+    def run_then(self, duration, callback, priority=0, memory_intensity=None,
+                 working_set=None):
+        """Callback twin of :meth:`run_calibrated`: ``callback()`` runs
+        once the core is released.
+
+        Same arguments, defaults and event ids as the generator, so a
+        state machine built on it schedules exactly what ``yield from
+        pool.run_calibrated(...)`` would.  For compute work pass
+        ``duration / profile.speed_factor`` with explicit zero cache
+        arguments (what :meth:`run_compute` does with its defaults).
+        """
+        if duration < 0:
+            raise ConfigError("negative duration")
+        legs = self._legs
+        leg = legs.pop() if legs else _CoreLeg(self)
+        leg.duration = duration
+        leg.mi = (self.default_memory_intensity if memory_intensity is None
+                  else memory_intensity)
+        leg.ws = (self.default_working_set if working_set is None
+                  else working_set)
+        leg.callback = callback
+        req = self._res.request(priority)
+        leg.request = req
+        req.callbacks.append(leg._granted)
 
 
 class CpuSocket:
-    """All the cores of one processor plus the shared LLC."""
+    """The cores of one processor plus the shared LLC.
+
+    Work runs on :class:`CorePool` subsets drawn with :meth:`pool`.
+    """
 
     def __init__(self, env, profile, cache_profile, rng, name=None):
         from .cache import LLCModel
@@ -188,9 +211,8 @@ class CpuSocket:
         self.profile = profile
         self.name = name or profile.name
         self.llc = LLCModel(env, profile.llc_bytes, cache_profile, rng)
-        self.cores = [Core(env, profile, i, llc=self.llc,
-                           name="%s/core%d" % (self.name, i))
-                      for i in range(profile.cores)]
+        #: every pool drawn from this socket (where its cores' work ran)
+        self.pools = []
 
     def pool(self, count=None, name=None):
         """A fresh :class:`CorePool` drawing on this socket's profile.
@@ -199,5 +221,7 @@ class CpuSocket:
         couples them) but model distinct core subsets, mirroring how the
         paper pins workloads to disjoint cores.
         """
-        return CorePool(self.env, self.profile, count=count, llc=self.llc,
+        pool = CorePool(self.env, self.profile, count=count, llc=self.llc,
                         name=name)
+        self.pools.append(pool)
+        return pool

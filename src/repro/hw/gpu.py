@@ -49,7 +49,7 @@ class CudaDriver:
         revalidation make multi-threaded CUDA dispatch *slower*, not
         faster — the §6.1 driver bottleneck.
         """
-        threads = getattr(pool, "count", 1)
+        threads = pool.count
         req = self._lock.request()
         try:
             yield req
@@ -57,23 +57,7 @@ class CudaDriver:
             if threads > 1:
                 self.contended_ops += 1
                 cost *= 1.0 + self.CONTENTION_FACTOR * min(threads - 1, 8)
-            # pool.run_calibrated(cost), inlined (driver calls are the
-            # hottest host-centric path); works for Core and CorePool —
-            # a bare Core has no pool-wide cache defaults.
-            mi = getattr(pool, "default_memory_intensity", 0.0)
-            ws = getattr(pool, "default_working_set", 0)
-            core = pool._res.request(0)
-            try:
-                yield core
-                llc = getattr(pool, "llc", None)
-                if llc is None or ws <= 0:
-                    if llc is not None and mi > 0:
-                        cost *= llc.penalty(mi)
-                    yield self.env.charge(cost)
-                else:
-                    yield from pool._timed(cost, mi, ws, aggressor=False)
-            finally:
-                core.release()
+            yield from pool.run_calibrated(cost)
         finally:
             req.release()
 

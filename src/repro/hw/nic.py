@@ -33,7 +33,6 @@ class Nic:
         #: the port's TX serializer: one frame at a time at line rate
         self.tx = Channel(env, serialized=True, bandwidth=link_rate,
                           name="%s-tx" % self.name)
-        self._tx = self.tx.issue  # legacy alias (hot-path state machines)
         self.tx_rate = RateMeter(env, name="%s-txrate" % self.name)
         self.rx_rate = RateMeter(env, name="%s-rxrate" % self.name)
         # Telemetry (DESIGN.md §4.9): live meters register directly,

@@ -61,7 +61,6 @@ class InnovaSNIC:
         self.pipe = Channel(env, serialized=True, min_occupancy=self._gap,
                             latency=profile.pipeline_latency,
                             name="%s-afu" % self.name)
-        self._issue = self.pipe.issue  # legacy alias (AFU admission)
         self.processed = RateMeter(env, name="%s-pps" % self.name)
 
     @property

@@ -32,9 +32,10 @@ Delivery runs as small callback state machines (:class:`_DeliveryOp`,
 A *single* blocking worker coroutine would serialize QP arbitration
 and kill the op-level pipelining the RDMA engine models, so the state
 machines keep the exact event sequence of the old per-message
-processes — one URGENT kick, then request → occupancy → release →
-latency per RDMA op — which keeps results bit-identical under a fixed
-seed while spawning zero processes per message.
+processes — one URGENT kick, then one ``Channel.transfer_then`` hop
+(request → occupancy → release → latency) per RDMA op — which keeps
+results bit-identical under a fixed seed while spawning zero processes
+per message.
 
 Backpressure (``LynxProfile.backpressure``): instead of dropping on a
 full RX ring, :meth:`RemoteMQManager.deliver` parks the message on the
@@ -55,15 +56,13 @@ from .mqueue import METADATA_BYTES, MQueueEntry
 class _DeliveryOp:
     """One in-flight ingress delivery on the manager's QP.
 
-    Mirrors the retired ``_rdma_deliver`` generator step for step, as
-    plain callbacks on pooled events: for each RDMA op in the plan,
-    claim the engine channel's issue slot, hold it for the wire
-    occupancy, release, then let the op latency elapse in the pipeline.
-    The record itself is recycled onto ``manager._op_pool`` after the
-    final op.
+    Mirrors the retired ``_rdma_deliver`` generator step for step: one
+    URGENT kick, then the plan's RDMA ops as :meth:`RemoteMQManager._post`
+    legs.  The record itself is recycled onto ``manager._op_pool`` after
+    the final op.
     """
 
-    __slots__ = ("manager", "mq", "msg", "entry", "plan", "index", "request")
+    __slots__ = ("manager", "mq", "msg", "entry", "plan", "index")
 
     def __init__(self, manager):
         self.manager = manager
@@ -72,7 +71,6 @@ class _DeliveryOp:
         self.entry = None
         self.plan = None
         self.index = 0
-        self.request = None
 
     def start(self, mq, msg):
         self.mq = mq
@@ -88,42 +86,15 @@ class _DeliveryOp:
                                  request_msg=msg)
         self.plan = manager._plan_ops(msg.size)
         self.index = 0
-        self._post()
+        manager._post(self.plan[0], self._op_done)
 
-    def _post(self):
-        """Claim the engine channel's issue slot for the current op."""
-        request = self.manager.channel.issue.request()
-        self.request = request
-        request.callbacks.append(self._granted)
-
-    def _granted(self, _event):
-        occupancy = self.plan[self.index][0]
-        self.manager.env.defer(occupancy, self._occupied)
-
-    def _occupied(self, _event):
-        # Release before scheduling the latency leg, exactly like the
-        # old `with request: yield occupancy` block: a queued op (or the
-        # egress sweep) grabs the issue slot first.
+    def _op_done(self):
         manager = self.manager
-        self.request.release()
-        self.request = None
-        _, latency, nbytes = self.plan[self.index]
-        qp = manager.qp
-        qp.ops += 1
-        channel = manager.channel
-        channel.sent += 1
-        if nbytes is not None:
-            qp.bytes_moved += nbytes
-            channel.bytes_moved += nbytes
-        manager.engine.ops_posted += 1
-        manager.env.defer(latency, self._op_done)
-
-    def _op_done(self, _event):
+        manager.engine.account(manager.qp, self.plan[self.index][2])
         self.index += 1
         if self.index < len(self.plan):
-            self._post()
+            manager._post(self.plan[self.index], self._op_done)
             return
-        manager = self.manager
         manager.deliveries += 1
         msg = self.msg
         if msg.meta is not None:
@@ -146,14 +117,13 @@ class _BatchDeliveryOp:
     backlog is non-empty.
     """
 
-    __slots__ = ("manager", "batch", "plan", "index", "request")
+    __slots__ = ("manager", "batch", "plan", "index")
 
     def __init__(self, manager):
         self.manager = manager
         self.batch = None
         self.plan = None
         self.index = 0
-        self.request = None
 
     def enqueue(self, mq, msg):
         manager = self.manager
@@ -180,38 +150,15 @@ class _BatchDeliveryOp:
         self.batch = batch
         self.plan = manager._plan_batch(payload_bytes, take)
         self.index = 0
-        self._post()
+        manager._post(self.plan[0], self._op_done)
 
-    def _post(self):
-        request = self.manager.channel.issue.request()
-        self.request = request
-        request.callbacks.append(self._granted)
-
-    def _granted(self, _event):
-        occupancy = self.plan[self.index][0]
-        self.manager.env.defer(occupancy, self._occupied)
-
-    def _occupied(self, _event):
+    def _op_done(self):
         manager = self.manager
-        self.request.release()
-        self.request = None
-        _, latency, nbytes = self.plan[self.index]
-        qp = manager.qp
-        qp.ops += 1
-        channel = manager.channel
-        channel.sent += 1
-        if nbytes is not None:
-            qp.bytes_moved += nbytes
-            channel.bytes_moved += nbytes
-        manager.engine.ops_posted += 1
-        manager.env.defer(latency, self._op_done)
-
-    def _op_done(self, _event):
+        manager.engine.account(manager.qp, self.plan[self.index][2])
         self.index += 1
         if self.index < len(self.plan):
-            self._post()
+            manager._post(self.plan[self.index], self._op_done)
             return
-        manager = self.manager
         now = manager.env.now
         # self.batch stays non-None through the completions: an
         # accelerator pop triggered by complete_rx may synchronously
@@ -240,16 +187,12 @@ class _PollerOp:
     each consuming the same schedule slots in the same order.
     """
 
-    __slots__ = ("manager", "request", "duration", "nbytes", "pending",
-                 "stage")
+    __slots__ = ("manager", "nbytes", "pending")
 
     def __init__(self, manager):
         self.manager = manager
-        self.request = None
-        self.duration = 0.0
         self.nbytes = 0
         self.pending = None
-        self.stage = 0
         # URGENT kick at now: the slot the poller Process's init used.
         manager.env._kick(self._begin)
 
@@ -270,86 +213,56 @@ class _PollerOp:
         workers = manager.workers
         scan_cost = (manager.profile.mqueue_visit_cost
                      * max(1, len(manager.mqueues)))
-        # run_compute(scan_cost, priority=-1): a plain charge once granted.
-        self.duration = scan_cost / workers.profile.speed_factor
-        req = workers._res.request(-1)
-        self.request = req
-        req.callbacks.append(self._scan_granted)
+        # run_compute(scan_cost, priority=-1): no cache arguments.
+        workers.run_then(scan_cost / workers.profile.speed_factor,
+                         self._scanned, priority=-1, memory_intensity=0.0,
+                         working_set=0)
 
-    def _scan_granted(self, _event):
-        charge = self.manager.env.charge(self.duration)
-        charge.callbacks.append(self._scan_charged)
-
-    def _scan_charged(self, _event):
-        self.request.release()
-        self.request = None
-        manager = self.manager
+    def _scanned(self):
         # Doorbells are *discovered* by reading the notification region
         # over RDMA — one read round trip per sweep (§4.3: "both the
         # accelerator and the SNIC use polling").
-        self.stage = 1
-        self._read(4 * max(1, len(manager.mqueues)))
+        self._read(4 * max(1, len(self.manager.mqueues)), self._notified)
 
-    # engine.read(qp, nbytes) through the engine channel, as callbacks:
-    # claim the issue slot, hold it for the wire occupancy, release,
-    # then the round-trip latency.
-
-    def _read(self, nbytes):
+    def _read(self, nbytes, then):
+        """engine.read(qp, nbytes) through the engine channel."""
+        manager = self.manager
         self.nbytes = nbytes
-        req = self.manager.channel.issue.request()
-        self.request = req
-        req.callbacks.append(self._read_granted)
+        manager.channel.transfer_then(
+            nbytes, then, post_latency=manager.engine.op_latency(manager.qp, 2))
 
-    def _read_granted(self, _event):
+    def _notified(self):
         manager = self.manager
-        charge = manager.env.charge(manager.channel.occupancy(self.nbytes))
-        charge.callbacks.append(self._read_occupied)
-
-    def _read_occupied(self, _event):
-        manager = self.manager
-        self.request.release()
-        self.request = None
-        engine = manager.engine
-        qp = manager.qp
-        qp.ops += 1
-        qp.bytes_moved += self.nbytes
-        channel = manager.channel
-        channel.sent += 1
-        channel.bytes_moved += self.nbytes
-        engine.ops_posted += 1
-        manager.env.charge(engine.op_latency(qp, 2)).callbacks.append(
-            self._read_done)
-
-    def _read_done(self, _event):
-        manager = self.manager
-        if self.stage == 1:
-            pending = []
-            total_bytes = 0
-            limit = manager.poll_batch
-            if limit:
-                # §5.2: fetch up to N entries per mqueue per poll; the
-                # remainder is picked up by the next paced sweep.
-                for mq in manager.mqueues:
-                    batch = mq.tx_ring.recv_batch(limit)
-                    for entry in batch:
-                        pending.append((mq, entry))
-                        total_bytes += entry.size + METADATA_BYTES
-            else:
-                for mq in manager.mqueues:
-                    while True:
-                        entry = mq.tx_ring.try_get()
-                        if entry is None:
-                            break
-                        pending.append((mq, entry))
-                        total_bytes += entry.size + METADATA_BYTES
-            if not pending:
-                self._after_sweep(0)
-                return
-            self.pending = pending
-            self.stage = 2
-            # One RDMA read fetches the freshly produced ring region.
-            self._read(total_bytes)
+        manager.engine.account(manager.qp, self.nbytes)
+        pending = []
+        total_bytes = 0
+        limit = manager.poll_batch
+        if limit:
+            # §5.2: fetch up to N entries per mqueue per poll; the
+            # remainder is picked up by the next paced sweep.
+            for mq in manager.mqueues:
+                batch = mq.tx_ring.recv_batch(limit)
+                for entry in batch:
+                    pending.append((mq, entry))
+                    total_bytes += entry.size + METADATA_BYTES
+        else:
+            for mq in manager.mqueues:
+                while True:
+                    entry = mq.tx_ring.try_get()
+                    if entry is None:
+                        break
+                    pending.append((mq, entry))
+                    total_bytes += entry.size + METADATA_BYTES
+        if not pending:
+            self._after_sweep(0)
             return
+        self.pending = pending
+        # One RDMA read fetches the freshly produced ring region.
+        self._read(total_bytes, self._fetched)
+
+    def _fetched(self):
+        manager = self.manager
+        manager.engine.account(manager.qp, self.nbytes)
         pending = self.pending
         self.pending = None
         sink = manager._tx_sink
@@ -366,8 +279,7 @@ class _PollerOp:
         if collected == 0:
             self._arm()
             return
-        charge = manager.env.charge(manager.profile.sweep_interval)
-        charge.callbacks.append(self._interval_done)
+        manager.env.defer(manager.profile.sweep_interval, self._interval_done)
 
     def _interval_done(self, _event):
         self._sweep()
@@ -472,6 +384,12 @@ class RemoteMQManager:
         op = pool.pop() if pool else _DeliveryOp(self)
         op.start(mq, msg)
 
+    def _post(self, op, then):
+        """One planned RDMA op on the QP's engine channel, then *then()*."""
+        occupancy, latency, nbytes = op
+        self.channel.transfer_then(nbytes, then, occupancy=occupancy,
+                                   post_latency=latency)
+
     def _plan_ops(self, size):
         """The RDMA op sequence delivering one *size*-byte message."""
         return self._plan_batch(size, 1)
@@ -479,8 +397,8 @@ class RemoteMQManager:
     def _plan_batch(self, payload_bytes, count):
         """The RDMA op sequence delivering *count* coalesced messages.
 
-        Each entry is ``(occupancy, latency, accounted_bytes)``;
-        ``accounted_bytes`` is None for the zero-byte barrier read.
+        Each entry is ``(occupancy, latency, nbytes)``; the write
+        barrier is a zero-byte read.
         Coalesced mode moves every payload plus each entry's 4B
         metadata in one write whose final doorbell word publishes the
         whole batch.  Barrier mode cannot coalesce: one payload write,
@@ -500,7 +418,7 @@ class RemoteMQManager:
             plan = [(channel.occupancy(payload_bytes), write_latency,
                      payload_bytes)]
             if self.needs_barrier:
-                plan.append((_MIN_OP_GAP, profile.barrier_latency, None))
+                plan.append((_MIN_OP_GAP, profile.barrier_latency, 0))
             plan.append((channel.occupancy(meta_bytes), write_latency,
                          meta_bytes))
             return plan

@@ -13,9 +13,9 @@ The per-message serving path (rx -> stack -> dispatch -> RDMA post, and
 doorbell -> forward -> stack -> wire on egress) used to run as generator
 coroutines; at saturation the generator frames and ``Process``/``Task``
 resumptions dominated simulator wall-clock.  Both paths now run as
-callback state machines (:class:`_RxOp`, :class:`_TxOp`) that mirror
-the retired generators *event for event* — every resource request,
-charge and kick consumes the same schedule slot in the same order — so
+callback state machines (:class:`_RxOp`, :class:`_TxOp`) built from
+``CorePool.run_then`` and ``Channel.transfer_then`` legs, which consume
+the event ids of the generators they mirror in the same order — so
 simulated results are bit-identical under a fixed seed while the hot
 path allocates no frames and spawns no processes per message.
 """
@@ -55,14 +55,13 @@ class _RxOp:
 
     Mirrors the retired ``_rx_loop``/``_handle_rx`` generator pair step
     for step: NIC recv -> stack rx cost -> dispatch cost -> RDMA post
-    cost -> delivery, with each pool occupancy expressed as the same
-    request/charge/release event triple ``CorePool.run_calibrated`` /
-    ``run_compute`` scheduled.  One op per worker core lives for the
-    whole simulation, so steady-state ingress allocates nothing.
+    cost -> delivery, each pool occupancy one :meth:`CorePool.run_then`
+    leg.  One op per worker core lives for the whole simulation, so
+    steady-state ingress allocates nothing.
     """
 
     __slots__ = ("server", "env", "pool", "msg", "mq", "manager",
-                 "binding", "request", "duration", "mi", "ws", "token")
+                 "binding")
 
     def __init__(self, server):
         self.server = server
@@ -72,11 +71,6 @@ class _RxOp:
         self.mq = None
         self.manager = None
         self.binding = None
-        self.request = None
-        self.duration = 0.0
-        self.mi = 0.0
-        self.ws = 0
-        self.token = None
 
     def start(self):
         # URGENT kick at the current time: the exact schedule slot the
@@ -106,48 +100,9 @@ class _RxOp:
             return
         # stack.process_rx: calibrated rx cost on the worker pool.
         self.msg = msg
-        self._acquire_calibrated(server.stack.rx_cost(msg), self._rx_granted)
+        self.pool.run_then(server.stack.rx_cost(msg), self._rx_done)
 
-    # -- pool occupancy (twins of CorePool.run_calibrated/_timed) ----------
-
-    def _acquire_calibrated(self, duration, granted):
-        pool = self.pool
-        self.duration = duration
-        self.mi = pool.default_memory_intensity
-        self.ws = pool.default_working_set
-        req = pool._res.request(0)
-        self.request = req
-        req.callbacks.append(granted)
-
-    def _charge_calibrated(self, charged):
-        llc = self.pool.llc
-        duration = self.duration
-        if llc is None or self.ws <= 0:
-            if llc is not None and self.mi > 0:
-                duration *= llc.penalty(self.mi)
-        else:
-            # _timed leg: hold LLC occupancy for the span of the charge
-            # (occupy before computing the penalty, like the generator).
-            self.token = llc.occupy(self.ws)
-            if self.mi > 0:
-                duration *= llc.penalty(self.mi)
-        self.env.charge(duration).callbacks.append(charged)
-
-    def _release_calibrated(self):
-        token = self.token
-        if token is not None:
-            self.pool.llc.release(token)
-            self.token = None
-        self.request.release()
-        self.request = None
-
-    # -- phases ------------------------------------------------------------
-
-    def _rx_granted(self, _event):
-        self._charge_calibrated(self._rx_charged)
-
-    def _rx_charged(self, _event):
-        self._release_calibrated()
+    def _rx_done(self):
         server = self.server
         msg = self.msg
         if msg.proto == TCP and msg.conn is not None:
@@ -173,17 +128,10 @@ class _RxOp:
         # Lynx's own dispatcher code scales with the platform's core
         # speed (run_compute with no cache args: a plain charge).
         pool = self.pool
-        self.duration = server.profile.dispatch_cost / pool.profile.speed_factor
-        req = pool._res.request(0)
-        self.request = req
-        req.callbacks.append(self._cmp_granted)
+        pool.run_then(server.profile.dispatch_cost / pool.profile.speed_factor,
+                      self._dispatched, memory_intensity=0.0, working_set=0)
 
-    def _cmp_granted(self, _event):
-        self.env.charge(self.duration).callbacks.append(self._cmp_charged)
-
-    def _cmp_charged(self, _event):
-        self.request.release()
-        self.request = None
+    def _dispatched(self):
         server = self.server
         binding = self.binding
         self.binding = None
@@ -204,8 +152,7 @@ class _RxOp:
         self.mq = mq
         self.manager = manager
         # CPU cost of posting the one-sided RDMA write (§5.1: <1us).
-        self._acquire_calibrated(manager.engine.profile.post_cost,
-                                 self._post_granted)
+        self.pool.run_then(manager.engine.profile.post_cost, self._posted)
 
     def _shed(self, mq):
         """Graceful degradation: the accelerator behind *mq* is dark.
@@ -228,11 +175,7 @@ class _RxOp:
             server.dropped += 1
         self._arm()
 
-    def _post_granted(self, _event):
-        self._charge_calibrated(self._post_charged)
-
-    def _post_charged(self, _event):
-        self._release_calibrated()
+    def _posted(self):
         # Ring-full drops are counted once, by the mqueue itself;
         # ``server.dropped`` tracks only undeliverable traffic.
         manager, mq, msg = self.manager, self.mq, self.msg
@@ -246,12 +189,11 @@ class _TxOp:
 
     Mirrors the retired ``_handle_tx`` detached task step for step:
     forward cost at egress priority, response build, stack tx cost,
-    then wire serialization on the NIC TX resource.  Op records are
-    pooled on the server (``_tx_op_pool``).
+    then ``nic.send`` as one NIC-TX :meth:`Channel.transfer_then` hop.
+    Op records are pooled on the server (``_tx_op_pool``).
     """
 
-    __slots__ = ("server", "env", "pool", "mq", "entry", "response",
-                 "request", "duration", "mi", "ws", "token")
+    __slots__ = ("server", "env", "pool", "mq", "entry", "response")
 
     def __init__(self, server):
         self.server = server
@@ -260,11 +202,6 @@ class _TxOp:
         self.mq = None
         self.entry = None
         self.response = None
-        self.request = None
-        self.duration = 0.0
-        self.mi = 0.0
-        self.ws = 0
-        self.token = None
 
     def start(self, mq, entry):
         self.mq = mq
@@ -276,18 +213,11 @@ class _TxOp:
         # Egress runs at higher core priority than ingress: the real
         # forwarder round-robins and is never starved by a request flood.
         pool = self.pool
-        self.duration = (self.server.profile.forward_cost
-                         / pool.profile.speed_factor)
-        req = pool._res.request(-1)
-        self.request = req
-        req.callbacks.append(self._fwd_granted)
+        pool.run_then(self.server.profile.forward_cost
+                      / pool.profile.speed_factor, self._forwarded,
+                      priority=-1, memory_intensity=0.0, working_set=0)
 
-    def _fwd_granted(self, _event):
-        self.env.charge(self.duration).callbacks.append(self._fwd_charged)
-
-    def _fwd_charged(self, _event):
-        self.request.release()
-        self.request = None
+    def _forwarded(self):
         server = self.server
         mq, entry = self.mq, self.entry
         response = server._build_response(mq, entry)
@@ -302,34 +232,10 @@ class _TxOp:
                 k: v for k, v in stamps.items() if k.startswith("t_")}
         if response.proto == TCP and response.conn is not None:
             response.meta["tcp_seq"] = response.conn.next_seq(response.src)
-        # run_calibrated(stack.tx_cost, priority=-1) on the worker pool.
-        pool = self.pool
-        self.duration = server.stack.tx_cost(response)
-        self.mi = pool.default_memory_intensity
-        self.ws = pool.default_working_set
-        req = pool._res.request(-1)
-        self.request = req
-        req.callbacks.append(self._tx_granted)
+        self.pool.run_then(server.stack.tx_cost(response), self._stack_done,
+                           priority=-1)
 
-    def _tx_granted(self, _event):
-        llc = self.pool.llc
-        duration = self.duration
-        if llc is None or self.ws <= 0:
-            if llc is not None and self.mi > 0:
-                duration *= llc.penalty(self.mi)
-        else:
-            self.token = llc.occupy(self.ws)
-            if self.mi > 0:
-                duration *= llc.penalty(self.mi)
-        self.env.charge(duration).callbacks.append(self._tx_charged)
-
-    def _tx_charged(self, _event):
-        token = self.token
-        if token is not None:
-            self.pool.llc.release(token)
-            self.token = None
-        self.request.release()
-        self.request = None
+    def _stack_done(self):
         server = self.server
         server.responses.count += 1       # inlined RateMeter.tick()
         mq = self.mq
@@ -341,26 +247,12 @@ class _TxOp:
             binding.responses.count += 1
         if server.tracer.enabled:
             server.tracer.emit(server.name, "tx", self.response.msg_id)
-        # nic.send(response) through the TX channel: claim the port's
-        # issue slot, hold it for the wire occupancy, then deliver.
-        req = server.nic.tx.issue.request()
-        self.request = req
-        req.callbacks.append(self._wire_granted)
+        server.nic.tx.transfer_then(self.response.wire_size, self._sent)
 
-    def _wire_granted(self, _event):
-        tx = self.server.nic.tx
-        charge = self.env.charge(tx.occupancy(self.response.wire_size))
-        charge.callbacks.append(self._wire_charged)
-
-    def _wire_charged(self, _event):
-        self.request.release()
-        self.request = None
+    def _sent(self):
         nic = self.server.nic
-        response = self.response
-        nic.tx.sent += 1                  # inlined Channel.transfer stats
-        nic.tx.bytes_moved += response.wire_size
         nic.tx_rate.count += 1            # inlined RateMeter.tick()
-        nic.network.deliver(response)
+        nic.network.deliver(self.response)
         self._finish()
 
     def _finish(self):

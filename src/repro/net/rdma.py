@@ -64,7 +64,6 @@ class RdmaEngine:
         self.channel = Channel(env, name="%s-pipe" % name, serialized=True,
                                bandwidth=profile.bandwidth,
                                min_occupancy=_MIN_OP_GAP)
-        self._issue = self.channel.issue  # legacy alias
         self.ops_posted = 0
 
     def connect(self, target, remote=False, name=None, qp_type=RC):
@@ -82,9 +81,6 @@ class RdmaEngine:
                          qp_type=qp_type)
 
     # -- one-sided operations ------------------------------------------------
-
-    def _occupancy(self, nbytes):
-        return self.channel.occupancy(nbytes)
 
     def op_latency(self, qp, round_trips):
         """Pipeline latency of one op on *qp* (completion after issue)."""
@@ -120,8 +116,7 @@ class RdmaEngine:
         yield from self.channel.transfer(
             0, occupancy=_MIN_OP_GAP,
             post_latency=self.profile.barrier_latency)
-        qp.ops += 1
-        self.ops_posted += 1
+        self.account(qp, 0)
 
     def _op(self, qp, nbytes, round_trips):
         if qp.engine is not self:
@@ -130,6 +125,10 @@ class RdmaEngine:
             raise ConfigError("negative RDMA size")
         yield from self.channel.transfer(
             nbytes, post_latency=self.op_latency(qp, round_trips))
+        self.account(qp, nbytes)
+
+    def account(self, qp, nbytes):
+        """Count one completed op of *nbytes* on *qp* (every op path)."""
         qp.ops += 1
         qp.bytes_moved += nbytes
         self.ops_posted += 1
@@ -138,7 +137,7 @@ class RdmaEngine:
 
     def write_time(self, nbytes, remote=False):
         """Uncontended completion time of a write (for tests/calibration)."""
-        t = self._occupancy(nbytes) + self.profile.op_latency
+        t = self.channel.occupancy(nbytes) + self.profile.op_latency
         if remote:
             t += self.profile.remote_extra_latency
         return t

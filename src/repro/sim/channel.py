@@ -41,6 +41,44 @@ def _msg_id(item):
     return None
 
 
+class _TransferLeg:
+    """One :meth:`Channel.transfer_then` hop, pooled on its channel."""
+
+    __slots__ = ("channel", "request", "nbytes", "occupancy", "latency",
+                 "callback")
+
+    def __init__(self, channel):
+        self.channel = channel
+        self.request = None
+        self.nbytes = 0
+        self.occupancy = 0.0
+        self.latency = 0.0
+        self.callback = None
+
+    def _granted(self, _event):
+        self.channel.env.defer(self.occupancy, self._occupied)
+
+    def _occupied(self, _event):
+        channel = self.channel
+        if self.request is not None:
+            self.request.release()
+            self.request = None
+        channel.sent += 1
+        channel.bytes_moved += self.nbytes
+        if channel._tracer is not None:
+            channel._tracer.emit(channel.name, "xfer", None, self.nbytes)
+        if self.latency:
+            channel.env.defer(self.latency, self._landed)
+        else:
+            self._landed(None)
+
+    def _landed(self, _event):
+        callback = self.callback
+        self.callback = None
+        self.channel._legs.append(self)
+        callback()
+
+
 class Channel(Store):
     """One typed hop between two components.
 
@@ -91,6 +129,8 @@ class Channel(Store):
         #: paths stay Store's untouched bound methods.
         self.claimed_peak = 0
         self._credit_waiters = deque()
+        #: idle transfer_then leg records (steady state allocates none)
+        self._legs = []
         # Uniform per-hop statistics.
         self.sent = 0
         self.delivered = 0
@@ -143,6 +183,34 @@ class Channel(Store):
         latency = self.latency if post_latency is None else post_latency
         if latency:
             yield self.env.charge(latency)
+
+    def transfer_then(self, nbytes, callback, occupancy=None,
+                      post_latency=None):
+        """Callback twin of :meth:`transfer`: ``callback()`` runs when the
+        hop completes.
+
+        The same steps in the same order — issue slot, occupancy,
+        release, ``sent``/``bytes_moved``, the ``xfer`` trace record,
+        latency — on one pooled leg record, so a state machine built on
+        it consumes the event ids ``yield from transfer(...)`` would.
+        A zero latency calls *callback* synchronously after the release.
+        """
+        if nbytes < 0:
+            raise SimulationError("negative transfer size on %s" % self.name)
+        legs = self._legs
+        leg = legs.pop() if legs else _TransferLeg(self)
+        leg.nbytes = nbytes
+        leg.occupancy = (self.occupancy(nbytes) if occupancy is None
+                         else occupancy)
+        leg.latency = self.latency if post_latency is None else post_latency
+        leg.callback = callback
+        issue = self.issue
+        if issue is not None:
+            req = issue.request()
+            leg.request = req
+            req.callbacks.append(leg._granted)
+        else:
+            self.env.defer(leg.occupancy, leg._occupied)
 
     def push(self, item, nbytes=0):
         """Fire-and-forget: land *item* in the sink after the hop latency.

@@ -7,7 +7,9 @@ the optimised kernel agrees with the original event ordering.
 
 E01 and E15 are the two cheapest experiments that still cross every
 optimised layer: RDMA delivery ops, charge pooling, the doorbell sweep
-loop, and (for E15) the consistency-barrier plan.
+loop, and (for E15) the consistency-barrier plan.  ``GOLDEN_KEYS``
+extends the check to every other fixture row that still matches and
+runs in a few seconds.
 """
 
 import json
@@ -15,7 +17,8 @@ import os
 
 import pytest
 
-from repro.experiments import e01_invocation_overhead, e15_consistency_barrier
+from repro.experiments import REGISTRY, e01_invocation_overhead, \
+    e15_consistency_barrier
 
 FIXTURE = os.path.join(os.path.dirname(__file__), "..", "fixtures",
                        "golden_fast_rows.json")
@@ -33,12 +36,25 @@ def _rows(module):
     return json.loads(json.dumps(result.rows))
 
 
+#: The other fixture keys, pinned because they cross the core and channel
+#: legs (host-centric driver calls, memcached, Innova, VCA, pipelines).
+#: Left out: E04/E05, whose fixture rows predate re-seeding (E04's rows
+#: are pinned by the e2e benchmark's expected rows instead), and
+#: E11/E12, which take about 26 s and 20 s.
+GOLDEN_KEYS = ("E02", "E03", "E06", "E07", "E08", "E09", "E10", "E13",
+               "E14")
+
+
 class TestGoldenRows:
     def test_e01_rows_bit_identical(self, golden):
         assert _rows(e01_invocation_overhead) == golden["E01"]
 
     def test_e15_rows_bit_identical(self, golden):
         assert _rows(e15_consistency_barrier) == golden["E15"]
+
+    @pytest.mark.parametrize("key", GOLDEN_KEYS)
+    def test_rows_bit_identical(self, golden, key):
+        assert _rows(REGISTRY[key]) == golden[key]
 
     def test_e01_repeatable_within_process(self, golden):
         first = _rows(e01_invocation_overhead)

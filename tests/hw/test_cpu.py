@@ -1,10 +1,11 @@
-"""CPU core / pool / socket models."""
+"""CPU core pool / socket models."""
 
 import pytest
 
 from repro.config import BLUEFIELD_ARM, DEFAULT_CACHE, XEON_E5_2620
 from repro.errors import ConfigError
-from repro.hw.cpu import Core, CorePool, CpuSocket
+from repro.hw.cache import LLCModel
+from repro.hw.cpu import CorePool, CpuSocket
 from repro.sim import Environment, RngRegistry
 
 
@@ -18,12 +19,12 @@ def rng():
     return RngRegistry(0).stream("test")
 
 
-class TestCore:
+class TestCorePool:
     def test_calibrated_work_charges_exact_duration(self, env):
-        core = Core(env, XEON_E5_2620, 0)
+        pool = CorePool(env, XEON_E5_2620, count=1)
 
         def proc(env):
-            yield from core.run_calibrated(12.5)
+            yield from pool.run_calibrated(12.5)
             return env.now
 
         p = env.process(proc(env))
@@ -31,7 +32,7 @@ class TestCore:
         assert p.value == 12.5
 
     def test_compute_scales_with_speed_factor(self, env):
-        arm = Core(env, BLUEFIELD_ARM, 0)
+        arm = CorePool(env, BLUEFIELD_ARM, count=1)
 
         def proc(env):
             yield from arm.run_compute(33.0)
@@ -41,12 +42,12 @@ class TestCore:
         env.run()
         assert p.value == pytest.approx(33.0 / BLUEFIELD_ARM.speed_factor)
 
-    def test_core_serializes(self, env):
-        core = Core(env, XEON_E5_2620, 0)
+    def test_one_core_serializes(self, env):
+        pool = CorePool(env, XEON_E5_2620, count=1)
         ends = []
 
         def proc(env):
-            yield from core.run_calibrated(10)
+            yield from pool.run_calibrated(10)
             ends.append(env.now)
 
         env.process(proc(env))
@@ -55,13 +56,13 @@ class TestCore:
         assert ends == [10, 20]
 
     def test_negative_duration_rejected(self, env):
-        core = Core(env, XEON_E5_2620, 0)
-        env.process(core.run_calibrated(-1))
+        pool = CorePool(env, XEON_E5_2620, count=1)
+        env.process(pool.run_calibrated(-1))
         with pytest.raises(ConfigError):
             env.run()
+        with pytest.raises(ConfigError):
+            pool.run_then(-1, lambda: None)
 
-
-class TestCorePool:
     def test_pool_parallelism(self, env):
         pool = CorePool(env, XEON_E5_2620, count=3)
         ends = []
@@ -98,8 +99,6 @@ class TestCorePool:
         assert order == ["hog", "egress", "ingress"]
 
     def test_pool_defaults_apply_cache_pressure(self, env, rng):
-        from repro.hw.cache import LLCModel
-
         llc = LLCModel(env, 100, DEFAULT_CACHE, rng)
         llc.occupy(10000)  # an external aggressor overflowing the LLC
         pool = CorePool(env, XEON_E5_2620, count=1, llc=llc)
@@ -116,16 +115,76 @@ class TestCorePool:
 
 
 class TestCpuSocket:
-    def test_socket_has_profile_core_count(self, env, rng):
-        socket = CpuSocket(env, XEON_E5_2620, DEFAULT_CACHE, rng)
-        assert len(socket.cores) == 6
-
-    def test_cores_share_llc(self, env, rng):
-        socket = CpuSocket(env, XEON_E5_2620, DEFAULT_CACHE, rng)
-        assert all(core.llc is socket.llc for core in socket.cores)
-
     def test_pool_factory_shares_llc(self, env, rng):
         socket = CpuSocket(env, XEON_E5_2620, DEFAULT_CACHE, rng)
         pool = socket.pool(count=2)
         assert pool.llc is socket.llc
         assert pool.count == 2
+        assert socket.pools == [pool]
+
+
+def _run_legs(twin, working_set, aggressor_bytes):
+    """Three contended legs on a one-core pool, by generator or callback.
+
+    Both twins start each leg from the same pooled kick (``detached``
+    and ``_kick`` consume one URGENT id each), so any difference in
+    finish times or ``env._eid`` comes from the legs themselves.
+    """
+    env = Environment()
+    llc = LLCModel(env, 100, DEFAULT_CACHE, RngRegistry(7).stream("llc"))
+    llc.occupy(aggressor_bytes)
+    pool = CorePool(env, XEON_E5_2620, count=1, llc=llc)
+    pool.default_memory_intensity = 0.5
+    pool.default_working_set = working_set
+    done = []
+
+    def start(tag, duration, priority):
+        def finish():
+            done.append((tag, env.now, llc.total_working_set))
+
+        if twin == "generator":
+            def leg():
+                yield from pool.run_calibrated(duration, priority=priority)
+                finish()
+            env.detached(leg())
+        else:
+            env._kick(lambda _e: pool.run_then(duration, finish,
+                                               priority=priority))
+
+    start("a", 10.0, 0)
+    start("b", 5.0, 0)
+    env.defer(1.0, lambda _e: start("egress", 2.0, -1))
+    env.run()
+    return done, env._eid, llc.total_working_set
+
+
+class TestRunThenParity:
+    """``run_then`` consumes the event ids of ``run_calibrated``."""
+
+    @pytest.mark.parametrize("working_set", [0, 50])
+    @pytest.mark.parametrize("aggressor_bytes", [0, 80])
+    def test_matches_generator(self, working_set, aggressor_bytes):
+        got = _run_legs("callback", working_set, aggressor_bytes)
+        want = _run_legs("generator", working_set, aggressor_bytes)
+        assert got == want
+        done, _, resident = got
+        assert [tag for tag, _, _ in done] == ["a", "egress", "b"]
+        # Each leg's working set is resident only while it runs.
+        assert resident == aggressor_bytes
+        if working_set and aggressor_bytes:
+            # Only the leg's own 50 B pushes the 100 B LLC past capacity.
+            assert done[0][1] > 10.0
+        else:
+            assert [t for _, t, _ in done] == [10.0, 12.0, 17.0]
+
+    def test_leg_records_are_recycled(self, env):
+        pool = CorePool(env, XEON_E5_2620, count=1)
+        order = []
+
+        def second():
+            order.append(env.now)
+
+        pool.run_then(1.0, lambda: pool.run_then(2.0, second))
+        env.run()
+        assert order == [3.0]
+        assert len(pool._legs) == 1

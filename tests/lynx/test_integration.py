@@ -2,11 +2,23 @@
 
 import pytest
 
-from repro import Testbed
+from repro import Testbed, telemetry
 from repro.apps.base import EchoApp, SpinApp
 from repro.config import GpuProfile, K40M
 from repro.net import Address, ClosedLoopGenerator
 from repro.net.packet import TCP, UDP
+
+
+def host_pool_utilizations(reg, host):
+    """Mean utilization of every core pool on *host*, from the registry.
+
+    Every ``CorePool`` registers ``hw.cpu.<pool>.utilization``, and
+    pools drawn from a machine are named after it, so these gauges
+    cover all the work the host's cores ran.
+    """
+    prefix = "hw.cpu.%s-" % host.name
+    return {name: reg.get(name).mean() for name in reg.names("hw.cpu")
+            if name.startswith(prefix) and name.endswith(".utilization")}
 
 
 def build_service(platform="bluefield", app=None, n_mqueues=2, proto=UDP,
@@ -66,15 +78,17 @@ class TestEchoDataPlane:
 
     def test_host_cpu_idle_on_data_path(self):
         """§4.3: after setup the host CPU does nothing per-request."""
-        tb, env, host, gpu, server, service, addr = build_service()
-        client = tb.client("10.0.1.1")
-        before = [core.utilization for core in host.socket.cores]
-        gen = ClosedLoopGenerator(env, client, addr, concurrency=4,
-                                  payload_fn=lambda i: b"x" * 32, proto=UDP)
-        env.run(until=100000)
+        with telemetry.scope() as reg:
+            tb, env, host, gpu, server, service, addr = build_service()
+            client = tb.client("10.0.1.1")
+            gen = ClosedLoopGenerator(env, client, addr, concurrency=4,
+                                      payload_fn=lambda i: b"x" * 32,
+                                      proto=UDP)
+            env.run(until=100000)
         assert gen.completed > 100
-        for core in host.socket.cores:
-            assert core.utilization == pytest.approx(0.0)
+        assert server.workers.utilization > 0   # the SNIC cores did it
+        for name, utilization in host_pool_utilizations(reg, host).items():
+            assert utilization == pytest.approx(0.0), name
 
     def test_tcp_service_works_with_handshake(self):
         tb, env, host, gpu, server, service, addr = build_service(proto=TCP)
@@ -234,6 +248,29 @@ class TestTracing:
         # chronological order through the pipeline
         times = [record[0] for record in tb.tracer.records]
         assert times == sorted(times)
+
+    def test_every_wire_and_rdma_transfer_is_traced(self):
+        """Lynx's NIC-TX and RDMA hops emit ``xfer`` like any transfer."""
+        from repro.config import SimConfig
+        from repro.experiments.common import LYNX_BLUEFIELD, deploy
+
+        dep = deploy(LYNX_BLUEFIELD, app=EchoApp(),
+                     config=SimConfig(trace=True))
+        env, server = dep.env, dep.server
+        gen = ClosedLoopGenerator(env, dep.tb.client("10.0.1.1"),
+                                  dep.address, concurrency=4,
+                                  payload_fn=lambda i: b"x" * 32, proto=UDP)
+        env.run(until=5000)
+        gen.stop()
+        env.run(until=10000)            # drain every in-flight hop
+        tracer = dep.tb.tracer
+        engine = dep.service.manager.engine
+        wire = tracer.filter(channel=server.nic.tx.name, event="xfer")
+        rdma = tracer.filter(channel=engine.channel.name, event="xfer")
+        assert tracer.dropped == 0
+        assert gen.completed > 100
+        assert len(wire) == server.responses.count == server.nic.tx.sent
+        assert len(rdma) == engine.ops_posted == server.nic.rdma.channel.sent
 
     def test_tracing_disabled_by_default(self):
         tb, env, host, gpu, server, service, addr = build_service()

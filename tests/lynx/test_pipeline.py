@@ -2,13 +2,15 @@
 
 import pytest
 
-from repro import Testbed
+from repro import Testbed, telemetry
 from repro.apps.base import ServerApp, SpinApp
 from repro.errors import ConfigError
 from repro.lynx import PipelineStage
 from repro.lynx.pipeline import start_pipeline
 from repro.net import Address, ClosedLoopGenerator
 from repro.net.packet import UDP
+
+from .test_integration import host_pool_utilizations
 
 
 class TagApp(ServerApp):
@@ -105,14 +107,17 @@ class TestComposition:
         assert p50[3] > p50[1] + 2 * 30.0
 
     def test_host_cpu_still_idle(self):
-        tb, env, server, pipe, addr = build(2)
-        host = tb.machines["10.0.0.1"]
-        client = tb.client("10.0.1.1")
-        ClosedLoopGenerator(env, client, addr, concurrency=4,
-                            payload_fn=lambda i: b"x", proto=UDP)
-        env.run(until=100000)
-        for core in host.socket.cores:
-            assert core.utilization == pytest.approx(0.0)
+        with telemetry.scope() as reg:
+            tb, env, server, pipe, addr = build(2)
+            host = tb.machines["10.0.0.1"]
+            client = tb.client("10.0.1.1")
+            gen = ClosedLoopGenerator(env, client, addr, concurrency=4,
+                                      payload_fn=lambda i: b"x", proto=UDP)
+            env.run(until=100000)
+        assert gen.completed > 0
+        assert server.workers.utilization > 0
+        for name, utilization in host_pool_utilizations(reg, host).items():
+            assert utilization == pytest.approx(0.0), name
 
 
 class TestFailurePropagation:

@@ -111,6 +111,73 @@ class TestCostModel:
         ch = Channel(env)
         with pytest.raises(SimulationError):
             next(ch.transfer(-1))
+        with pytest.raises(SimulationError):
+            ch.transfer_then(-1, lambda: None)
+
+
+def _run_transfers(twin, serialized, latency):
+    """Three overlapping transfers, by generator or by callback.
+
+    Both twins start each transfer from one pooled URGENT kick, so any
+    difference in finish times, ``env._eid`` or the trace comes from the
+    hop itself.
+    """
+    env = Environment()
+    env.tracer = Tracer(env, enabled=True)
+    try:
+        ch = Channel(env, name="hop", serialized=serialized, bandwidth=10.0,
+                     latency=latency)
+        done = []
+
+        def start(tag, nbytes, **kwargs):
+            def finish():
+                done.append((tag, env.now))
+
+            if twin == "generator":
+                def hop():
+                    yield from ch.transfer(nbytes, **kwargs)
+                    finish()
+                env.detached(hop())
+            else:
+                env._kick(lambda _e: ch.transfer_then(nbytes, finish,
+                                                      **kwargs))
+
+        start("a", 100)
+        start("b", 20, occupancy=0.5)
+        env.defer(1.0, lambda _e: start("c", 0, post_latency=3.0))
+        env.run()
+        return (done, env._eid, ch.sent, ch.bytes_moved,
+                env.tracer.filter(channel="hop"))
+    finally:
+        clear_enabled_tracers()
+
+
+class TestTransferThenParity:
+    """``transfer_then`` consumes the event ids of ``transfer``."""
+
+    @pytest.mark.parametrize("serialized", [True, False])
+    @pytest.mark.parametrize("latency", [0.0, 2.0])
+    def test_matches_generator(self, serialized, latency):
+        got = _run_transfers("callback", serialized, latency)
+        want = _run_transfers("generator", serialized, latency)
+        assert got == want
+        done, _, sent, moved, records = got
+        assert sent == 3 and moved == 120
+        assert [rec[2] for rec in records] == ["xfer"] * 3
+        if serialized:
+            # b queues behind a's 10us occupancy on the issue slot.
+            assert dict(done)["b"] == pytest.approx(10.5 + latency)
+        else:
+            assert dict(done)["b"] == pytest.approx(0.5 + latency)
+
+    def test_leg_records_are_recycled(self, env):
+        ch = Channel(env, serialized=True, bandwidth=10.0)
+        ends = []
+        ch.transfer_then(10, lambda: ch.transfer_then(
+            10, lambda: ends.append(env.now)))
+        env.run()
+        assert ends == pytest.approx([2.0])
+        assert len(ch._legs) == 1
 
 
 class TestPush:
