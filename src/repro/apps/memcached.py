@@ -124,13 +124,12 @@ class _WorkerOp:
         self._arm()
 
     def _arm(self):
-        self.nic.rx.get().callbacks.append(self._on_msg)
+        self.nic.rx.get_then(self._on_msg)
 
-    def _on_msg(self, get):
+    def _on_msg(self, msg):
         server = self.server
         nic = self.nic
         nic.rx_rate.count += 1              # inlined nic.recv() rate tick
-        msg = get._value
         stack = server.stack
         if stack.handle_control(msg, nic) or msg.dst.port != server.port:
             self._arm()

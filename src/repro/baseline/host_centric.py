@@ -101,13 +101,11 @@ class _HostRxOp:
         self._arm()
 
     def _arm(self):
-        get = self.server.nic.rx.get()
-        get.callbacks.append(self._on_msg)
+        self.server.nic.rx.get_then(self._on_msg)
 
-    def _on_msg(self, get):
+    def _on_msg(self, msg):
         server = self.server
         server.nic.rx_rate.count += 1       # inlined nic.recv() rate tick
-        msg = get._value
         if msg.kind == "tcp-synack":
             waiter = server._waiters.pop(("synack", msg.conn.conn_id), None)
             if waiter is not None and not waiter.triggered:

@@ -42,35 +42,33 @@ def _llc_leg(llc, duration, memory_intensity, working_set, aggressor=False):
 class _CoreLeg:
     """One :meth:`CorePool.run_then` occupancy, pooled on its pool.
 
-    request -> (LLC rule) charge -> release LLC token and core -> callback:
-    the event ids of :meth:`CorePool.run_calibrated`, in its order.
+    acquire a core -> (LLC rule) charge -> release LLC token and core ->
+    callback: the event ids of :meth:`CorePool.run_calibrated`, in its
+    order.
     """
 
-    __slots__ = ("pool", "request", "duration", "mi", "ws", "token",
-                 "callback")
+    __slots__ = ("pool", "duration", "mi", "ws", "token", "callback")
 
     def __init__(self, pool):
         self.pool = pool
-        self.request = None
         self.duration = 0.0
         self.mi = 0.0
         self.ws = 0
         self.token = None
         self.callback = None
 
-    def _granted(self, _event):
+    def _granted(self, _arg):
         pool = self.pool
         duration, self.token = _llc_leg(pool.llc, self.duration, self.mi,
                                         self.ws)
         pool.env.defer(duration, self._charged)
 
-    def _charged(self, _event):
+    def _charged(self, _arg):
         pool = self.pool
         if self.token is not None:
             pool.llc.release(self.token)
             self.token = None
-        self.request.release()
-        self.request = None
+        pool._res.release_slot()
         callback = self.callback
         self.callback = None
         pool._legs.append(self)
@@ -193,9 +191,7 @@ class CorePool:
         leg.ws = (self.default_working_set if working_set is None
                   else working_set)
         leg.callback = callback
-        req = self._res.request(priority)
-        leg.request = req
-        req.callbacks.append(leg._granted)
+        self._res.acquire_then(leg._granted, priority)
 
 
 class CpuSocket:

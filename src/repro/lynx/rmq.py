@@ -201,9 +201,9 @@ class _PollerOp:
 
     def _arm(self):
         """Sleep until an accelerator rings a TX doorbell."""
-        self.manager._doorbells.get().callbacks.append(self._on_doorbell)
+        self.manager._doorbells.get_then(self._on_doorbell)
 
-    def _on_doorbell(self, _get):
+    def _on_doorbell(self, _mq):
         self.manager._drain_doorbells()
         self._sweep()
 

@@ -7,12 +7,10 @@ goes idle**.  After ``start_gpu_service`` returns, no host core appears
 on the data path; tests assert this.
 """
 
-from heapq import heappush
-
 from ..errors import AcceleratorError, ConfigError, SimulationError
 from ..net.packet import TCP, UDP, payload_size
 from ..sim import Interrupt
-from ..sim.events import Event, NORMAL, PENDING, URGENT
+from ..sim.events import Event, PENDING, URGENT
 from .iolib import AcceleratorIO
 from .mqueue import CLIENT, MQueue, MQueueEntry, SERVER
 from .rmq import RemoteMQManager
@@ -354,12 +352,7 @@ class _ThreadblockOp(Event):
         self._dp_req = None
         self.entry = self.result = self.out = None
         # Process.succeed(None): the termination event.
-        self._ok = True
-        self._value = None
-        env = self.env
-        eid = env._eid
-        env._eid = eid + 1
-        heappush(env._queue, (env.now, NORMAL, eid, self))
+        self.succeed()
 
     def _wait(self, event, cb):
         self._target = event

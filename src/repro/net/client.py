@@ -38,9 +38,10 @@ class _SendOp:
         self.client.env._kick(self._begin)
 
     def _begin(self, _event):
-        self.client._send_charge(self.msg).callbacks.append(self._sent)
+        client = self.client
+        client.env.defer(client._send_delay(self.msg), self._sent)
 
-    def _sent(self, _event):
+    def _sent(self, _arg):
         client = self.client
         msg = self.msg
         self.msg = None
@@ -68,11 +69,10 @@ class _ClientRxOp:
         self._arm()
 
     def _arm(self):
-        self.client.rx.get().callbacks.append(self._on_msg)
+        self.client.rx.get_then(self._on_msg)
 
-    def _on_msg(self, get):
+    def _on_msg(self, msg):
         client = self.client
-        msg = get._value
         created = msg.meta.get("request_created_at")
         if created is not None and msg.kind == "response":
             client.latency._samples.append(
@@ -138,16 +138,15 @@ class Client:
 
     def send(self, msg):
         """Generator: serialize *msg* onto the wire."""
-        yield self._send_charge(msg)
+        yield self.env.charge(self._send_delay(msg))
         self._wire(msg)
 
-    def _send_charge(self, msg):
-        """Stamp *msg*'s TCP sequence and charge its send cost; the
-        caller hands it to :meth:`_wire` when the charge fires."""
+    def _send_delay(self, msg):
+        """Stamp *msg*'s TCP sequence and return its send cost; the
+        caller charges it, then hands *msg* to :meth:`_wire`."""
         if msg.conn is not None and not msg.kind.startswith("tcp-"):
             msg.meta["tcp_seq"] = msg.conn.next_seq(msg.src)
-        return self.env.charge(
-            self.send_cost + msg.wire_size / self.link_rate)
+        return self.send_cost + msg.wire_size / self.link_rate
 
     def _wire(self, msg):
         self.sent.count += 1          # inlined RateMeter.tick()
@@ -325,9 +324,9 @@ class OpenLoopGenerator:
 
     def _begin(self, _event):
         if not self._stopped:
-            self.env.charge(self._interarrival()).callbacks.append(self._fire)
+            self.env.defer(self._interarrival(), self._fire)
 
-    def _fire(self, _event):
+    def _fire(self, _arg):
         if self._stopped:
             return
         env = self.env
@@ -341,7 +340,7 @@ class OpenLoopGenerator:
         # by per-message send cost, or high offered rates would be
         # silently capped below the target.
         self.client.send_async(msg)
-        env.charge(self._interarrival()).callbacks.append(self._fire)
+        env.defer(self._interarrival(), self._fire)
 
 
 class _ClosedLoopOp:
@@ -381,9 +380,9 @@ class _ClosedLoopOp:
         syn, waiter = gen.client._open_syn(gen.dst)
         self.msg = syn
         self.waiter = waiter
-        gen.client._send_charge(syn).callbacks.append(self._syn_sent)
+        gen.env.defer(gen.client._send_delay(syn), self._syn_sent)
 
-    def _syn_sent(self, _event):
+    def _syn_sent(self, _arg):
         self.gen.client._wire(self.msg)
         self.waiter.callbacks.append(self._synack)
 
@@ -406,7 +405,7 @@ class _ClosedLoopOp:
         self.attempt = 0
         self._attempt()
 
-    def _attempt(self, _event=None):
+    def _attempt(self, _arg=None):
         gen = self.gen
         client = gen.client
         self.attempt += 1
@@ -414,9 +413,9 @@ class _ClosedLoopOp:
                                            gen.proto, self.conn)
         self.msg = msg
         self.waiter = waiter
-        client._send_charge(msg).callbacks.append(self._sent)
+        gen.env.defer(client._send_delay(msg), self._sent)
 
-    def _sent(self, _event):
+    def _sent(self, _arg):
         gen = self.gen
         gen.client._wire(self.msg)
         timeout = gen.policy.timeout
@@ -444,7 +443,7 @@ class _ClosedLoopOp:
         self.msg = self.waiter = None
         delay = gen.policy.retry_delay(client, self.attempt, response)
         if delay is not None:
-            gen.env.timeout(delay).callbacks.append(self._attempt)
+            gen.env.defer(delay, self._attempt)
             return
         if response is None:
             gen.timeouts += 1
@@ -453,11 +452,11 @@ class _ClosedLoopOp:
         else:
             gen.completed += 1
         if gen.think_time > 0:
-            gen.env.charge(gen.think_time).callbacks.append(self._thought)
+            gen.env.defer(gen.think_time, self._thought)
         else:
             self._next()
 
-    def _thought(self, _event):
+    def _thought(self, _arg):
         self._next()
 
 

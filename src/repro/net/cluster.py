@@ -191,17 +191,17 @@ class _SteerOp:
         self._arm()
 
     def _arm(self):
-        self.lb.rx.get().callbacks.append(self._on_msg)
+        self.lb.rx.get_then(self._on_msg)
 
-    def _on_msg(self, get):
+    def _on_msg(self, msg):
         lb = self.lb
-        batch = [get._value]
+        batch = [msg]
         if lb.batched:
             batch.extend(lb.rx.recv_batch(lb.max_batch - 1))
         self.batch = batch
         lb.env.defer(lb.steer_cost * len(batch), self._forward)
 
-    def _forward(self, _event):
+    def _forward(self, _arg):
         batch, self.batch = self.batch, None
         self.lb.steer_batch(batch)
         self._arm()

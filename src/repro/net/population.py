@@ -560,12 +560,12 @@ class _PopulationRxOp:
         self._arm()
 
     def _arm(self):
-        self.pop.rx.get().callbacks.append(self._on_msg)
+        self.pop.rx.get_then(self._on_msg)
 
-    def _on_msg(self, get):
+    def _on_msg(self, msg):
         pop = self.pop
         now = pop.env.now
-        pop._ingest(get._value, now)
+        pop._ingest(msg, now)
         more = pop.rx.recv_batch()
         if more:
             ingest = pop._ingest

@@ -11,10 +11,10 @@ Performance contract: a Channel with tracing disabled inherits the
 :class:`~.store.Store` fast paths untouched — ``put``/``get``/
 ``try_put``/``try_get`` are the exact same bound methods, so the data
 plane pays nothing for the abstraction.  When the environment's tracer
-is enabled at construction time, the four methods are shadowed by
-traced variants **on the instance**, which keeps the tracing branch out
-of the default path entirely.  Trace emission never schedules events,
-so enabling tracing cannot perturb simulated results.
+is enabled at construction time, those four methods and ``get_then``
+are shadowed by traced variants **on the instance**, which keeps the
+tracing branch out of the default path entirely.  Trace emission never
+schedules events, so enabling tracing cannot perturb simulated results.
 
 Determinism contract: every cost helper consumes exactly the schedule
 slots of the open-coded sequences it replaced (issue request → charge
@@ -44,25 +44,22 @@ def _msg_id(item):
 class _TransferLeg:
     """One :meth:`Channel.transfer_then` hop, pooled on its channel."""
 
-    __slots__ = ("channel", "request", "nbytes", "occupancy", "latency",
-                 "callback")
+    __slots__ = ("channel", "nbytes", "occupancy", "latency", "callback")
 
     def __init__(self, channel):
         self.channel = channel
-        self.request = None
         self.nbytes = 0
         self.occupancy = 0.0
         self.latency = 0.0
         self.callback = None
 
-    def _granted(self, _event):
+    def _granted(self, _arg):
         self.channel.env.defer(self.occupancy, self._occupied)
 
-    def _occupied(self, _event):
+    def _occupied(self, _arg):
         channel = self.channel
-        if self.request is not None:
-            self.request.release()
-            self.request = None
+        if channel.issue is not None:
+            channel.issue.release_slot()
         channel.sent += 1
         channel.bytes_moved += self.nbytes
         if channel._tracer is not None:
@@ -72,7 +69,7 @@ class _TransferLeg:
         else:
             self._landed(None)
 
-    def _landed(self, _event):
+    def _landed(self, _arg):
         callback = self.callback
         self.callback = None
         self.channel._legs.append(self)
@@ -141,6 +138,7 @@ class Channel(Store):
             self._tracer = tracer
             self.put = self._traced_put
             self.get = self._traced_get
+            self.get_then = self._traced_get_then
             self.try_put = self._traced_try_put
             self.try_get = self._traced_try_get
         else:
@@ -206,9 +204,7 @@ class Channel(Store):
         leg.callback = callback
         issue = self.issue
         if issue is not None:
-            req = issue.request()
-            leg.request = req
-            req.callbacks.append(leg._granted)
+            issue.acquire_then(leg._granted)
         else:
             self.env.defer(leg.occupancy, leg._occupied)
 
@@ -238,11 +234,11 @@ class Channel(Store):
         """Batched fire-and-forget: the burst rides ONE landing event.
 
         The vectorized traffic plane's injection path (DESIGN.md
-        §4.13): where N ``push()`` calls cost N deferred landings plus
-        N ``StorePut`` completions, a burst of N items here costs one
-        deferred event, and when the sink is an idle plain FIFO (no
-        parked getters/putters, no tracer, room for the whole burst)
-        the landing is a single ``deque.extend``.  Any other sink state
+        §4.13): where N ``push()`` calls cost N deferred landings, a
+        burst of N items here costs one deferred event, and when the
+        sink is an idle plain FIFO (no parked getters/putters, no
+        tracer, room for the whole burst) the landing is a single
+        ``deque.extend``.  Any other sink state
         falls back to the per-item landing loop, which preserves
         ``push``'s exact drop-tail and getter-wake semantics item by
         item.  *nbytes* is the byte total of the whole burst.
@@ -397,6 +393,16 @@ class Channel(Store):
         get.callbacks.append(
             lambda evt: self._tracer.emit(self.name, "deq", _msg_id(evt._value)))
         return get
+
+    def _traced_get_then(self, callback):
+        tracer = self._tracer
+        name = self.name
+
+        def deq(item):
+            tracer.emit(name, "deq", _msg_id(item))
+            callback(item)
+
+        Store.get_then(self, deq)
 
     def _traced_try_put(self, item):
         ok = Store.try_put(self, item)

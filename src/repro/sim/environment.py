@@ -5,21 +5,29 @@ simulated request costs tens of dispatched events, and the saturation
 experiments (E04, E09, E11) push tens of millions of events per run.
 The loop is therefore written for CPython throughput:
 
+* a schedule entry is ``(time, priority, eid, handler, arg)`` and
+  firing it is ``handler(arg)``: an :class:`~.events.Event` rides the
+  :func:`~.events._fire` handler (whose body the loop inlines), while
+  callback state machines (:meth:`Environment.defer`,
+  :meth:`Environment._kick`, ``Resource.acquire_then``,
+  ``Store.get_then``) schedule their bound method itself, with no
+  event object at all;
 * the heap entry sequence number is a plain int (``self._eid``), not an
   ``itertools.count`` — and hot constructors bump it inline;
 * the loop body has no per-event ``try/except``; ``while queue`` replaces
   catching ``IndexError`` per pop;
-* pooled events (:class:`~.events.Charge`) are recycled right after
+* generator charges (:class:`~.events.Charge`) are recycled right after
   their callbacks run, so fixed-latency charges allocate nothing in
   steady state;
 * lightweight kernel counters (events processed, spawns, heap peak,
   wall-clock) are maintained as plain int bumps and surfaced through
   :meth:`kernel_stats` / :func:`kernel_totals`.
 
-Determinism note: all fast-path primitives consume exactly one sequence
-number per scheduled event, just like the plain primitives they replace,
-so relative event order — and therefore every simulated result — is
-unchanged for a fixed seed.
+Determinism note: eids are only ever compared, so each scheduled entry
+keeps its relative ``(time, priority, eid)`` order whether it carries an
+event or a bare callback.  An eid may be skipped for an event nothing
+listens to (``Store.try_put`` schedules no completion), never added or
+reordered, so every simulated result is unchanged for a fixed seed.
 """
 
 import gc
@@ -30,7 +38,8 @@ from time import perf_counter
 from ..errors import SimulationError
 from .. import telemetry
 from .events import (
-    Event, Timeout, Charge, Process, Task, NORMAL, URGENT, any_of, all_of,
+    Event, Timeout, Charge, Process, Task, NORMAL, URGENT, _fire, any_of,
+    all_of,
 )
 from .trace import NullTracer
 
@@ -119,15 +128,22 @@ class Environment:
 
     def __init__(self, initial_time=0.0):
         self.now = float(initial_time)
-        # The shared trigger sites (Event.succeed, Store completions,
-        # Resource grants) heappush ``(time, priority, eid, event)``
-        # entries straight onto ``_queue``.
+        # The shared trigger sites (Event.succeed, Store hand-offs,
+        # Resource grants) heappush ``(time, priority, eid, handler,
+        # arg)`` entries straight onto ``_queue``.
         self._queue = []
         self._eid = 0
         self._active_process = None
         self._charge_pool = []
         self._task_pool = []
         self._immediate_event = None
+        # The one already-succeeded event every _kick hands its callback,
+        # so Process._resume/Task._step read ``_ok``/``_value`` as usual.
+        kicked = Event(self)
+        kicked.callbacks = None
+        kicked._ok = True
+        kicked._value = None
+        self._kicked = kicked
         #: the environment-wide tracer Channels snapshot at construction
         #: (testbeds install a real Tracer here before building hardware)
         self.tracer = NullTracer()
@@ -184,53 +200,34 @@ class Environment:
             self.charges_created += 1
         eid = self._eid
         self._eid = eid + 1
-        heappush(self._queue, (self.now + delay, NORMAL, eid, event))
+        heappush(self._queue, (self.now + delay, NORMAL, eid, _fire, event))
         return event
 
     def defer(self, delay, callback, priority=NORMAL):
-        """Invoke *callback(event)* after *delay*, via a pooled event.
+        """Invoke ``callback(None)`` after *delay*.
 
         The callback-driven twin of :meth:`charge`, for state machines
-        that advance on plain callbacks instead of generator resumption.
+        that advance on plain callbacks instead of generator resumption:
+        the callback itself is the schedule entry's handler, so no event
+        object exists, yet it takes the slot (and eid) a charge would.
         """
         if delay < 0:
             raise SimulationError("negative defer delay: %r" % delay)
-        pool = self._charge_pool
-        if pool:
-            event = pool.pop()
-            event._value = None
-            event.delay = delay
-            self.charges_reused += 1
-        else:
-            event = Charge(self, delay, None)
-            self.charges_created += 1
-        event.callbacks.append(callback)
         eid = self._eid
         self._eid = eid + 1
-        heappush(self._queue, (self.now + delay, priority, eid, event))
-        return event
+        heappush(self._queue, (self.now + delay, priority, eid, callback,
+                               None))
 
     def _kick(self, callback):
-        """Schedule *callback* URGENTly at the current time (pooled).
+        """Schedule *callback* URGENTly at the current time.
 
-        This is the zero-allocation replacement for the ``Initialize``
-        event that used to kick off every process: same timestamp, same
-        URGENT priority, one sequence number — identical ordering.
+        The start of every process, task and callback op: same
+        timestamp, same URGENT priority, one sequence number.  The
+        callback receives the shared already-succeeded ``_kicked`` event.
         """
-        pool = self._charge_pool
-        if pool:
-            event = pool.pop()
-            event._value = None
-            event.delay = 0.0
-            self.charges_reused += 1
-        else:
-            event = Charge(self, 0.0, None)
-            self.charges_created += 1
-        event.callbacks.append(callback)
         eid = self._eid
         self._eid = eid + 1
-        heappush(self._queue, (self.now, URGENT, eid, event))
-        return event
+        heappush(self._queue, (self.now, URGENT, eid, callback, self._kicked))
 
     def immediate(self, value=None):
         """An already-processed event carrying *value*.
@@ -285,31 +282,22 @@ class Environment:
         """Place *event* on the schedule *delay* microseconds from now."""
         eid = self._eid
         self._eid = eid + 1
-        heappush(self._queue, (self.now + delay, priority, eid, event))
+        heappush(self._queue, (self.now + delay, priority, eid, _fire, event))
 
     def peek(self):
         """Time of the next scheduled event, or ``inf`` if none."""
         return self._queue[0][0] if self._queue else float("inf")
 
     def step(self):
-        """Process the next scheduled event (slow path; run() inlines this)."""
+        """Process the next scheduled entry (slow path; run() inlines this)."""
         try:
-            when, _, _, event = heapq.heappop(self._queue)
+            when, _, _, handler, arg = heapq.heappop(self._queue)
         except IndexError:
             raise EmptySchedule()
         self.now = when
-        callbacks, event.callbacks = event.callbacks, None
-        for callback in callbacks:
-            callback(event)
+        handler(arg)
         self.events_processed += 1
-        if event._pooled:
-            callbacks.clear()
-            event.callbacks = callbacks
-            if len(self._charge_pool) < _POOL_CAP:
-                self._charge_pool.append(event)
-        elif not event._ok and not event._defused:
-            # An unhandled failure terminates the simulation loudly.
-            raise event._value
+        del self._charge_pool[_POOL_CAP:]
 
     def run(self, until=None):
         """Run the simulation.
@@ -338,6 +326,7 @@ class Environment:
         pop = heapq.heappop
         qsize = len
         charge_pool = self._charge_pool
+        fire = _fire
         nprocessed = 0
         peak = self.heap_peak
         # Heap occupancy moves slowly relative to the event rate, so the
@@ -357,28 +346,31 @@ class Environment:
         started = perf_counter()
         try:
             while queue:
-                when, _, _, event = pop(queue)
+                when, _, _, handler, arg = pop(queue)
                 self.now = when
-                callbacks = event.callbacks
-                event.callbacks = None
-                for callback in callbacks:
-                    callback(event)
+                if handler is fire:
+                    # _fire's body, inlined: an Event is still most of
+                    # what generator code schedules, and the extra call
+                    # per event costs ~25% of pure charge churn.
+                    callbacks = arg.callbacks
+                    arg.callbacks = None
+                    for callback in callbacks:
+                        callback(arg)
+                    if arg._pooled:
+                        callbacks.clear()
+                        arg.callbacks = callbacks
+                        charge_pool.append(arg)
+                    elif not arg._ok and not arg._defused:
+                        # An unhandled failure terminates the simulation.
+                        raise arg._value
+                else:
+                    # A callback op's step is the handler itself.
+                    handler(arg)
                 nprocessed += 1
                 if not nprocessed & 255:
                     qlen = qsize(queue)
                     if qlen > peak:
                         peak = qlen
-                if event._pooled:
-                    # Recycle: callbacks already ran; hand the (cleared)
-                    # list back so the next charge() skips two allocations.
-                    # The free list is trimmed to the cap on exit instead
-                    # of checked per event.
-                    callbacks.clear()
-                    event.callbacks = callbacks
-                    charge_pool.append(event)
-                elif not event._ok and not event._defused:
-                    # An unhandled failure terminates the simulation loudly.
-                    raise event._value
             if stop_event is not None and not stop_event.triggered:
                 raise SimulationError(
                     "run() condition %r never fired; schedule is empty" % stop_event)
@@ -389,6 +381,7 @@ class Environment:
             self.wall_seconds += perf_counter() - started
             if gc_was_enabled:
                 gc.enable()
+            # Charges are recycled unchecked; trim to the cap here.
             del charge_pool[_POOL_CAP:]
             self.events_processed += nprocessed
             self.heap_peak = peak

@@ -6,11 +6,17 @@ are resumed when those events fire.  An event is *triggered* once a value
 (or failure) has been assigned and it has been placed on the environment's
 schedule; it is *processed* once its callbacks have run.
 
+A schedule entry is ``(time, priority, eid, handler, arg)`` and firing
+it is ``handler(arg)``.  Every scheduled :class:`Event` rides the
+module-level :func:`_fire` handler, which runs its callbacks; callback
+state machines schedule their bound methods directly
+(``Environment.defer``, ``Resource.acquire_then``, ``Store.get_then``)
+and never touch an event object.
+
 Hot-path design (see DESIGN.md, "Performance of the simulator itself"):
 
-* :class:`Charge` is a pooled :class:`Timeout` recycled by the run loop
-  after its callbacks fire.  Fixed-cost stages (core pools, RDMA engine,
-  iolib, network hops) charge microseconds through
+* :class:`Charge` is a pooled :class:`Timeout` recycled by :func:`_fire`
+  after its callbacks run.  Generators charge fixed costs through
   ``Environment.charge()`` without allocating a fresh event per charge.
 * :class:`Task` drives a fire-and-forget generator with none of the
   :class:`Process` bookkeeping: no process event, no termination event
@@ -32,6 +38,25 @@ PENDING = object()
 #: Scheduling priorities.  Lower sorts first at equal timestamps.
 URGENT = 0
 NORMAL = 1
+
+
+def _fire(event):
+    """Schedule handler of every :class:`Event`: run its callbacks once.
+
+    A pooled :class:`Charge` goes back on its environment's free list
+    (the run loop trims the list to its cap on exit); any other failed
+    event nobody defused terminates the simulation loudly.
+    """
+    callbacks = event.callbacks
+    event.callbacks = None
+    for callback in callbacks:
+        callback(event)
+    if event._pooled:
+        callbacks.clear()
+        event.callbacks = callbacks
+        event.env._charge_pool.append(event)
+    elif not event._ok and not event._defused:
+        raise event._value
 
 
 class Event:
@@ -84,7 +109,7 @@ class Event:
         env = self.env
         eid = env._eid
         env._eid = eid + 1
-        heappush(env._queue, (env.now, priority, eid, self))
+        heappush(env._queue, (env.now, priority, eid, _fire, self))
         return self
 
     def fail(self, exception, priority=NORMAL):
@@ -128,7 +153,7 @@ class Timeout(Event):
 class Charge(Timeout):
     """A pooled :class:`Timeout` recycled by the kernel after it fires.
 
-    Created only via ``Environment.charge()`` / ``Environment.defer()``.
+    Created only via ``Environment.charge()``, for generators.
     Pooling contract: a Charge must be yielded (or given its callbacks)
     immediately and exactly once, and must never be stored, re-yielded,
     or combined into a condition — after its callbacks run, the kernel
@@ -140,31 +165,13 @@ class Charge(Timeout):
     _pooled = True
 
     def __init__(self, env, delay, value=None):
-        # Does NOT self-schedule: the environment pushes it with the
-        # right priority (URGENT for kicks, NORMAL for charges).
+        # Does NOT self-schedule: ``Environment.charge()`` pushes it.
         self.env = env
         self.callbacks = []
         self._value = value
         self._ok = True
         self._defused = False
         self.delay = delay
-
-
-class Initialize(Event):
-    """Internal: kicks off a freshly created :class:`Process`.
-
-    Retained for API compatibility; the kernel now uses pooled kick
-    events (``Environment._kick``) instead.
-    """
-
-    __slots__ = ()
-
-    def __init__(self, env, process):
-        super().__init__(env)
-        self.callbacks.append(process._resume)
-        self._ok = True
-        self._value = None
-        env.schedule(self, delay=0, priority=URGENT)
 
 
 class Interrupt(Exception):
@@ -298,7 +305,7 @@ class Task:
     inspected, and it schedules no termination event when the generator
     finishes.  The driver object itself is pooled by the environment, so
     per-message spawns on the data plane cost one generator allocation
-    and one pooled kick event.  Spawn via ``Environment.detached()``;
+    and one kick entry on the schedule.  Spawn via ``Environment.detached()``;
     use ``env.process()`` whenever the completion or result matters.
 
     An uncaught exception inside the generator still crashes the

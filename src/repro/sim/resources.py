@@ -9,6 +9,10 @@ request object doubles as a context manager::
         yield req
         yield env.timeout(cost)
 
+Callback state machines use :meth:`Resource.acquire_then` and
+:meth:`Resource.release_slot` instead: the grant schedules the callback
+itself, in the slot (and eid) a :class:`Request` grant would take, and
+the waiter heap serves both kinds in one priority/FIFO order.
 """
 
 import heapq
@@ -16,7 +20,7 @@ from heapq import heappush
 from itertools import count
 
 from ..errors import SimulationError
-from .events import Event, NORMAL, PENDING
+from .events import Event, NORMAL, PENDING, _fire
 from .stats import TimeWeightedGauge
 
 
@@ -65,6 +69,8 @@ class Resource:
         self.capacity = capacity
         self.name = name or "resource"
         self._in_use = 0
+        #: heap of ``(priority, order, request, callback)``; exactly one
+        #: of *request* / *callback* is None
         self._waiters = []
         self._order = count()
         self.utilization = TimeWeightedGauge(env)
@@ -82,26 +88,57 @@ class Resource:
         """Create a claim; the returned event fires when a slot is granted."""
         return Request(self, priority)
 
+    def acquire_then(self, callback, priority=0):
+        """Callback twin of :meth:`request`: ``callback(None)`` runs
+        holding a slot, which the owner returns with :meth:`release_slot`.
+
+        Queues behind waiting requests by the same (priority, FIFO)
+        order and is granted in the schedule slot a :class:`Request`
+        would fire in, without an event object.
+        """
+        if self._in_use < self.capacity and not self._waiters:
+            self._grant(callback, None)
+        else:
+            self._park(priority, None, callback)
+
+    def release_slot(self):
+        """Return a slot taken through :meth:`acquire_then`."""
+        if self._in_use <= 0:
+            raise SimulationError("release_slot on idle resource %s"
+                                  % self.name)
+        self._in_use -= 1
+        self._regrant()
+
     # Gauge updates below are inlined (see TimeWeightedGauge.set): the
     # request/grant/release cycle runs millions of times per saturation
     # run and the method-call overhead alone was measurable.
 
     def _do_request(self, req):
         if self._in_use < self.capacity and not self._waiters:
-            self._grant(req)
+            # Inlined req.succeed(req): a Request is only ever triggered
+            # here (or failed by cancel), so the double-trigger guard is
+            # redundant on this, the hottest resource path.
+            req._ok = True
+            req._value = req
+            self._grant(_fire, req)
         else:
-            heapq.heappush(self._waiters, (req.priority, next(self._order), req))
-            gauge = self.queue_depth
-            value = len(self._waiters)
-            if value != gauge._value:
-                now = self.env.now
-                gauge._area += gauge._value * (now - gauge._last_change)
-                gauge._value = value
-                gauge._last_change = now
-                if value > gauge._max:
-                    gauge._max = value
+            self._park(req.priority, req, None)
 
-    def _grant(self, req):
+    def _park(self, priority, req, callback):
+        heapq.heappush(self._waiters,
+                       (priority, next(self._order), req, callback))
+        gauge = self.queue_depth
+        value = len(self._waiters)
+        if value != gauge._value:
+            now = self.env.now
+            gauge._area += gauge._value * (now - gauge._last_change)
+            gauge._value = value
+            gauge._last_change = now
+            if value > gauge._max:
+                gauge._max = value
+
+    def _grant(self, handler, arg):
+        """Take a slot and schedule ``handler(arg)`` at the current time."""
         in_use = self._in_use + 1
         self._in_use = in_use
         gauge = self.utilization
@@ -113,27 +150,30 @@ class Resource:
             gauge._last_change = now
             if value > gauge._max:
                 gauge._max = value
-        # Inlined req.succeed(req): a Request is only ever triggered
-        # here (or failed by cancel), so the double-trigger guard is
-        # redundant on this, the hottest resource path.
-        req._ok = True
-        req._value = req
         env = self.env
         eid = env._eid
         env._eid = eid + 1
-        heappush(env._queue, (env.now, NORMAL, eid, req))
+        heappush(env._queue, (env.now, NORMAL, eid, handler, arg))
 
     def _do_release(self, req):
         if req._value is not PENDING:
             # Only granted requests hold a slot; releasing a request that
             # was still waiting (e.g. after an interrupt) frees nothing.
             self._in_use -= 1
+        self._regrant()
+
+    def _regrant(self):
+        """Hand freed slots to the waiters, then settle both gauges."""
         waiters = self._waiters
         while waiters and self._in_use < self.capacity:
-            _, _, nxt = heapq.heappop(waiters)
-            if nxt.triggered:  # cancelled entries are left triggered/failed
-                continue
-            self._grant(nxt)
+            _, _, req, callback = heapq.heappop(waiters)
+            if req is None:
+                self._grant(callback, None)
+            elif req._value is PENDING:
+                req._ok = True
+                req._value = req
+                self._grant(_fire, req)
+            # else: a triggered (cancelled) request is skipped
         gauge = self.queue_depth
         value = len(waiters)
         if value != gauge._value:
@@ -157,7 +197,7 @@ class Resource:
         if req.triggered:  # granted requests are always triggered
             return
         # Lazy deletion: mark by failing silently-defused; skipped on grant.
-        self._waiters = [(p, o, r) for (p, o, r) in self._waiters if r is not req]
+        self._waiters = [w for w in self._waiters if w[2] is not req]
         heapq.heapify(self._waiters)
         self.queue_depth.set(len(self._waiters))
 

@@ -4,6 +4,11 @@
 event-returning ``put``/``get``; :class:`PriorityStore` pops the smallest
 item first.  These are the building blocks for NIC queues, dispatch
 queues and mailbox-style notification between model components.
+
+Callback state machines consume with :meth:`Store.get_then`, which
+schedules ``callback(item)`` in the slot a :class:`StoreGet` would fire
+in, and produce with :meth:`Store.try_put`, which schedules nothing of
+its own: an accepted item either wakes a parked getter or is queued.
 """
 
 import heapq
@@ -12,7 +17,7 @@ from heapq import heappush
 from itertools import count
 
 from ..errors import SimulationError
-from .events import Event, NORMAL, PENDING
+from .events import Event, NORMAL, PENDING, _fire
 
 
 class StorePut(Event):
@@ -50,6 +55,7 @@ class Store:
         self.capacity = capacity
         self.name = name or "store"
         self._items = deque()
+        #: parked consumers, FIFO: StoreGet events and get_then callbacks
         self._getters = deque()
         self._putters = deque()
         self.total_put = 0
@@ -75,14 +81,35 @@ class Store:
         """Dequeue one item; the event fires with the item as value."""
         return StoreGet(self)
 
+    def get_then(self, callback):
+        """Callback twin of :meth:`get`: ``callback(item)`` runs with the
+        next item, in the schedule slot the :class:`StoreGet` would fire
+        in, without an event object."""
+        if self._items:
+            item = self._pop_item()
+            env = self.env
+            eid = env._eid
+            env._eid = eid + 1
+            heappush(env._queue, (env.now, NORMAL, eid, callback, item))
+            self._wake_putter()
+        else:
+            self._getters.append(callback)
+
     def try_put(self, item):
         """Non-blocking put: True if accepted, False if the store is full.
 
         Used for drop-tail queues (NIC RX rings): the caller counts the
-        drop instead of blocking.
+        drop instead of blocking.  Nothing ever waits on an accepted
+        non-blocking put, so no completion is scheduled for it: the item
+        wakes a parked getter or joins the queue, and the put itself
+        consumes no eid.
         """
-        if self._getters or len(self._items) < self.capacity:
-            StorePut(self, item)
+        if self._getters:
+            self._hand_off(item)
+            return True
+        if len(self._items) < self.capacity:
+            self._push_item(item)
+            self.total_put += 1
             return True
         return False
 
@@ -95,7 +122,7 @@ class Store:
         return None
 
     def purge_waiters(self):
-        """Withdraw every parked get and put (their events never fire).
+        """Withdraw every parked get and put (they never fire).
 
         Fault-recovery hook: when a consumer dies mid-wait (accelerator
         crash), its parked ``StoreGet`` would otherwise silently swallow
@@ -120,29 +147,35 @@ class Store:
     # untriggered and only triggered once, right here, so the
     # double-trigger guard would be dead weight on the data plane.
 
-    def _do_put(self, event):
+    def _hand_off(self, item):
+        """Give *item* to the oldest parked getter (event or callback)."""
+        getter = self._getters.popleft()
+        self.total_put += 1
         env = self.env
-        if self._getters:
-            getter = self._getters.popleft()
-            self.total_put += 1
+        eid = env._eid
+        env._eid = eid + 1
+        if type(getter) is StoreGet:
             getter._ok = True
-            getter._value = event.item
-            eid = env._eid
-            heappush(env._queue, (env.now, NORMAL, eid, getter))
-            event._ok = True
-            event._value = None
-            env._eid = eid + 2
-            heappush(env._queue, (env.now, NORMAL, eid + 1, event))
+            getter._value = item
+            heappush(env._queue, (env.now, NORMAL, eid, _fire, getter))
+        else:
+            heappush(env._queue, (env.now, NORMAL, eid, getter, item))
+
+    def _do_put(self, event):
+        if self._getters:
+            self._hand_off(event.item)
         elif len(self._items) < self.capacity:
             self._push_item(event.item)
             self.total_put += 1
-            event._ok = True
-            event._value = None
-            eid = env._eid
-            env._eid = eid + 1
-            heappush(env._queue, (env.now, NORMAL, eid, event))
         else:
             self._putters.append(event)
+            return
+        event._ok = True
+        event._value = None
+        env = self.env
+        eid = env._eid
+        env._eid = eid + 1
+        heappush(env._queue, (env.now, NORMAL, eid, _fire, event))
 
     def _do_get(self, event):
         if self._items:
@@ -151,7 +184,7 @@ class Store:
             env = self.env
             eid = env._eid
             env._eid = eid + 1
-            heappush(env._queue, (env.now, NORMAL, eid, event))
+            heappush(env._queue, (env.now, NORMAL, eid, _fire, event))
             self._wake_putter()
         else:
             self._getters.append(event)
@@ -166,7 +199,7 @@ class Store:
             env = self.env
             eid = env._eid
             env._eid = eid + 1
-            heappush(env._queue, (env.now, NORMAL, eid, put))
+            heappush(env._queue, (env.now, NORMAL, eid, _fire, put))
 
     def __repr__(self):
         return "<%s %s depth=%d>" % (type(self).__name__, self.name, len(self._items))

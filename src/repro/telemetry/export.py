@@ -99,7 +99,10 @@ def format_kernel_stats(stats):
         ("events processed", "{:,}".format(stats.get("events_processed", 0))),
         ("processes spawned", "{:,}".format(stats.get("processes_spawned", 0))),
         ("detached tasks", "{:,}".format(stats.get("tasks_spawned", 0))),
-        ("pooled charges", "{:,} ({:.1f}% reused)".format(total_charges, reuse)),
+        # env.charge() from generators only: callback ops defer their
+        # bound methods and never touch the pool.
+        ("pooled charges (generators)",
+         "{:,} ({:.1f}% reused)".format(total_charges, reuse)),
         ("heap peak", "{:,}".format(stats.get("heap_peak", 0))),
         ("wall-clock in run()", "%.2f s" % stats.get("wall_seconds", 0.0)),
         ("events/sec", "{:,.0f}".format(stats.get("events_per_sec", 0.0))),

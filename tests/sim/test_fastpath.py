@@ -31,9 +31,12 @@ class TestChargePool:
             yield env.charge(1.0)
 
         env.process(proc(env))
+        # The spawn kick schedules the process's own callback: it takes
+        # nothing from the pool and returns nothing to it.
+        assert env._charge_pool == []
         env.run()
-        # Two pooled events came back: the spawn kick and the charge.
-        assert len(env._charge_pool) == 2
+        # Only the charge came back.
+        assert len(env._charge_pool) == 1
         recycled = env._charge_pool[-1]
         assert isinstance(recycled, Charge)
         assert recycled.callbacks == []  # cleared, ready for reuse
@@ -104,6 +107,20 @@ class TestChargePool:
         env.defer(2.0, lambda evt: fired.append(env.now))
         env.run()
         assert fired == [2.0]
+
+    def test_defer_schedules_the_bare_callback(self, env):
+        """No event object: the callback gets None, the pool is
+        untouched, and a rejected negative delay takes no event id."""
+        fired = []
+        env.defer(1.0, fired.append)
+        assert env._eid == 1
+        with pytest.raises(SimulationError):
+            env.defer(-0.5, fired.append)
+        assert env._eid == 1
+        env.run()
+        assert fired == [None]
+        assert env._charge_pool == []
+        assert env.charges_created == env.charges_reused == 0
 
     def test_charge_orders_like_timeout_at_equal_time(self, env):
         """Creation order breaks timestamp ties, mixing both kinds."""

@@ -99,3 +99,63 @@ class TestResource:
         env.run(until=5)
         assert res.in_use == 1
         assert res.waiting == 1
+
+
+def _run_claims(twin):
+    """One slot, a holder and five waiters of mixed kinds and priorities.
+
+    With *twin* ``"callback"`` the waiters ``w2`` and ``w4`` claim with
+    ``acquire_then``/``release_slot``; with ``"event"`` every claim is a
+    :class:`Request`.  ``w5`` is a Request cancelled while waiting.  Each
+    holder keeps the slot 1us.  Any difference in grant order, times,
+    ``env._eid`` or the gauges comes from the callback twin.
+    """
+    env = Environment()
+    res = Resource(env, 1)
+    grants = []
+
+    def claim(tag, priority, callback_twin):
+        def granted(_arg, req=None):
+            grants.append((tag, env.now))
+            env.defer(1.0, lambda _a: (req.release() if req is not None
+                                       else res.release_slot()))
+
+        if callback_twin:
+            res.acquire_then(granted, priority)
+            return None
+        req = res.request(priority)
+        req.callbacks.append(lambda evt: granted(evt, req))
+        return req
+
+    callback = twin == "callback"
+    claim("holder", 0, False)
+    claim("w1", 0, False)
+    claim("w2", 0, callback)
+    claim("w3", -1, False)
+    claim("w4", -1, callback)
+    cancelled = claim("w5", -2, False)
+    env.defer(0.5, lambda _a: cancelled.cancel())
+    env.run()
+    return (grants, env._eid, res.in_use, res.utilization.mean(),
+            res.queue_depth.mean(), res.queue_depth.max())
+
+
+class TestAcquireThenParity:
+    """``acquire_then``/``release_slot`` consume the event ids of
+    ``request``/``release`` and share one waiter order with them."""
+
+    def test_matches_request(self):
+        got = _run_claims("callback")
+        want = _run_claims("event")
+        assert got == want
+        grants, _, in_use, _, _, depth_max = got
+        # Priority first, FIFO within a priority; the cancelled w5 is
+        # skipped although its priority is the lowest value.
+        assert grants == [("holder", 0.0), ("w3", 1.0), ("w4", 2.0),
+                          ("w1", 3.0), ("w2", 4.0)]
+        assert in_use == 0 and depth_max == 5
+
+    def test_release_slot_on_idle_resource_rejected(self, env):
+        res = Resource(env, 1)
+        with pytest.raises(SimulationError):
+            res.release_slot()

@@ -3,7 +3,8 @@
 import pytest
 
 from repro.errors import SimulationError
-from repro.sim import Environment, PriorityStore, Store
+from repro.sim import Channel, Environment, PriorityStore, Store, Tracer
+from repro.sim.trace import clear_enabled_tracers
 
 
 @pytest.fixture
@@ -135,3 +136,102 @@ class TestPriorityStore:
         env.run()
         assert store.try_get() == (1, "first")
         assert store.try_get() == (1, "second")
+
+
+def _run_gets(twin, traced):
+    """Parked and immediate gets, by event callback or by ``get_then``.
+
+    One capacity-1 store (a traced Channel when *traced*): two consumers
+    park on the empty store, three non-blocking puts wake them and fill
+    the one slot, a blocking put parks behind it, and two late consumers
+    take the queued item (waking the parked putter) and the putter's
+    item.  Any difference in finish order, ``env._eid`` or the trace
+    comes from the get twin.
+    """
+    env = Environment()
+    if traced:
+        env.tracer = Tracer(env, enabled=True)
+    try:
+        store = (Channel(env, name="ring", capacity=1) if traced
+                 else Store(env, capacity=1))
+        done = []
+
+        def consume(tag):
+            def got(item):
+                done.append((tag, item, env.now))
+
+            if twin == "event":
+                store.get().callbacks.append(lambda evt: got(evt._value))
+            else:
+                store.get_then(got)
+
+        def produce(_arg):
+            accepted = [store.try_put(item) for item in "abcd"]
+            assert accepted == [True, True, True, False]
+            store.put("e")
+
+        consume("p")
+        consume("q")
+        env.defer(1.0, produce)
+        env.defer(2.0, lambda _arg: consume("r"))
+        env.defer(3.0, lambda _arg: consume("s"))
+        env.run()
+        records = env.tracer.filter(channel="ring") if traced else None
+        return done, env._eid, store.total_put, records
+    finally:
+        clear_enabled_tracers()
+
+
+class TestGetThenParity:
+    """``get_then`` consumes the event ids of ``get()`` and delivers the
+    same items in the same order."""
+
+    @pytest.mark.parametrize("traced", [False, True])
+    def test_matches_get(self, traced):
+        got = _run_gets("callback", traced)
+        want = _run_gets("event", traced)
+        assert got == want
+        done, _, total_put, records = got
+        assert done == [("p", "a", 1.0), ("q", "b", 1.0), ("r", "c", 2.0),
+                        ("s", "e", 3.0)]
+        assert total_put == 4
+        if traced:
+            deqs = [rec for rec in records if rec[2] == "deq"]
+            assert len(deqs) == 4
+
+    def test_purge_drops_a_parked_callback(self, env):
+        store = Store(env)
+        got = []
+        store.get_then(got.append)
+        assert store.purge_waiters() == (1, 0)
+        assert store.try_put("x")
+        env.run()
+        assert got == []
+        assert store.items == ("x",)
+
+
+class TestTryPutSchedulesNothing:
+    def test_accepted_item_takes_no_event_id(self, env):
+        store = Store(env, capacity=2)
+        eid = env._eid
+        assert store.try_put("a") and store.try_put("b")
+        assert not store.try_put("c")
+        assert env._eid == eid and env._queue == []
+        assert store.items == ("a", "b")
+
+    def test_wake_takes_only_the_getter_slot(self, env):
+        store = Store(env)
+        got = []
+        store.get_then(got.append)
+        eid = env._eid
+        assert store.try_put("a")
+        assert env._eid == eid + 1
+        env.run()
+        assert got == ["a"]
+
+    def test_blocking_put_still_fires(self, env):
+        store = Store(env)
+        put = store.put("a")
+        assert put.triggered
+        env.run()
+        assert put.processed and put.ok

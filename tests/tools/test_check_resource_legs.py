@@ -48,6 +48,43 @@ class TestCheckModule:
             """)
         assert lint.check_module(path) == []
 
+    def test_hand_pushed_heap_entry_flagged(self, tmp_path):
+        path = write(tmp_path, "mod.py", """\
+            eid = env._eid
+            env._eid = eid + 1
+            heappush(env._queue, (env.now, NORMAL, eid, self))
+            heapq.heappush( self.env._queue, entry)
+            """)
+        findings = lint.check_module(path)
+        assert [lineno for lineno, _ in findings] == [1, 2, 3, 4]
+        assert "heappush(env._queue" in findings[2][1]
+
+    def test_event_borne_callbacks_flagged(self, tmp_path):
+        path = write(tmp_path, "mod.py", """\
+            self.rx.get().callbacks.append(self._on_msg)
+            env.charge(self._gap()).callbacks.append(self._fire)
+            gen.env.charge(gen.think_time).callbacks.append(self._thought)
+            """)
+        findings = lint.check_module(path)
+        assert [lineno for lineno, _ in findings] == [1, 2, 3]
+        assert "get_then" in findings[0][1]
+
+    def test_callback_native_steps_not_flagged(self, tmp_path):
+        path = write(tmp_path, "mod.py", """\
+            self.rx.get_then(self._on_msg)
+            env.defer(self._gap(), self._fire)
+            self.waiter.callbacks.append(self._answered)
+            heappush(self._waiters, entry)
+            msg = yield self.rx.get()
+            yield env.charge(1.0)
+            """)
+        assert lint.check_module(path) == []
+
+
+def flagged(tmp_path):
+    return sorted(os.path.relpath(path, str(tmp_path))
+                  for path, _, _ in lint.check_tree(str(tmp_path)))
+
 
 class TestTreeWalk:
     def test_sim_and_cpu_module_exempt(self, tmp_path):
@@ -56,10 +93,16 @@ class TestTreeWalk:
         write(tmp_path, "hw/cpu.py", leg)
         write(tmp_path, "hw/gpu.py", leg)
         write(tmp_path, "lynx/sim.py", leg)
-        found = sorted(os.path.relpath(p, str(tmp_path))
-                       for p in lint.iter_sources(str(tmp_path)))
-        assert found == [os.path.join("hw", "gpu.py"),
-                         os.path.join("lynx", "sim.py")]
+        assert flagged(tmp_path) == [os.path.join("hw", "gpu.py"),
+                                     os.path.join("lynx", "sim.py")]
+
+    def test_only_sim_may_drive_the_schedule(self, tmp_path):
+        push = "heappush(env._queue, entry)\n"
+        write(tmp_path, "sim/store.py", push)
+        write(tmp_path, "hw/cpu.py", push)
+        write(tmp_path, "lynx/runtime.py", push)
+        assert flagged(tmp_path) == [os.path.join("hw", "cpu.py"),
+                                     os.path.join("lynx", "runtime.py")]
 
     def test_main_exit_codes(self, tmp_path, capsys):
         write(tmp_path, "clean.py", "pool.run_then(1.0, done)\n")
@@ -70,7 +113,4 @@ class TestTreeWalk:
 
     def test_repo_source_tree_is_clean(self):
         src = os.path.join(os.path.dirname(_TOOL), os.pardir, "src", "repro")
-        findings = []
-        for path in lint.iter_sources(src):
-            findings.extend(lint.check_module(path))
-        assert findings == []
+        assert lint.check_tree(src) == []

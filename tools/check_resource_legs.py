@@ -1,5 +1,5 @@
 #!/usr/bin/env python
-"""Fail if model code claims a core or a channel issue slot by hand.
+"""Fail if model code occupies a slot or drives the schedule by hand.
 
 A core leg (request a pool core, charge the LLC-adjusted duration,
 release) belongs to ``repro/hw/cpu.py``: ``CorePool.run_calibrated`` /
@@ -10,13 +10,23 @@ trace, latency) belongs to ``repro/sim/``: ``Channel.transfer`` /
 implementation — DESIGN.md §4.6 records the four that stopped emitting
 ``xfer`` trace records — so this lint keeps them from coming back.
 
+The schedule itself belongs to ``repro/sim/`` too (DESIGN.md §4.1): a
+callback state machine steps with ``Environment.defer`` and
+``Store.get_then``, and triggers an event with ``Event.succeed``, never
+by pushing a heap entry or reading the event-id counter, and never by
+hanging its callback on a fresh ``get()`` or ``charge()`` event.
+
 Usage::
 
     python tools/check_resource_legs.py [SRC_DIR]
 
-Flags every ``._res.request(`` or ``.issue.request(`` under ``SRC_DIR``
-(default ``src/repro``) outside ``sim/`` and ``hw/cpu.py``.  A
-deliberate exception (e.g. the fault injector seizing every core of a
+Flags, under ``SRC_DIR`` (default ``src/repro``) outside ``sim/``:
+
+* ``._res.request(`` / ``.issue.request(`` (``hw/cpu.py`` exempt);
+* ``heappush(`` onto a ``._queue`` and any ``._eid`` use;
+* ``.get().callbacks.append(`` and ``.charge(...).callbacks.append(``.
+
+A deliberate exception (e.g. the fault injector seizing every core of a
 pool) is marked with ``# lint: allow-resource-leg`` on the line.
 """
 
@@ -27,36 +37,60 @@ import sys
 
 ALLOW_MARKER = "lint: allow-resource-leg"
 
-_LEG = re.compile(r"\._res\.request\(|\.issue\.request\(")
+#: (pattern, advice, files exempt besides ``sim/``)
+RULES = (
+    (re.compile(r"\._res\.request\(|\.issue\.request\("),
+     "open-coded resource leg %r: use CorePool.run_then/run_calibrated "
+     "or Channel.transfer_then/transfer", (os.path.join("hw", "cpu.py"),)),
+    (re.compile(r"heappush\(\s*[\w.]*\._queue\b|\._eid\b"),
+     "hand-driven schedule %r: use Event.succeed or Environment.defer",
+     ()),
+    (re.compile(r"\.get\(\)\.callbacks\.append\("
+                r"|\.charge\(.*\)\.callbacks\.append\("),
+     "event-borne callback %r: use Store.get_then or Environment.defer",
+     ()),
+)
 
 
-def check_module(path):
-    """Return [(lineno, message)] findings for one source file."""
+def check_module(path, relpath=None):
+    """Return [(lineno, message)] findings for one source file.
+
+    *relpath* (the file's path below the source root) skips the rules
+    that exempt it.
+    """
+    rules = [(pattern, advice) for pattern, advice, exempt in RULES
+             if relpath not in exempt]
     findings = []
     with open(path) as fh:
         for lineno, line in enumerate(fh, 1):
-            match = _LEG.search(line)
-            if match and ALLOW_MARKER not in line:
-                findings.append((lineno, "open-coded resource leg %r: use "
-                                 "CorePool.run_then/run_calibrated or "
-                                 "Channel.transfer_then/transfer"
-                                 % match.group(0)))
+            if ALLOW_MARKER in line:
+                continue
+            for pattern, advice in rules:
+                match = pattern.search(line)
+                if match:
+                    findings.append((lineno, advice % match.group(0)))
     return findings
 
 
 def iter_sources(src_dir):
-    """Python files under *src_dir*, minus ``sim/`` and ``hw/cpu.py``."""
+    """Python files under *src_dir*, minus ``sim/``."""
     for dirpath, dirnames, filenames in os.walk(src_dir):
         dirnames[:] = sorted(d for d in dirnames
                              if d != "__pycache__"
                              and not (dirpath == src_dir and d == "sim"))
         for filename in sorted(filenames):
-            if not filename.endswith(".py"):
-                continue
-            path = os.path.join(dirpath, filename)
-            if os.path.relpath(path, src_dir) == os.path.join("hw", "cpu.py"):
-                continue
-            yield path
+            if filename.endswith(".py"):
+                yield os.path.join(dirpath, filename)
+
+
+def check_tree(src_dir):
+    """Return [(path, lineno, message)] findings under *src_dir*."""
+    findings = []
+    for path in iter_sources(src_dir):
+        rel = os.path.relpath(path, src_dir)
+        for lineno, message in check_module(path, rel):
+            findings.append((path, lineno, message))
+    return findings
 
 
 def main(argv=None):
@@ -67,16 +101,14 @@ def main(argv=None):
     if not os.path.isdir(args.src_dir):
         print("no source directory at %r" % args.src_dir, file=sys.stderr)
         return 2
-    failures = 0
-    for path in iter_sources(args.src_dir):
-        for lineno, message in check_module(path):
-            print("%s:%d: %s" % (path, lineno, message))
-            failures += 1
-    if failures:
-        print("\n%d open-coded resource leg(s) found (see DESIGN.md §4.6)"
-              % failures, file=sys.stderr)
+    findings = check_tree(args.src_dir)
+    for path, lineno, message in findings:
+        print("%s:%d: %s" % (path, lineno, message))
+    if findings:
+        print("\n%d open-coded resource leg(s) or schedule access(es) found "
+              "(see DESIGN.md §4.1, §4.6)" % len(findings), file=sys.stderr)
         return 1
-    print("no open-coded core or channel legs outside sim/ and hw/cpu.py")
+    print("no open-coded legs or schedule access outside sim/")
     return 0
 
 
