@@ -44,8 +44,13 @@ Worker-side state handling:
 
 Tracing (``--trace-channel``) records live in worker memory and are not
 shipped back; the CLI forces serial execution when tracing is enabled.
+
+Memory (DESIGN.md §4.8): every point — inline or in a worker — runs
+inside one collector boundary, which frees the point's finished testbed
+with one young-generation collection when the point ends.
 """
 
+import gc
 import hashlib
 import os
 
@@ -61,6 +66,9 @@ SEED_SPACE = 2 ** 31
 #: worker count installed by :func:`configure`; ``None`` defers to the
 #: ``REPRO_JOBS`` environment variable, then the serial default.
 _active_jobs = None
+
+#: True while a point's collector boundary is open in this process
+_in_boundary = False
 
 
 def configure(jobs):
@@ -172,11 +180,40 @@ def _run_point_scoped(point):
     boundaries and merge arithmetic keep serial and parallel metric
     snapshots bit-identical (DESIGN.md §4.9).
     """
-    with telemetry.scope() as reg:
-        value = point()
-        snapshot = reg.snapshot()
+    value, snapshot = _run_in_boundary(point)
     telemetry.registry().merge(snapshot)
     return value
+
+
+def _run_point(point):
+    """(value, registry snapshot) of *point*, run in a fresh scope."""
+    with telemetry.scope() as reg:
+        return point(), reg.snapshot()
+
+
+def _run_in_boundary(point):
+    """:func:`_run_point` inside the point's collector boundary.
+
+    The cyclic collector stays paused from the point's start, testbed
+    construction included, so the whole testbed is still in generation
+    0 when :func:`_run_point` returns.  By then its frame is gone, and
+    with it the telemetry scope whose pull instruments pin the testbed,
+    so one young-generation collection frees the testbed.  The caller's
+    collector state is restored.  A nested boundary only runs the point.
+    """
+    global _in_boundary
+    if _in_boundary:
+        return _run_point(point)
+    was_enabled = gc.isenabled()
+    gc.disable()
+    _in_boundary = True
+    try:
+        return _run_point(point)
+    finally:
+        _in_boundary = False
+        gc.collect(0)
+        if was_enabled:
+            gc.enable()
 
 
 def _run_pool(points, jobs):
@@ -231,7 +268,4 @@ def _reset_worker_state():
 def _run_point_task(point):
     """Worker-side task: run one point, ship (value, registry snapshot)."""
     trace_mod.clear_enabled_tracers()
-    with telemetry.scope() as reg:
-        value = point()
-        snapshot = reg.snapshot()
-    return value, snapshot
+    return _run_in_boundary(point)

@@ -156,10 +156,13 @@ class Resource:
         heappush(env._queue, (env.now, NORMAL, eid, handler, arg))
 
     def _do_release(self, req):
-        if req._value is not PENDING:
-            # Only granted requests hold a slot; releasing a request that
-            # was still waiting (e.g. after an interrupt) frees nothing.
-            self._in_use -= 1
+        if req._value is PENDING:
+            # A request still waiting (e.g. after an interrupt) holds no
+            # slot; releasing it withdraws it, as cancel() does, so the
+            # slot is never granted to it.
+            self._cancel(req)
+            return
+        self._in_use -= 1
         self._regrant()
 
     def _regrant(self):

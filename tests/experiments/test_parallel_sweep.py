@@ -1,17 +1,21 @@
 """The sweep executor: seed derivation, worker hygiene, and the
 serial-vs-parallel bit-identity guarantee (DESIGN.md §4.8)."""
 
+import gc
 import os
 import pickle
+import weakref
 
 import pytest
 
+from repro import telemetry
 from repro.errors import ConfigError
 from repro.experiments import (
     e04_fig6_throughput_grid as e04,
     e09_fig8a_lenet as e09,
     sweep,
 )
+from repro.experiments.testbed import Testbed
 from repro.sim import (
     Environment,
     kernel_totals,
@@ -44,6 +48,30 @@ def spin_simulation(seed, events=50):
     env.process(ticker(env))
     env.run()
     return seed, env.now
+
+
+#: weak references to the testbed environments ``pinned_testbed`` built
+ENV_REFS = []
+
+
+def pinned_testbed(seed):
+    """A real testbed left behind as cyclic garbage (its tracer and
+    environment refer to each other), pinned until the point's
+    telemetry scope closes by a pull instrument, as testbeds are."""
+    tb = Testbed(seed=seed)
+    tb.env.run(until=5.0)
+    telemetry.registry().pull("test.now", lambda: tb.env.now)
+    ENV_REFS.append(weakref.ref(tb.env))
+    return seed
+
+
+def nested_sweep(seed):
+    """Runs an inner point through ``run_points``; True when the inner
+    testbed is still alive afterwards, i.e. the nested boundary did not
+    collect."""
+    sweep.run_points([sweep.Point("inner", pinned_testbed,
+                                  root_seed=seed)], jobs=1)
+    return ENV_REFS[-1]() is not None
 
 
 class TestDeriveSeed:
@@ -170,6 +198,52 @@ class TestRunPoints:
                 == sweep.run_points(points, jobs=1))
 
 
+@pytest.fixture
+def collector_paused():
+    """Automatic collection off, so only the sweep boundary can free a
+    finished testbed; the collector state is restored afterwards."""
+    was_enabled = gc.isenabled()
+    gc.collect()
+    gc.disable()
+    ENV_REFS.clear()
+    yield
+    ENV_REFS.clear()
+    if was_enabled:
+        gc.enable()
+
+
+@pytest.mark.usefixtures("collector_paused")
+class TestCollectorBoundary:
+    """Each point's testbed is freed when the point ends (DESIGN.md §4.8)."""
+
+    def point(self):
+        return sweep.Point("tb", pinned_testbed)
+
+    def test_serial_point_freed_on_return(self):
+        sweep.run_points([self.point()], jobs=1)
+        assert len(ENV_REFS) == 1
+        assert ENV_REFS[0]() is None
+
+    def test_worker_task_freed_on_return(self):
+        value, snapshot = sweep._run_point_task(self.point())
+        assert "test.now" in snapshot
+        assert len(ENV_REFS) == 1
+        assert ENV_REFS[0]() is None
+
+    @pytest.mark.parametrize("enabled", [True, False])
+    def test_caller_collector_state_restored(self, enabled):
+        if enabled:
+            gc.enable()
+        sweep.run_points([self.point()], jobs=1)
+        sweep._run_point_task(self.point())
+        assert gc.isenabled() is enabled
+
+    def test_nested_boundary_does_not_collect(self):
+        point = sweep.Point("outer", nested_sweep)
+        assert sweep.run_points([point], jobs=1) == [True]
+        assert [ref() for ref in ENV_REFS] == [None]
+
+
 class TestGoldenParallelIdentity:
     """`--jobs N` must be invisible in experiment output."""
 
@@ -195,8 +269,6 @@ class TestGoldenParallelIdentity:
         Only ``sim.kernel.wall_seconds`` differs: it times the host,
         not the model.
         """
-        from repro import telemetry
-
         def metrics(jobs):
             with telemetry.scope() as reg:
                 e04.run(fast=True, seed=42, measure=2000.0,

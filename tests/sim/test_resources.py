@@ -3,7 +3,7 @@
 import pytest
 
 from repro.errors import SimulationError
-from repro.sim import Environment, Resource
+from repro.sim import Environment, Interrupt, Resource
 
 
 @pytest.fixture
@@ -72,6 +72,39 @@ class TestResource:
         env.process(proc(env))
         env.run()
         assert res.in_use == 0
+
+    def test_release_of_interrupted_waiter_withdraws_it(self, env):
+        """A waiter interrupted mid-``yield req`` releases its request on
+        the way out; that must withdraw it, not leave it queued to be
+        granted a slot nobody will return."""
+        res = Resource(env, 1)
+        log = []
+
+        def waiter(env):
+            try:
+                with res.request() as req:
+                    yield req
+                    log.append(("start", "waiter", env.now))
+            except Interrupt:
+                log.append(("interrupted", "waiter", env.now))
+
+        def interrupt_at(env, proc, when):
+            yield env.timeout(when)
+            proc.interrupt()
+
+        def late(env):
+            yield env.timeout(20)
+            yield from hold(env, res, 1, log, "late")
+
+        env.process(hold(env, res, 10, log, "holder"))
+        interrupted = env.process(waiter(env))
+        env.process(interrupt_at(env, interrupted, 5))
+        env.process(late(env))
+        env.run()
+        assert log == [("start", "holder", 0), ("interrupted", "waiter", 5),
+                       ("end", "holder", 10), ("start", "late", 20),
+                       ("end", "late", 21)]
+        assert res.in_use == 0 and res.waiting == 0
 
     def test_execute_helper(self, env):
         res = Resource(env, 1)

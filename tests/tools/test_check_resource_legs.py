@@ -80,6 +80,20 @@ class TestCheckModule:
             """)
         assert lint.check_module(path) == []
 
+    def test_collector_control_flagged(self, tmp_path):
+        path = write(tmp_path, "mod.py", """\
+            gc.collect()
+            gc.collect(0)
+            gc.disable()
+            if was: gc.enable()
+            gc.freeze()
+            enabled = gc.isenabled()
+            self.gc.collect_stats()
+            """)
+        findings = lint.check_module(path)
+        assert [lineno for lineno, _ in findings] == [1, 2, 3, 4, 5]
+        assert "gc.freeze(" in findings[4][1]
+
 
 def flagged(tmp_path):
     return sorted(os.path.relpath(path, str(tmp_path))
@@ -102,6 +116,15 @@ class TestTreeWalk:
         write(tmp_path, "hw/cpu.py", push)
         write(tmp_path, "lynx/runtime.py", push)
         assert flagged(tmp_path) == [os.path.join("hw", "cpu.py"),
+                                     os.path.join("lynx", "runtime.py")]
+
+    def test_only_sim_and_the_sweep_own_the_collector(self, tmp_path):
+        pause = "gc.disable()\n"
+        write(tmp_path, "sim/environment.py", pause)
+        write(tmp_path, "experiments/sweep.py", pause)
+        write(tmp_path, "experiments/e04.py", pause)
+        write(tmp_path, "lynx/runtime.py", pause)
+        assert flagged(tmp_path) == [os.path.join("experiments", "e04.py"),
                                      os.path.join("lynx", "runtime.py")]
 
     def test_main_exit_codes(self, tmp_path, capsys):

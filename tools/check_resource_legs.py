@@ -16,6 +16,11 @@ callback state machine steps with ``Environment.defer`` and
 by pushing a heap entry or reading the event-id counter, and never by
 hanging its callback on a fresh ``get()`` or ``charge()`` event.
 
+The cyclic collector belongs to ``repro/sim/`` and the sweep's point
+boundary (``experiments/sweep.py``, DESIGN.md §4.8): a collection in the
+middle of a point would promote the live testbed out of generation 0,
+and the boundary's young-generation collection would then miss it.
+
 Usage::
 
     python tools/check_resource_legs.py [SRC_DIR]
@@ -24,7 +29,9 @@ Flags, under ``SRC_DIR`` (default ``src/repro``) outside ``sim/``:
 
 * ``._res.request(`` / ``.issue.request(`` (``hw/cpu.py`` exempt);
 * ``heappush(`` onto a ``._queue`` and any ``._eid`` use;
-* ``.get().callbacks.append(`` and ``.charge(...).callbacks.append(``.
+* ``.get().callbacks.append(`` and ``.charge(...).callbacks.append(``;
+* ``gc.collect(`` / ``gc.disable(`` / ``gc.enable(`` / ``gc.freeze(``
+  (``experiments/sweep.py`` exempt).
 
 A deliberate exception (e.g. the fault injector seizing every core of a
 pool) is marked with ``# lint: allow-resource-leg`` on the line.
@@ -49,6 +56,9 @@ RULES = (
                 r"|\.charge\(.*\)\.callbacks\.append\("),
      "event-borne callback %r: use Store.get_then or Environment.defer",
      ()),
+    (re.compile(r"\bgc\.(?:collect|disable|enable|freeze)\("),
+     "collector control %r: the sweep's point boundary owns the collector",
+     (os.path.join("experiments", "sweep.py"),)),
 )
 
 
@@ -105,10 +115,11 @@ def main(argv=None):
     for path, lineno, message in findings:
         print("%s:%d: %s" % (path, lineno, message))
     if findings:
-        print("\n%d open-coded resource leg(s) or schedule access(es) found "
-              "(see DESIGN.md §4.1, §4.6)" % len(findings), file=sys.stderr)
+        print("\n%d open-coded resource leg(s), schedule or collector "
+              "access(es) found (see DESIGN.md §4.1, §4.6, §4.8)"
+              % len(findings), file=sys.stderr)
         return 1
-    print("no open-coded legs or schedule access outside sim/")
+    print("no open-coded legs, schedule or collector access outside sim/")
     return 0
 
 
