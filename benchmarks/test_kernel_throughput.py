@@ -2,9 +2,10 @@
 
 Three measurements, written to ``benchmarks/results/kernel_throughput.json``:
 
-* **kernel churn** — a pure event ping-pong through the run loop
-  (pooled charges, no model code), reported as events/second from the
-  kernel's own counters and gated against a recorded floor;
+* **kernel churn** — a pure ping-pong through the run loop (``defer``
+  chains, the step every callback op takes; no model code), reported as
+  events/second from the kernel's own counters and gated against a
+  recorded floor;
 * **E09 / E04 fast runs** — wall-clock of the two experiment runs the
   fast-path work targeted (LeNet serving and the Fig 6 saturation
   grid), compared against the pre-optimisation baseline.
@@ -74,14 +75,14 @@ def _save(section, payload):
 
 
 def _churn(env, chains=64, horizon=20000.0):
-    """Pure kernel load: *chains* concurrent unit-charge ping-pongs."""
+    """Pure kernel load: *chains* concurrent unit-delay ``defer`` chains."""
 
-    def hop(event, env=env):
+    def hop(_arg, env=env):
         if env.now < horizon:
-            env.charge(1.0).callbacks.append(hop)
+            env.defer(1.0, hop)
 
     for _ in range(chains):
-        env.charge(1.0).callbacks.append(hop)
+        env.defer(1.0, hop)
     env.run(until=horizon)
     return env.kernel_stats()
 
@@ -109,7 +110,7 @@ class TestKernelChurn:
         rate, payload = _churn_section(stats, factor, calib, floor)
         _save("kernel_churn", payload)
         # The churn path spawns no processes and keeps the heap small:
-        # both are the point of the pooled fast path.
+        # both are the point of the callback-native fast path.
         assert stats["processes_spawned"] == 0
         assert rate >= floor, (
             "churn %.0f ev/s below machine-scaled floor %.0f"

@@ -111,17 +111,17 @@ class VcaBridgeBaseline:
                 continue
             # host side: kernel stack + bridge forwarding into the card
             yield from self.host_stack.process_rx(msg)
-            yield self.env.charge(bridge)
+            yield self.env.timeout(bridge)
             # node side: its own Linux stack, then the enclave ecall
             yield from self.node_stack.process_rx(msg)
             # baseline pays an extra enclave transition for marshalling
             # the request buffer in and out of the untrusted runtime
-            yield self.env.charge(self.node.vca.profile.enclave_transition)
+            yield self.env.timeout(self.node.vca.profile.enclave_transition)
             result = self.app.process(msg.payload)
             yield from self.node.enclave_call(self.app.compute_us)
             response = msg.reply(result, created_at=self.env.now)
             yield from self.node_stack.process_tx(response)
-            yield self.env.charge(bridge)
+            yield self.env.timeout(bridge)
             yield from self.host_stack.process_tx(response)
             self.served.tick()
             yield from nic.send(response)

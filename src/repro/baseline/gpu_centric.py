@@ -98,11 +98,11 @@ class GpuCentricServer:
         while True:
             kind, item = yield work.get()
             if kind == "rx":
-                yield env.charge(self.gpu.scaled(GPU_STACK_RX_US))
+                yield env.timeout(self.gpu.scaled(GPU_STACK_RX_US))
                 self.requests.tick()
                 yield app_ring.put(item)
             else:  # "tx": a response produced by an application block
-                yield env.charge(self.gpu.scaled(GPU_STACK_TX_US))
+                yield env.timeout(self.gpu.scaled(GPU_STACK_TX_US))
                 yield from self.helpers.run_calibrated(HELPER_COST_US)
                 self.responses.tick()
                 self.nic.send_async(item)
@@ -114,6 +114,6 @@ class GpuCentricServer:
         while True:
             msg = yield app_ring.get()
             result = self.app.compute(msg.payload)
-            yield env.charge(self.gpu.scaled(self.app.gpu_duration))
+            yield env.timeout(self.gpu.scaled(self.app.gpu_duration))
             response = msg.reply(result, created_at=env.now)
             yield work.put(("tx", response))

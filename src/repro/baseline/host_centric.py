@@ -43,7 +43,7 @@ class HostContext:
             self.pool.run_calibrated(gpu.profile.sync_poll_cost),
             name="sync-spin")
         yield from gpu._execute(duration, 1)
-        yield self.env.charge(gpu.profile.sync_latency)
+        yield self.env.timeout(gpu.profile.sync_latency)
         yield spin
         yield from gpu.memcpy_async(self.pool, out_bytes)
 
@@ -63,7 +63,7 @@ class HostContext:
             gpu.profile.launch_latency + gpu.scaled(duration)
             + gpu.profile.sync_latency), name="sync-block")
         yield from gpu._execute(duration, 1)
-        yield self.env.charge(gpu.profile.sync_latency)
+        yield self.env.timeout(gpu.profile.sync_latency)
         yield spin
         yield from gpu.memcpy_async(self.pool, out_bytes)
 
@@ -81,7 +81,7 @@ class _HostRxOp:
     cache defaults, so E02's noisy-neighbor setup still applies),
     CUDA-stream claim, then the detached per-request GPU stage.  The
     app-specific ``_gpu_stage`` stays a generator — it is spawned
-    through the pooled detached-task path, which consumes the same
+    through the detached-task path, which consumes the same
     schedule slot the old inline ``env.detached`` call did.
     """
 

@@ -460,7 +460,7 @@ def _innova_scenario(platform, measure, seed=42):
         while True:
             tb.network.deliver(Message(src, Address("10.0.0.101", 7777),
                                        b"x" * 64, proto=UDP))
-            yield env.charge(0.2)  # 5M/s offered
+            yield env.timeout(0.2)  # 5M/s offered
 
     env.process(flood(env), name="flood")
     tb.warmup_then_measure([server.responses], 4000.0, measure)

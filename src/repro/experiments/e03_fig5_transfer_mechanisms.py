@@ -107,8 +107,8 @@ def throughput(data_mech, ctrl_mech, payload_bytes, seed=42,
         # the paper's kernel: one GPU thread copies input to output
         while True:
             nbytes = yield rx_ring.get()
-            yield env.charge(gpu.poll_latency
-                             + nbytes * GPU_THREAD_COPY_US_PER_BYTE)
+            yield env.timeout(gpu.poll_latency
+                              + nbytes * GPU_THREAD_COPY_US_PER_BYTE)
             yield tx_ring.put(nbytes)
 
     def egress(env):

@@ -46,7 +46,7 @@ def _flood(env, network, dst, rate_per_us, nbytes, name="flood"):
             msg = Message(src, dst, b"x" * nbytes, proto=UDP,
                           created_at=env.now)
             network.deliver(msg)
-            yield env.charge(gap)
+            yield env.timeout(gap)
 
     return env.process(proc(env), name=name)
 
@@ -67,7 +67,7 @@ def _measure_innova(seed, measure):
         mq = mqs[tb_index]
         while True:
             yield mq.pop_rx()
-            yield env.charge(gpu.poll_latency)
+            yield env.timeout(gpu.poll_latency)
 
     gpu.persistent_kernel(N_MQUEUES, consumer)
     _flood(env, tb.network, Address("10.0.0.101", 7777), 10.0, MESSAGE_BYTES)

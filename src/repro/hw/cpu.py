@@ -140,7 +140,7 @@ class CorePool:
             duration, token = _llc_leg(self.llc, duration, memory_intensity,
                                        working_set)
             try:
-                yield self.env.charge(duration)
+                yield self.env.timeout(duration)
             finally:
                 if token is not None:
                     self.llc.release(token)
@@ -163,7 +163,7 @@ class CorePool:
                 self.llc, xeon_us / self.profile.speed_factor,
                 memory_intensity, working_set, aggressor)
             try:
-                yield self.env.charge(duration)
+                yield self.env.timeout(duration)
             finally:
                 if token is not None:
                     self.llc.release(token)

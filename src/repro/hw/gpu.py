@@ -99,7 +99,7 @@ class GPU:
             duration = nbytes / self.profile.copy_bandwidth
             if self.pcie_link is not None:
                 duration += self.pcie_link.profile.latency
-            yield self.env.charge(duration)
+            yield self.env.timeout(duration)
 
     def memcpy_async(self, pool, nbytes):
         """Generator: full cudaMemcpyAsync — driver call + DMA."""
@@ -127,12 +127,12 @@ class GPU:
         if exclusive:
             with self._exclusive.request() as req:
                 yield req
-                yield self.env.charge(self.profile.launch_latency
-                                      + self.scaled(duration))
+                yield self.env.timeout(self.profile.launch_latency
+                                       + self.scaled(duration))
             self.kernels_launched += 1
         else:
             yield from self._execute(duration, threadblocks)
-        yield self.env.charge(self.profile.sync_latency)
+        yield self.env.timeout(self.profile.sync_latency)
 
     def run_kernel_chain(self, pool, durations):
         """Generator: a default-stream kernel chain (TVM-executor style).
@@ -147,18 +147,18 @@ class GPU:
             yield req
             for duration in durations:
                 yield from self.driver.op(pool, self.profile.driver_op_cost)
-                yield self.env.charge(self.profile.launch_latency
-                                      + self.scaled(duration))
-                yield self.env.charge(self.profile.sync_latency)
+                yield self.env.timeout(self.profile.launch_latency
+                                       + self.scaled(duration))
+                yield self.env.timeout(self.profile.sync_latency)
                 self.kernels_launched += 1
 
     def child_launch(self, duration, threadblocks=1):
         """Generator: dynamic-parallelism launch from device code."""
-        yield self.env.charge(self.profile.device_launch_latency)
+        yield self.env.timeout(self.profile.device_launch_latency)
         yield from self._run_blocks(duration, threadblocks)
 
     def _execute(self, duration, threadblocks):
-        yield self.env.charge(self.profile.launch_latency)
+        yield self.env.timeout(self.profile.launch_latency)
         yield from self._run_blocks(duration, threadblocks)
 
     def _run_blocks(self, duration, threadblocks):
@@ -169,7 +169,7 @@ class GPU:
             yield req
         self.kernels_launched += 1
         try:
-            yield self.env.charge(self.scaled(duration))
+            yield self.env.timeout(self.scaled(duration))
         finally:
             for req in requests:
                 req.release()

@@ -25,7 +25,7 @@ class MemoryRegion:
 
     def local_access(self):
         """Generator charging one local access from the owning device."""
-        yield self.env.charge(self.access_latency)
+        yield self.env.timeout(self.access_latency)
 
     def __repr__(self):
         return "<MemoryRegion %s %.2fus%s>" % (

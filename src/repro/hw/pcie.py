@@ -82,7 +82,7 @@ class PcieFabric:
         src_link = self.link_of(src)
         dst_link = self.link_of(dst)
         yield from src_link.transfer(nbytes, "up")
-        yield self.env.charge(self.hop_latency)
+        yield self.env.timeout(self.hop_latency)
         yield from dst_link.transfer(nbytes, "down")
 
     def devices(self):

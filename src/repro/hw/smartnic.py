@@ -73,7 +73,7 @@ class InnovaSNIC:
         # at acceptance time, before the cut-through latency elapses.
         yield from self.pipe.transfer(msg.wire_size, post_latency=0.0)
         self.processed.tick()
-        yield self.env.charge(self.profile.pipeline_latency)
+        yield self.env.timeout(self.profile.pipeline_latency)
 
     def check_tx_supported(self):
         """The paper's Innova prototype implements only the receive path."""

@@ -36,9 +36,9 @@ class VcaNode:
         itself runs on the node's core.
         """
         self.enclave_calls += 1
-        yield self.env.charge(self.vca.profile.enclave_transition)
+        yield self.env.timeout(self.vca.profile.enclave_transition)
         yield from self.pool.run_compute(compute_us)
-        yield self.env.charge(self.vca.profile.enclave_transition / 2)
+        yield self.env.timeout(self.vca.profile.enclave_transition / 2)
 
     def mqueue_access_latency(self):
         """Latency of one mqueue access from this node.

@@ -83,7 +83,7 @@ class InnovaLynxServer:
             self.env.detached(self._deliver(msg))
 
     def _deliver(self, msg):
-        yield self.env.charge(self.snic.profile.pipeline_latency)
+        yield self.env.timeout(self.snic.profile.pipeline_latency)
         binding = self._ports.get(msg.dst.port)
         if binding is None:
             self.dropped += 1
@@ -122,7 +122,7 @@ class InnovaLynxServer:
         # ...and the AFU's UDP stack emits it at line rate
         yield from self.snic.pipe.transfer(entry.size + METADATA_BYTES,
                                            post_latency=0.0)
-        yield self.env.charge(self.snic.profile.pipeline_latency)
+        yield self.env.timeout(self.snic.profile.pipeline_latency)
         request = entry.request_msg
         if request is None:
             return

@@ -32,7 +32,7 @@ class AcceleratorIO:
         demands from accelerators).
         """
         entry = yield mq.pop_rx()
-        yield self.env.charge(self.local_latency)
+        yield self.env.timeout(self.local_latency)
         self.received += 1
         if entry.request_msg is not None:
             entry.request_msg.meta["t_accel_start"] = self.env.now
@@ -53,7 +53,7 @@ class AcceleratorIO:
         if entry.request_msg is not None:
             entry.request_msg.meta["t_accel_done"] = self.env.now
         # Local write of payload+metadata, then the control register.
-        yield self.env.charge(self.local_latency)
+        yield self.env.timeout(self.local_latency)
         yield mq.push_tx(entry)
         mq.ring_doorbell()
         self.sent += 1

@@ -47,11 +47,11 @@ class AppContext:
         executes inline in the calling threadblock.
         """
         if self.gpu is None:
-            yield self.env.charge(duration)
+            yield self.env.timeout(duration)
         elif dynamic_parallelism:
             yield from self.gpu.child_launch(duration)
         else:
-            yield self.env.charge(self.gpu.scaled(duration))
+            yield self.env.timeout(self.gpu.scaled(duration))
 
     def call(self, backend, payload):
         """Generator: RPC to a backend over this context's client mqueue.
@@ -279,23 +279,28 @@ class _ThreadblockOp(Event):
     """One persistent-kernel threadblock as a callback state machine.
 
     Replaces ``gpu._persistent_block`` + ``_service_loop`` for apps on
-    the stock ``ServerApp.handle`` path (compute + one GPU charge per
+    the stock ``ServerApp.handle`` path (compute + one GPU delay per
     request), consuming the exact same schedule slots in the same
     order: spawn kick, SM-slot claim, then per request — RX-ring pop,
-    local-poll charge, the kernel charge (for dynamic parallelism: the
-    device-launch charge, a child SM-slot claim, the kernel charge,
-    slot release), local-write charge, TX-ring put.
+    local-poll delay, the kernel delay (for dynamic parallelism: the
+    device-launch delay, a child SM-slot claim, the kernel delay,
+    slot release), local-write delay, TX-ring put.  Each fixed delay is
+    an ``env.defer`` step (:meth:`_sleep`), the slot the generator's
+    ``yield env.timeout(d)`` took.
 
     The op *is* an event, like :class:`Process`: ``interrupt()`` works
     (failure injection), delivering through an URGENT event and then
     scheduling the termination event — the same two schedule slots the
-    Process machinery used.  Interrupt mid-kernel releases the child SM
-    slot (the generator's ``finally`` did); the persistent slot is
+    Process machinery used.  A delay already on the schedule cannot be
+    withdrawn, so it fires anyway and :meth:`_woke` drops it once the
+    block is dead.  Interrupt mid-kernel releases the child SM slot
+    (the generator's ``finally`` did); the persistent slot is
     deliberately leaked, exactly as the dead generator leaked it.
     """
 
     __slots__ = ("gpu", "io", "app", "ctx", "mq", "entry", "result", "out",
-                 "_target", "_target_cb", "_dp_req", "_dp_slot", "_slot")
+                 "_target", "_target_cb", "_next", "_dp_req", "_dp_slot",
+                 "_slot")
 
     def __init__(self, env, gpu, io, app, ctx):
         self.env = env
@@ -313,6 +318,7 @@ class _ThreadblockOp(Event):
         self.out = None
         self._target = None
         self._target_cb = None
+        self._next = None
         self._dp_req = None
         self._dp_slot = None
         self._slot = None
@@ -359,6 +365,15 @@ class _ThreadblockOp(Event):
         self._target_cb = cb
         event.callbacks.append(cb)
 
+    def _sleep(self, delay, then):
+        self._next = then
+        self.env.defer(delay, self._woke)
+
+    def _woke(self, _arg):
+        # A block interrupted during the delay is dead by now.
+        if self._value is PENDING:
+            self._next()
+
     # -- states -------------------------------------------------------------
 
     def _begin(self, _event):
@@ -391,10 +406,9 @@ class _ThreadblockOp(Event):
 
     def _on_entry(self, get):
         self.entry = get._value
-        self._wait(self.env.charge(self.io.local_latency),
-                   self._local_charged)
+        self._sleep(self.io.local_latency, self._polled)
 
-    def _local_charged(self, _event):
+    def _polled(self):
         io = self.io
         io.received += 1
         entry = self.entry
@@ -404,16 +418,12 @@ class _ThreadblockOp(Event):
         app = self.app
         self.result = app.compute(entry.payload)
         gpu = self.gpu
-        if gpu is None:
-            self._wait(self.env.charge(app.gpu_duration), self._computed)
-        elif app.use_dynamic_parallelism:
-            self._wait(self.env.charge(gpu.profile.device_launch_latency),
-                       self._dp_launched)
+        if app.use_dynamic_parallelism:
+            self._sleep(gpu.profile.device_launch_latency, self._dp_launched)
         else:
-            self._wait(self.env.charge(gpu.scaled(app.gpu_duration)),
-                       self._computed)
+            self._sleep(gpu.scaled(app.gpu_duration), self._computed)
 
-    def _dp_launched(self, _event):
+    def _dp_launched(self):
         req = self.gpu.sm_slots.request()
         self._dp_req = req
         self._wait(req, self._dp_granted)
@@ -423,16 +433,15 @@ class _ThreadblockOp(Event):
         gpu.kernels_launched += 1
         self._dp_slot = self._dp_req
         self._dp_req = None
-        self._wait(self.env.charge(gpu.scaled(self.app.gpu_duration)),
-                   self._dp_charged)
+        self._sleep(gpu.scaled(self.app.gpu_duration), self._dp_computed)
 
-    def _dp_charged(self, _event):
+    def _dp_computed(self):
         slot = self._dp_slot
         self._dp_slot = None
         slot.release()
-        self._computed(_event)
+        self._computed()
 
-    def _computed(self, _event):
+    def _computed(self):
         result = self.result
         entry = self.entry
         self.entry = self.result = None
@@ -445,10 +454,9 @@ class _ThreadblockOp(Event):
         if req_msg is not None:
             req_msg.meta["t_accel_done"] = self.env.now
         self.out = out
-        self._wait(self.env.charge(self.io.local_latency),
-                   self._out_charged)
+        self._sleep(self.io.local_latency, self._written)
 
-    def _out_charged(self, _event):
+    def _written(self):
         out = self.out
         self.out = None
         self._wait(self.mq.push_tx(out), self._pushed)
@@ -479,7 +487,7 @@ def _service_loop(env, io, app, ctx):
     mq = ctx.mq
     gpu = ctx.gpu
     local = io.local_latency
-    charge = env.charge
+    timeout = env.timeout
     pop_rx = mq.pop_rx
     push_tx = mq.push_tx
     stock_handle = type(app).handle is ServerApp.handle
@@ -487,7 +495,7 @@ def _service_loop(env, io, app, ctx):
         while True:
             # -- io.recv(mq), inlined --
             entry = yield pop_rx()
-            yield charge(local)
+            yield timeout(local)
             io.received += 1
             req_msg = entry.request_msg
             if req_msg is not None:
@@ -496,20 +504,20 @@ def _service_loop(env, io, app, ctx):
             if stock_handle:
                 result = app.compute(entry.payload)
                 if gpu is None:
-                    yield charge(app.gpu_duration)
+                    yield timeout(app.gpu_duration)
                 elif app.use_dynamic_parallelism:
                     # gpu.child_launch(duration) with one threadblock,
                     # inlined (the LeNet server's per-request launch)
-                    yield charge(gpu.profile.device_launch_latency)
+                    yield timeout(gpu.profile.device_launch_latency)
                     slot = gpu.sm_slots.request()
                     yield slot
                     gpu.kernels_launched += 1
                     try:
-                        yield charge(gpu.scaled(app.gpu_duration))
+                        yield timeout(gpu.scaled(app.gpu_duration))
                     finally:
                         slot.release()
                 else:
-                    yield charge(gpu.scaled(app.gpu_duration))
+                    yield timeout(gpu.scaled(app.gpu_duration))
             else:
                 result = yield from app.handle(ctx, entry)
             if result is not None:
@@ -518,7 +526,7 @@ def _service_loop(env, io, app, ctx):
                                   error=0, request_msg=req_msg)
                 if req_msg is not None:
                     req_msg.meta["t_accel_done"] = env.now
-                yield charge(local)
+                yield timeout(local)
                 yield push_tx(out)
                 mq.ring_doorbell()
                 io.sent += 1

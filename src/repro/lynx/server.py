@@ -454,7 +454,7 @@ class LynxServer:
         return msg
 
     def _backend_watchdog(self, mq, msg):
-        yield self.env.charge(self.profile.backend_timeout)
+        yield self.env.timeout(self.profile.backend_timeout)
         if self._pending_backend.pop(msg.msg_id, None) is not None:
             self._deliver_error(mq, ERR_TIMEOUT)
 

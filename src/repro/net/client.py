@@ -138,7 +138,7 @@ class Client:
 
     def send(self, msg):
         """Generator: serialize *msg* onto the wire."""
-        yield self.env.charge(self._send_delay(msg))
+        yield self.env.timeout(self._send_delay(msg))
         self._wire(msg)
 
     def _send_delay(self, msg):

@@ -14,13 +14,11 @@ Public surface::
 from .environment import (
     Environment,
     kernel_totals,
-    merge_kernel_totals,
     reset_kernel_totals,
 )
 from .events import (
     Event,
     Timeout,
-    Charge,
     Process,
     Task,
     Interrupt,
@@ -40,11 +38,9 @@ from .trace import Tracer, NullTracer
 __all__ = [
     "Environment",
     "kernel_totals",
-    "merge_kernel_totals",
     "reset_kernel_totals",
     "Event",
     "Timeout",
-    "Charge",
     "Process",
     "Task",
     "Interrupt",

@@ -171,16 +171,16 @@ class Channel(Store):
         if issue is not None:
             with issue.request() as req:
                 yield req
-                yield self.env.charge(occupancy)
+                yield self.env.timeout(occupancy)
         else:
-            yield self.env.charge(occupancy)
+            yield self.env.timeout(occupancy)
         self.sent += 1
         self.bytes_moved += nbytes
         if self._tracer is not None:
             self._tracer.emit(self.name, "xfer", None, nbytes)
         latency = self.latency if post_latency is None else post_latency
         if latency:
-            yield self.env.charge(latency)
+            yield self.env.timeout(latency)
 
     def transfer_then(self, nbytes, callback, occupancy=None,
                       post_latency=None):

@@ -16,9 +16,9 @@ The loop is therefore written for CPython throughput:
   ``itertools.count`` — and hot constructors bump it inline;
 * the loop body has no per-event ``try/except``; ``while queue`` replaces
   catching ``IndexError`` per pop;
-* generator charges (:class:`~.events.Charge`) are recycled right after
-  their callbacks run, so fixed-latency charges allocate nothing in
-  steady state;
+* the kernel keeps no free lists: a generator's fixed delay is a
+  plain :class:`~.events.Timeout`, and a callback op's is a bare
+  :meth:`Environment.defer` entry with no event object at all;
 * lightweight kernel counters (events processed, spawns, heap peak,
   wall-clock) are maintained as plain int bumps and surfaced through
   :meth:`kernel_stats` / :func:`kernel_totals`.
@@ -38,20 +38,15 @@ from time import perf_counter
 from ..errors import SimulationError
 from .. import telemetry
 from .events import (
-    Event, Timeout, Charge, Process, Task, NORMAL, URGENT, _fire, any_of,
-    all_of,
+    Event, Timeout, Process, Task, NORMAL, URGENT, _fire, any_of, all_of,
 )
 from .trace import NullTracer
-
-#: Max events/tasks kept on a free list (per environment).
-_POOL_CAP = 4096
 
 #: Counter keys accumulated across environments (see :func:`kernel_totals`),
 #: surfaced through the telemetry registry as ``sim.kernel.<key>``.
 _TOTAL_KEYS = (
     "events_processed", "processes_spawned", "tasks_spawned",
-    "charges_created", "charges_reused", "requests_completed",
-    "wall_seconds",
+    "requests_completed", "wall_seconds",
 )
 
 _PREFIX = "sim.kernel."
@@ -97,25 +92,6 @@ def reset_kernel_totals():
     telemetry.registry().reset(prefix="sim.kernel")
 
 
-def merge_kernel_totals(snapshot):
-    """Fold a :func:`kernel_totals` dict into the current registry.
-
-    Thin shim kept for callers holding legacy plain-dict snapshots; the
-    sweep executor itself now merges full registry snapshots.  Counters
-    add; ``heap_peak`` takes the max; ``wall_seconds`` therefore sums
-    *worker CPU seconds*, not elapsed time, when merging across
-    processes.
-    """
-    reg = telemetry.registry()
-    for key in _TOTAL_KEYS:
-        reg.counter(_PREFIX + key).inc(snapshot.get(key, 0))
-    reg.peak(_PREFIX + "heap_peak").record(snapshot.get("heap_peak", 0))
-
-
-class EmptySchedule(Exception):
-    """Internal: the event queue ran dry."""
-
-
 class Environment:
     """Execution environment for a single simulation.
 
@@ -123,8 +99,6 @@ class Environment:
     event schedule.  All model objects keep a reference to their
     environment and create events through it.
     """
-
-    POOL_CAP = _POOL_CAP
 
     def __init__(self, initial_time=0.0):
         self.now = float(initial_time)
@@ -134,11 +108,8 @@ class Environment:
         self._queue = []
         self._eid = 0
         self._active_process = None
-        self._charge_pool = []
-        self._task_pool = []
-        self._immediate_event = None
         # The one already-succeeded event every _kick hands its callback,
-        # so Process._resume/Task._step read ``_ok``/``_value`` as usual.
+        # so Process._resume reads ``_ok``/``_value`` as usual.
         kicked = Event(self)
         kicked.callbacks = None
         kicked._ok = True
@@ -151,8 +122,6 @@ class Environment:
         self.events_processed = 0
         self.processes_spawned = 0
         self.tasks_spawned = 0
-        self.charges_created = 0
-        self.charges_reused = 0
         #: completed request/response exchanges, bumped once where an
         #: end-user response resolves (client RX, population in-flight
         #: table); feeds ``events_per_request``.
@@ -170,46 +139,19 @@ class Environment:
     def timeout(self, delay, value=None):
         """Create an event that fires *delay* microseconds from now.
 
-        Use this whenever the event may be stored, raced in a condition,
-        or observed after it fires (e.g. request expiry timers).  For a
-        plain "charge N microseconds and move on" stage, prefer
-        :meth:`charge`, which recycles the event object.
+        Generator code spends simulated time with ``yield
+        env.timeout(d)``; callback ops use :meth:`defer`, which takes
+        the same schedule slot without an event object.
         """
         return Timeout(self, delay, value)
-
-    def charge(self, delay, value=None):
-        """A pooled timeout for immediate, one-shot consumption.
-
-        Semantics are identical to :meth:`timeout` — same priority, same
-        sequence-number consumption, so event ordering is unchanged — but
-        the event object comes from a free list and is recycled by the
-        kernel right after its callbacks run.  The caller must yield it
-        immediately and exactly once, and must never store it, re-yield
-        it, or place it in a condition.
-        """
-        if delay < 0:
-            raise SimulationError("negative charge delay: %r" % delay)
-        pool = self._charge_pool
-        if pool:
-            event = pool.pop()
-            event._value = value
-            event.delay = delay
-            self.charges_reused += 1
-        else:
-            event = Charge(self, delay, value)
-            self.charges_created += 1
-        eid = self._eid
-        self._eid = eid + 1
-        heappush(self._queue, (self.now + delay, NORMAL, eid, _fire, event))
-        return event
 
     def defer(self, delay, callback, priority=NORMAL):
         """Invoke ``callback(None)`` after *delay*.
 
-        The callback-driven twin of :meth:`charge`, for state machines
+        The callback-driven twin of :meth:`timeout`, for state machines
         that advance on plain callbacks instead of generator resumption:
         the callback itself is the schedule entry's handler, so no event
-        object exists, yet it takes the slot (and eid) a charge would.
+        object exists, yet it takes the slot (and eid) a timeout would.
         """
         if delay < 0:
             raise SimulationError("negative defer delay: %r" % delay)
@@ -229,41 +171,22 @@ class Environment:
         self._eid = eid + 1
         heappush(self._queue, (self.now, URGENT, eid, callback, self._kicked))
 
-    def immediate(self, value=None):
-        """An already-processed event carrying *value*.
-
-        Yielding it resumes the coroutine synchronously — the kernel
-        schedules nothing and the clock does not advance.  The returned
-        object is a per-environment singleton: yield it immediately and
-        never store it.  (Do not substitute it for ``timeout(0)``, which
-        *does* schedule and therefore orders against other events.)
-        """
-        event = self._immediate_event
-        if event is None:
-            event = Event(self)
-            event.callbacks = None
-            event._ok = True
-            self._immediate_event = event
-        event._value = value
-        return event
-
     def process(self, generator, name=None):
         """Start *generator* as a new :class:`Process`."""
+        self.processes_spawned += 1
         return Process(self, generator, name=name)
 
     def detached(self, generator):
-        """Run *generator* as a fire-and-forget task (no Process object).
+        """Run *generator* as a fire-and-forget :class:`~.events.Task`.
 
-        Use for data-plane fan-out where nobody yields on the result:
-        the driver is pooled and no termination event is scheduled.  The
-        task cannot be interrupted or waited on; an uncaught exception
-        still crashes the simulation.  Ordering matches ``process()``
-        exactly (one URGENT kick at the current time).
+        Use for data-plane fan-out where nobody yields on the result: no
+        termination event is scheduled, and nothing is returned to wait
+        on or interrupt.  An uncaught exception still crashes the
+        simulation.  Ordering matches ``process()`` exactly (one URGENT
+        kick at the current time).
         """
-        pool = self._task_pool
-        task = pool.pop() if pool else Task(self)
         self.tasks_spawned += 1
-        task._start(generator)
+        Task(self, generator)
 
     def any_of(self, events):
         return any_of(self, events)
@@ -288,27 +211,22 @@ class Environment:
         """Time of the next scheduled event, or ``inf`` if none."""
         return self._queue[0][0] if self._queue else float("inf")
 
-    def step(self):
-        """Process the next scheduled entry (slow path; run() inlines this)."""
-        try:
-            when, _, _, handler, arg = heapq.heappop(self._queue)
-        except IndexError:
-            raise EmptySchedule()
-        self.now = when
-        handler(arg)
-        self.events_processed += 1
-        del self._charge_pool[_POOL_CAP:]
-
     def run(self, until=None):
         """Run the simulation.
 
         *until* may be ``None`` (run until the schedule drains), a number
         (run until that simulated time), or an :class:`Event` (run until it
-        fires, returning its value).
+        fires, returning its value).  An event that has already fired
+        returns its value (or raises its failure) without running the
+        schedule.
         """
         stop_event = None
         if until is not None:
             if isinstance(until, Event):
+                if until.callbacks is None:
+                    if not until._ok:
+                        raise until._value
+                    return until._value
                 stop_event = until
             else:
                 horizon = float(until)
@@ -325,14 +243,13 @@ class Environment:
         queue = self._queue
         pop = heapq.heappop
         qsize = len
-        charge_pool = self._charge_pool
         fire = _fire
         nprocessed = 0
         peak = self.heap_peak
         # Heap occupancy moves slowly relative to the event rate, so the
         # peak is sampled at entry and every 256 events rather than per
-        # event — two len() calls per event (queue + pool) measurably
-        # slow the loop at tens of millions of events per run.
+        # event — a len() call per event measurably slows the loop at
+        # tens of millions of events per run.
         qlen = qsize(queue)
         if qlen > peak:
             peak = qlen
@@ -351,16 +268,12 @@ class Environment:
                 if handler is fire:
                     # _fire's body, inlined: an Event is still most of
                     # what generator code schedules, and the extra call
-                    # per event costs ~25% of pure charge churn.
+                    # per event costs ~25% of pure timeout churn.
                     callbacks = arg.callbacks
                     arg.callbacks = None
                     for callback in callbacks:
                         callback(arg)
-                    if arg._pooled:
-                        callbacks.clear()
-                        arg.callbacks = callbacks
-                        charge_pool.append(arg)
-                    elif not arg._ok and not arg._defused:
+                    if not arg._ok and not arg._defused:
                         # An unhandled failure terminates the simulation.
                         raise arg._value
                 else:
@@ -381,8 +294,6 @@ class Environment:
             self.wall_seconds += perf_counter() - started
             if gc_was_enabled:
                 gc.enable()
-            # Charges are recycled unchecked; trim to the cap here.
-            del charge_pool[_POOL_CAP:]
             self.events_processed += nprocessed
             self.heap_peak = peak
             self._flush_totals()
@@ -402,10 +313,7 @@ class Environment:
             "events_processed": self.events_processed,
             "processes_spawned": self.processes_spawned,
             "tasks_spawned": self.tasks_spawned,
-            "charges_created": self.charges_created,
-            "charges_reused": self.charges_reused,
             "requests_completed": reqs,
-            "charge_pool_size": len(self._charge_pool),
             "heap_peak": self.heap_peak,
             "wall_seconds": wall,
             "events_per_sec": self.events_processed / wall if wall > 0 else 0.0,

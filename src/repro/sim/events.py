@@ -13,19 +13,14 @@ state machines schedule their bound methods directly
 (``Environment.defer``, ``Resource.acquire_then``, ``Store.get_then``)
 and never touch an event object.
 
-Hot-path design (see DESIGN.md, "Performance of the simulator itself"):
-
-* :class:`Charge` is a pooled :class:`Timeout` recycled by :func:`_fire`
-  after its callbacks run.  Generators charge fixed costs through
-  ``Environment.charge()`` without allocating a fresh event per charge.
-* :class:`Task` drives a fire-and-forget generator with none of the
-  :class:`Process` bookkeeping: no process event, no termination event
-  on the schedule, and the driver object itself is pooled.  Data-plane
-  fan-out (per-message deliveries, responses, watchdogs) uses
-  ``Environment.detached()``.
-
-Both keep the event *ordering* of their unpooled equivalents, so a fixed
-seed produces bit-identical results.
+A :class:`Task` is the fire-and-forget twin of :class:`Process` for
+data-plane fan-out (``Environment.detached()``): it shares the process's
+driver loop and differs only at termination, where nothing waits on it,
+so it schedules no termination event.  Nothing in the kernel keeps a
+free list: a fixed delay is a plain :class:`Timeout`
+(``Environment.timeout()``) in generator code and a bare callback
+(``Environment.defer()``) in a callback op, and both take the same
+schedule slot.
 """
 
 from heapq import heappush
@@ -43,19 +38,13 @@ NORMAL = 1
 def _fire(event):
     """Schedule handler of every :class:`Event`: run its callbacks once.
 
-    A pooled :class:`Charge` goes back on its environment's free list
-    (the run loop trims the list to its cap on exit); any other failed
-    event nobody defused terminates the simulation loudly.
+    A failed event nobody defused terminates the simulation loudly.
     """
     callbacks = event.callbacks
     event.callbacks = None
     for callback in callbacks:
         callback(event)
-    if event._pooled:
-        callbacks.clear()
-        event.callbacks = callbacks
-        event.env._charge_pool.append(event)
-    elif not event._ok and not event._defused:
+    if not event._ok and not event._defused:
         raise event._value
 
 
@@ -67,10 +56,6 @@ class Event:
     """
 
     __slots__ = ("env", "callbacks", "_value", "_ok", "_defused")
-
-    #: class-level flag: pooled events are recycled by the run loop after
-    #: their callbacks fire (only :class:`Charge` sets this).
-    _pooled = False
 
     def __init__(self, env):
         self.env = env
@@ -150,30 +135,6 @@ class Timeout(Event):
         env.schedule(self, delay=delay)
 
 
-class Charge(Timeout):
-    """A pooled :class:`Timeout` recycled by the kernel after it fires.
-
-    Created only via ``Environment.charge()``, for generators.
-    Pooling contract: a Charge must be yielded (or given its callbacks)
-    immediately and exactly once, and must never be stored, re-yielded,
-    or combined into a condition — after its callbacks run, the kernel
-    reuses the object for a future charge.
-    """
-
-    __slots__ = ()
-
-    _pooled = True
-
-    def __init__(self, env, delay, value=None):
-        # Does NOT self-schedule: ``Environment.charge()`` pushes it.
-        self.env = env
-        self.callbacks = []
-        self._value = value
-        self._ok = True
-        self._defused = False
-        self.delay = delay
-
-
 class Interrupt(Exception):
     """Raised inside a process that another process interrupted.
 
@@ -204,7 +165,8 @@ class Process(Event):
     """A running coroutine.  Also an event that fires when it terminates.
 
     The process's return value (``return x`` inside the generator) becomes
-    the event value; an uncaught exception fails the event.
+    the event value; an uncaught exception fails the event.  Spawn via
+    ``Environment.process()``, which counts it.
     """
 
     __slots__ = ("_generator", "_target", "_name")
@@ -220,7 +182,6 @@ class Process(Event):
         self._generator = generator
         self._target = None
         self._name = name
-        env.processes_spawned += 1
         env._kick(self._resume)
 
     @property
@@ -256,7 +217,7 @@ class Process(Event):
                     target = generator.send(event._value)
                 except StopIteration as exc:
                     self._target = None
-                    self.succeed(getattr(exc, "value", None))
+                    self._finish(getattr(exc, "value", None))
                     break
                 except BaseException as exc:
                     self._target = None
@@ -268,7 +229,7 @@ class Process(Event):
                     target = generator.throw(type(event._value)(*event._value.args))
                 except StopIteration as exc:
                     self._target = None
-                    self.succeed(getattr(exc, "value", None))
+                    self._finish(getattr(exc, "value", None))
                     break
                 except BaseException as exc:
                     self._target = None
@@ -292,93 +253,34 @@ class Process(Event):
             event = target
         env._active_process = None
 
+    def _finish(self, value):
+        """The generator returned *value*: fire the termination event."""
+        self.succeed(value)
+
     def _fail_with(self, exc):
         self._ok = False
         self._value = exc
         self.env.schedule(self, delay=0)
 
 
-class Task:
-    """Drives a fire-and-forget generator without Process bookkeeping.
+class Task(Process):
+    """A fire-and-forget :class:`Process` for data-plane fan-out.
 
-    A Task is *not* an event: it cannot be yielded on, interrupted, or
-    inspected, and it schedules no termination event when the generator
-    finishes.  The driver object itself is pooled by the environment, so
-    per-message spawns on the data plane cost one generator allocation
-    and one kick entry on the schedule.  Spawn via ``Environment.detached()``;
-    use ``env.process()`` whenever the completion or result matters.
-
-    An uncaught exception inside the generator still crashes the
-    simulation loudly, exactly like a failed process with no waiters.
+    Spawn via ``Environment.detached()``, which hands back nothing: a
+    task cannot be yielded on or interrupted.  It runs the process's
+    driver loop and differs only at termination: a finished task
+    schedules no termination event, since nobody waits on it.  An
+    uncaught exception still fails the task on the schedule, and with
+    no waiter to defuse it the run loop raises it, exactly like a
+    failed process nobody waits on.  Use ``env.process()`` whenever the
+    completion or result matters.
     """
 
-    __slots__ = ("env", "_generator", "_target")
+    __slots__ = ()
 
-    def __init__(self, env):
-        self.env = env
-        self._generator = None
-        self._target = None
-
-    def _start(self, generator):
-        self._generator = generator
-        self.env._kick(self._step)
-
-    def _step(self, event):
-        env = self.env
-        generator = self._generator
-        env._active_process = self
-        while True:
-            if event._ok:
-                try:
-                    target = generator.send(event._value)
-                except StopIteration:
-                    self._finish(env)
-                    break
-                except BaseException as exc:
-                    self._crash(env, exc)
-                    break
-            else:
-                event._defused = True
-                try:
-                    target = generator.throw(type(event._value)(*event._value.args))
-                except StopIteration:
-                    self._finish(env)
-                    break
-                except BaseException as exc:
-                    self._crash(env, exc)
-                    break
-
-            if not isinstance(target, Event):
-                exc = SimulationError(
-                    "detached task yielded a non-event: %r" % (target,))
-                event = Event(env)
-                event._ok = False
-                event._value = exc
-                event._defused = False
-                continue
-            if target.callbacks is not None:
-                target.callbacks.append(self._step)
-                self._target = target
-                break
-            event = target
-        env._active_process = None
-
-    def _finish(self, env):
-        self._generator = None
-        self._target = None
-        pool = env._task_pool
-        if len(pool) < env.POOL_CAP:
-            pool.append(self)
-
-    def _crash(self, env, exc):
-        # Mirror an unhandled process failure: a non-defused failed event
-        # on the schedule makes the run loop raise at dispatch time.
-        self._generator = None
-        self._target = None
-        failure = Event(env)
-        failure._ok = False
-        failure._value = exc
-        env.schedule(failure)
+    def _finish(self, value):
+        self._ok = True
+        self._value = value
 
 
 class Condition(Event):

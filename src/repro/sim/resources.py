@@ -212,7 +212,7 @@ class Resource:
         req = Request(self, priority)
         try:
             yield req
-            yield self.env.charge(duration)
+            yield self.env.timeout(duration)
         finally:
             req.release()
 

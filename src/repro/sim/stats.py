@@ -21,7 +21,6 @@ import math
 import numpy as np
 
 from ..telemetry import instruments as _ti
-from ..telemetry.export import format_kernel_stats  # noqa: F401  (CLI shim)
 
 
 class LatencyRecorder:

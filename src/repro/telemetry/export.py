@@ -92,17 +92,10 @@ def format_kernel_stats(stats):
     """Render a kernel counter block (see ``Environment.kernel_stats`` /
     ``sim.kernel_totals``) as an aligned, human-readable table."""
     lines = ["simulator kernel:"]
-    total_charges = stats.get("charges_created", 0) + stats.get("charges_reused", 0)
-    reuse = (100.0 * stats.get("charges_reused", 0) / total_charges
-             if total_charges else 0.0)
     rows = [
         ("events processed", "{:,}".format(stats.get("events_processed", 0))),
         ("processes spawned", "{:,}".format(stats.get("processes_spawned", 0))),
         ("detached tasks", "{:,}".format(stats.get("tasks_spawned", 0))),
-        # env.charge() from generators only: callback ops defer their
-        # bound methods and never touch the pool.
-        ("pooled charges (generators)",
-         "{:,} ({:.1f}% reused)".format(total_charges, reuse)),
         ("heap peak", "{:,}".format(stats.get("heap_peak", 0))),
         ("wall-clock in run()", "%.2f s" % stats.get("wall_seconds", 0.0)),
         ("events/sec", "{:,.0f}".format(stats.get("events_per_sec", 0.0))),

@@ -147,7 +147,7 @@ def _cotenant(env, pool):
     and the egress priority decides who runs next."""
     while True:
         yield from pool.run_calibrated(3.0)
-        yield env.charge(0.5)
+        yield env.timeout(0.5)
 
 
 def _serve(monkeypatch, reference, proto=UDP, trace=False,

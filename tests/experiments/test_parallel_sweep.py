@@ -19,7 +19,6 @@ from repro.experiments.testbed import Testbed
 from repro.sim import (
     Environment,
     kernel_totals,
-    merge_kernel_totals,
     reset_kernel_totals,
 )
 from repro.sim import trace as trace_mod
@@ -43,7 +42,7 @@ def spin_simulation(seed, events=50):
 
     def ticker(env):
         for _ in range(events):
-            yield env.charge(1.0)
+            yield env.timeout(1.0)
 
     env.process(ticker(env))
     env.run()
@@ -158,12 +157,17 @@ class TestWorkerHygiene:
         assert not trace_mod.enabled_tracers()
         assert kernel_totals()["events_processed"] == 0
 
-    def test_merge_kernel_totals(self):
+    def test_kernel_totals_merge_across_registries(self):
+        """A worker's ``sim.kernel`` snapshot merges as the sweep merges
+        it: counters add, ``heap_peak`` takes the max."""
         reset_kernel_totals()
         spin_simulation(seed=2)
         base = kernel_totals()
-        snapshot = dict(base, heap_peak=base["heap_peak"] + 7)
-        merge_kernel_totals(snapshot)
+        registry = telemetry.registry()
+        snapshot = registry.snapshot(prefix="sim.kernel")
+        snapshot["sim.kernel.heap_peak"] = dict(
+            snapshot["sim.kernel.heap_peak"], value=base["heap_peak"] + 7)
+        registry.merge(snapshot)
         merged = kernel_totals()
         assert merged["events_processed"] == 2 * base["events_processed"]
         assert merged["heap_peak"] == base["heap_peak"] + 7

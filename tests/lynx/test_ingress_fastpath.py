@@ -139,7 +139,7 @@ class TestSweepDrainInterleaving:
 
         def burst(env, at):
             if at > env.now:
-                yield env.charge(at - env.now)
+                yield env.timeout(at - env.now)
             yield mq.push_tx(MQueueEntry(b"r", 4))
             mq.ring_doorbell()
 

@@ -119,3 +119,73 @@ class TestRuntimeValidation:
         assert len(service.mqueues) == 3
         assert len(service.threadblocks) == 3
         assert service.delivered == 0 and service.dropped == 0
+
+
+class TestThreadblockDelays:
+    """A stock-handle threadblock steps its fixed delays with
+    ``env.defer``; a delay already on the schedule when the block is
+    interrupted must fire into a dead block and do nothing."""
+
+    KERNEL_US = 20.0
+
+    def _service(self, dynamic=False):
+        from repro.apps.base import SpinApp
+        from repro.config import K40M
+        from repro.hw.gpu import GPU, CudaDriver
+        from repro.lynx.runtime import AppContext, GpuService, _ThreadblockOp
+
+        env = Environment()
+        gpu = GPU(env, K40M, CudaDriver(env))
+        mq = MQueue(env, MemoryRegion(env, "m"), 8)
+        mq.tx_doorbell = Store(env)
+        io = AcceleratorIO(env, gpu.poll_latency)
+        app = SpinApp(self.KERNEL_US)
+        app.use_dynamic_parallelism = dynamic
+        ctx = AppContext(env, io, gpu, mq)
+
+        def respawn():
+            return [_ThreadblockOp(env, gpu, io, app, ctx)]
+
+        service = GpuService(gpu, None, [mq], [ctx], respawn(),
+                             respawn=respawn)
+        return env, service, mq, io
+
+    @staticmethod
+    def _deliver(mq):
+        assert mq.claim_rx_slot()
+        mq.complete_rx(MQueueEntry(b"req", 3))
+
+    def _interrupt_at(self, offset, dynamic=False):
+        env, service, mq, io = self._service(dynamic)
+        env.run(until=1.0)              # booted, parked on the RX ring
+        self._deliver(mq)               # popped at t=1, poll delay starts
+        env.run(until=1.0 + offset)
+        assert len(mq.rx_ring) == 0
+        received = io.received
+        assert service.interrupt("test") == 1
+        self._deliver(mq)               # waits for a live block
+        env.run(until=100.0)            # every pending delay has fired
+        assert not service.threadblocks[0].is_alive
+        # only the dead block's persistent slot stays claimed
+        assert service.gpu.sm_slots.in_use == 1
+        assert io.received == received
+        assert io.sent == 0
+        assert len(mq.tx_ring) == 0
+        assert len(mq.tx_doorbell.items) == 0
+        assert len(mq.rx_ring) == 1     # no further RX pop
+        service.restart()
+        env.run(until=200.0)
+        assert io.sent == 1
+        assert len(mq.tx_ring) == 1
+        assert len(mq.rx_ring) == 0
+        return received
+
+    def test_interrupt_in_local_poll_delay(self):
+        # poll latency is 0.6 us: the block dies before counting the entry
+        assert self._interrupt_at(0.3) == 0
+
+    @pytest.mark.parametrize("dynamic", [False, True])
+    def test_interrupt_in_kernel_delay(self, dynamic):
+        # 0.6 us poll (and a 6 us device launch), then a 20 us kernel:
+        # the entry was counted
+        assert self._interrupt_at(10.0, dynamic) == 1

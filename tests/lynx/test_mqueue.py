@@ -114,7 +114,7 @@ class TestBackpressure:
             mq.complete_rx(make_entry(b"second"))
 
         def consumer(env):
-            yield env.charge(3.0)
+            yield env.timeout(3.0)
             entry = yield mq.pop_rx()
             order.append("popped-" + entry.payload.decode())
 

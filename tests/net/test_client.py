@@ -324,7 +324,7 @@ def _reference_worker(gen, index):
         else:
             gen.completed += 1
         if gen.think_time > 0:
-            yield env.charge(gen.think_time)
+            yield env.timeout(gen.think_time)
 
 
 def _drive(monkeypatch, reference, server_kw, gen_kw):

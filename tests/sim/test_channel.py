@@ -306,7 +306,7 @@ class TestCredits:
             ch.complete_claim("second")
 
         def consumer(env):
-            yield env.charge(5.0)
+            yield env.timeout(5.0)
             item = ch.try_get()
             log.append(("popped", item, env.now))
             ch.release_claim()

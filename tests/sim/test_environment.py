@@ -34,6 +34,42 @@ class TestRun:
         assert env.run(until=p) == "done"
         assert env.now == 4
 
+    def test_run_until_processed_timeout_returns_its_value(self, env):
+        done = env.timeout(3, value="v")
+        env.run()
+        later = env.timeout(5)
+        assert env.run(until=done) == "v"
+        # Nothing ran: the clock stayed put and the later entry waits.
+        assert env.now == 3
+        assert not later.processed
+
+    def test_run_until_finished_process_returns_its_value(self, env):
+        def proc(env):
+            yield env.timeout(4)
+            return "done"
+
+        p = env.process(proc(env))
+        env.run()
+        assert env.run(until=p) == "done"
+        assert env.now == 4
+
+    def test_run_until_processed_failure_raises_it(self, env):
+        def proc(env):
+            yield env.timeout(1)
+            raise ValueError("boom")
+
+        def waiter(env, p):
+            try:
+                yield p
+            except ValueError:
+                pass
+
+        p = env.process(proc(env))
+        env.process(waiter(env, p))
+        env.run()
+        with pytest.raises(ValueError, match="boom"):
+            env.run(until=p)
+
     def test_run_drains_schedule_when_no_until(self, env):
         def proc(env):
             yield env.timeout(1)
@@ -87,13 +123,6 @@ class TestPeekStep:
         env.timeout(5)
         assert env.peek() == 5
 
-    def test_step_advances_one_event(self, env):
-        env.timeout(5)
-        env.timeout(12)
-        env.step()
-        assert env.now == 5
-        env.step()
-        assert env.now == 12
 
 
 class TestActiveProcess:

@@ -1,9 +1,9 @@
-"""Fast-path kernel primitives: pooled charges, detached tasks, counters."""
+"""Fast-path kernel primitives: fixed delays, detached tasks, counters."""
 
 import pytest
 
 from repro.errors import SimulationError
-from repro.sim import Charge, Environment, Interrupt, Timeout
+from repro.sim import Environment, Interrupt
 
 
 @pytest.fixture
@@ -12,95 +12,61 @@ def env():
 
 
 class TestChargePool:
+    """Fixed-delay charges.  The kernel keeps no free list: generators
+    charge with a plain ``timeout``, callback ops with ``defer``, and
+    both take one schedule slot."""
+
     def test_charge_behaves_like_timeout(self, env):
+        """A generator's charge is a plain Timeout, so it carries its
+        value and may be kept and yielded again after it fired."""
         log = []
 
         def proc(env):
-            yield env.charge(5.0)
+            first = env.timeout(5.0)
+            yield first
             log.append(env.now)
-            value = yield env.charge(2.5, value="v")
+            value = yield env.timeout(2.5, value="v")
             log.append(value)
+            yield first  # already fired: resumes at once
+            log.append(env.now)
 
         env.process(proc(env))
         env.run()
-        assert log == [5.0, "v"]
-        assert env.now == 7.5
-
-    def test_fired_charge_is_recycled_and_reused(self, env):
-        def proc(env):
-            yield env.charge(1.0)
-
-        env.process(proc(env))
-        # The spawn kick schedules the process's own callback: it takes
-        # nothing from the pool and returns nothing to it.
-        assert env._charge_pool == []
-        env.run()
-        # Only the charge came back.
-        assert len(env._charge_pool) == 1
-        recycled = env._charge_pool[-1]
-        assert isinstance(recycled, Charge)
-        assert recycled.callbacks == []  # cleared, ready for reuse
-        # The next charge must reuse the exact same object.
-        again = env.charge(3.0)
-        assert again is recycled
-        assert env.charges_reused >= 1
-        env.run()
-
-    def test_step_also_recycles(self, env):
-        env.charge(1.0)
-        env.step()
-        assert len(env._charge_pool) == 1
-
-    def test_plain_timeout_is_never_pooled(self, env):
-        def proc(env):
-            yield env.timeout(1.0)
-
-        env.process(proc(env))
-        env.run()
-        assert all(isinstance(e, Charge) for e in env._charge_pool)
-        assert not any(type(e) is Timeout for e in env._charge_pool)
+        assert log == [5.0, "v", 7.5]
 
     def test_negative_charge_rejected(self, env):
         with pytest.raises(SimulationError):
-            env.charge(-1.0)
+            env.timeout(-1.0)
         with pytest.raises(SimulationError):
             env.defer(-1.0, lambda evt: None)
 
-    def test_pool_is_capped(self, env):
-        def burst(env):
-            for _ in range(10):
-                yield env.charge(0.1)
-
-        for _ in range(3):
-            env.process(burst(env))
-        env.run()
-        assert len(env._charge_pool) <= Environment.POOL_CAP
-
     def test_charge_under_interrupt_fires_harmlessly(self, env):
-        """An interrupted waiter abandons its charge; the event still
-        fires (with no callbacks), is recycled, and the sim goes on."""
+        """An interrupted waiter abandons its timeout; the event still
+        fires (with no callbacks) and the sim goes on."""
         seen = []
+        abandoned = []
 
         def victim(env):
             try:
-                yield env.charge(10.0)
+                delay = env.timeout(10.0)
+                abandoned.append(delay)
+                yield delay
                 seen.append("finished")
             except Interrupt as exc:
                 seen.append(("interrupted", exc.cause))
-                yield env.charge(4.0)  # a fresh charge still works
+                yield env.timeout(4.0)  # a fresh delay still works
                 seen.append(env.now)
 
         def attacker(env, target):
-            yield env.charge(3.0)
+            yield env.timeout(3.0)
             target.interrupt("die")
 
         p = env.process(victim(env))
         env.process(attacker(env, p))
         env.run()
         assert seen == [("interrupted", "die"), 7.0]
-        # Both the abandoned charge (fired at t=10 with no waiters) and
-        # the others are back in the pool.
-        assert len(env._charge_pool) >= 2
+        assert abandoned[0].processed
+        assert env.now == 10.0
 
     def test_defer_invokes_callback_at_time(self, env):
         fired = []
@@ -109,8 +75,8 @@ class TestChargePool:
         assert fired == [2.0]
 
     def test_defer_schedules_the_bare_callback(self, env):
-        """No event object: the callback gets None, the pool is
-        untouched, and a rejected negative delay takes no event id."""
+        """No event object: the callback gets None, and a rejected
+        negative delay takes no event id."""
         fired = []
         env.defer(1.0, fired.append)
         assert env._eid == 1
@@ -119,43 +85,22 @@ class TestChargePool:
         assert env._eid == 1
         env.run()
         assert fired == [None]
-        assert env._charge_pool == []
-        assert env.charges_created == env.charges_reused == 0
 
     def test_charge_orders_like_timeout_at_equal_time(self, env):
-        """Creation order breaks timestamp ties, mixing both kinds."""
+        """Creation order breaks timestamp ties, mixing a generator's
+        timeout and a callback op's defer."""
         order = []
 
-        def a(env):
-            yield env.timeout(5.0)
-            order.append("timeout")
+        def a(env, delay):
+            yield env.timeout(delay)
+            order.append(("timeout", env.now))
 
-        def b(env):
-            yield env.charge(5.0)
-            order.append("charge")
-
-        env.process(a(env))
-        env.process(b(env))
+        env.process(a(env, 5.0))
+        env.run(until=1.0)
+        env.defer(4.0, lambda _: order.append(("defer", env.now)))
+        env.process(a(env, 4.0))
         env.run()
-        assert order == ["timeout", "charge"]
-
-
-class TestImmediate:
-    def test_immediate_resumes_synchronously(self, env):
-        log = []
-
-        def proc(env):
-            value = yield env.immediate(99)
-            log.append((env.now, value, env.events_processed))
-
-        env.process(proc(env))
-        env.run()
-        # Only the spawn kick was dispatched; the immediate scheduled
-        # nothing and the clock never moved.
-        assert log == [(0.0, 99, 0)]
-
-    def test_immediate_is_reused(self, env):
-        assert env.immediate(1) is env.immediate(2)
+        assert order == [("timeout", 5.0), ("defer", 5.0), ("timeout", 5.0)]
 
 
 class TestDetached:
@@ -163,7 +108,7 @@ class TestDetached:
         log = []
 
         def task(env):
-            yield env.charge(2.0)
+            yield env.timeout(2.0)
             log.append(env.now)
 
         env.detached(task(env))
@@ -172,26 +117,35 @@ class TestDetached:
         assert env.tasks_spawned == 1
         assert env.processes_spawned == 0
 
-    def test_task_driver_is_pooled(self, env):
-        def task(env):
-            yield env.charge(1.0)
+    def test_detached_schedules_no_termination_event(self, env):
+        """Same driver loop as a process, one entry fewer: the spawn kick
+        and the timeout, but no termination event."""
 
-        env.detached(task(env))
+        def body(env):
+            yield env.timeout(1.0)
+
+        env.detached(body(env))
         env.run()
-        assert len(env._task_pool) == 1
-        driver = env._task_pool[-1]
-        env.detached(task(env))
-        assert not env._task_pool  # reused, not reallocated
+        assert (env._eid, env.events_processed) == (2, 2)
+        env.process(body(env))
         env.run()
-        assert env._task_pool[-1] is driver
+        assert (env._eid, env.events_processed) == (5, 5)
 
     def test_detached_failure_crashes_the_run(self, env):
         def task(env):
-            yield env.charge(1.0)
+            yield env.timeout(1.0)
             raise RuntimeError("boom")
 
         env.detached(task(env))
         with pytest.raises(RuntimeError, match="boom"):
+            env.run()
+
+    def test_detached_non_event_yield_crashes_the_run(self, env):
+        def task(env):
+            yield 42
+
+        env.detached(task(env))
+        with pytest.raises(SimulationError, match="non-event"):
             env.run()
 
     def test_detached_can_wait_on_regular_events(self, env):
@@ -241,7 +195,7 @@ class TestConditionScale:
 class TestKernelCounters:
     def test_counters_accumulate(self, env):
         def proc(env):
-            yield env.charge(1.0)
+            yield env.timeout(1.0)
             yield env.timeout(1.0)
 
         env.process(proc(env))
@@ -252,7 +206,6 @@ class TestKernelCounters:
         assert stats["tasks_spawned"] == 1
         assert stats["events_processed"] > 0
         assert stats["heap_peak"] >= 1
-        assert stats["charges_created"] + stats["charges_reused"] >= 2
         assert stats["wall_seconds"] >= 0.0
 
     def test_module_totals_flush_on_run(self):
@@ -262,7 +215,7 @@ class TestKernelCounters:
         env = Environment()
 
         def proc(env):
-            yield env.charge(1.0)
+            yield env.timeout(1.0)
 
         env.process(proc(env))
         env.run()
@@ -279,13 +232,14 @@ class TestKernelCounters:
         assert combined["events_per_sec"] >= 0.0
 
     def test_format_kernel_stats_renders(self, env):
-        from repro.sim.stats import format_kernel_stats
+        from repro.telemetry.export import format_kernel_stats
 
         def proc(env):
-            yield env.charge(1.0)
+            yield env.timeout(1.0)
 
         env.process(proc(env))
         env.run()
         text = format_kernel_stats(env.kernel_stats())
         assert "events processed" in text
         assert "events/sec" in text
+        assert "pooled" not in text

@@ -60,15 +60,3 @@ class TestFormatting:
         text = format_snapshot(sample_snapshot(), prefix="mqueue")
         assert "mqueue.q0.depth" in text
         assert "sim.kernel" not in text
-
-    def test_kernel_stats_shim_still_importable_from_sim(self):
-        # The CLI-facing home moved to telemetry.export; sim.stats keeps
-        # a compatibility re-export.
-        from repro.sim.stats import format_kernel_stats as via_sim
-        from repro.telemetry.export import format_kernel_stats as via_tel
-        assert via_sim is via_tel
-        text = via_tel({"events_processed": 10, "processes_spawned": 1,
-                        "tasks_spawned": 2, "charges_created": 3,
-                        "charges_reused": 1, "heap_peak": 4,
-                        "wall_seconds": 0.5, "events_per_sec": 20.0})
-        assert "events processed" in text

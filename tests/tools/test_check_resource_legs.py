@@ -62,8 +62,8 @@ class TestCheckModule:
     def test_event_borne_callbacks_flagged(self, tmp_path):
         path = write(tmp_path, "mod.py", """\
             self.rx.get().callbacks.append(self._on_msg)
-            env.charge(self._gap()).callbacks.append(self._fire)
-            gen.env.charge(gen.think_time).callbacks.append(self._thought)
+            env.timeout(self._gap()).callbacks.append(self._fire)
+            gen.env.timeout(gen.think_time).callbacks.append(self._thought)
             """)
         findings = lint.check_module(path)
         assert [lineno for lineno, _ in findings] == [1, 2, 3]
@@ -76,7 +76,7 @@ class TestCheckModule:
             self.waiter.callbacks.append(self._answered)
             heappush(self._waiters, entry)
             msg = yield self.rx.get()
-            yield env.charge(1.0)
+            yield env.timeout(1.0)
             """)
         assert lint.check_module(path) == []
 

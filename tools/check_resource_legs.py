@@ -14,7 +14,7 @@ The schedule itself belongs to ``repro/sim/`` too (DESIGN.md §4.1): a
 callback state machine steps with ``Environment.defer`` and
 ``Store.get_then``, and triggers an event with ``Event.succeed``, never
 by pushing a heap entry or reading the event-id counter, and never by
-hanging its callback on a fresh ``get()`` or ``charge()`` event.
+hanging its callback on a fresh ``get()`` or ``timeout()`` event.
 
 The cyclic collector belongs to ``repro/sim/`` and the sweep's point
 boundary (``experiments/sweep.py``, DESIGN.md §4.8): a collection in the
@@ -29,7 +29,7 @@ Flags, under ``SRC_DIR`` (default ``src/repro``) outside ``sim/``:
 
 * ``._res.request(`` / ``.issue.request(`` (``hw/cpu.py`` exempt);
 * ``heappush(`` onto a ``._queue`` and any ``._eid`` use;
-* ``.get().callbacks.append(`` and ``.charge(...).callbacks.append(``;
+* ``.get().callbacks.append(`` and ``.timeout(...).callbacks.append(``;
 * ``gc.collect(`` / ``gc.disable(`` / ``gc.enable(`` / ``gc.freeze(``
   (``experiments/sweep.py`` exempt).
 
@@ -53,7 +53,7 @@ RULES = (
      "hand-driven schedule %r: use Event.succeed or Environment.defer",
      ()),
     (re.compile(r"\.get\(\)\.callbacks\.append\("
-                r"|\.charge\(.*\)\.callbacks\.append\("),
+                r"|\.timeout\(.*\)\.callbacks\.append\("),
      "event-borne callback %r: use Store.get_then or Environment.defer",
      ()),
     (re.compile(r"\bgc\.(?:collect|disable|enable|freeze)\("),
