@@ -15,10 +15,7 @@ Rounds interleave the two planes (A/B/A/B...) so machine-speed drift
 lands on both sides; the gate is the *best* vector:scalar
 arrivals-per-wall-second ratio across rounds, which is
 machine-independent and must stay >= ``RATIO_FLOOR`` (dev machine
-measures 5.3-6.0x steady-state).  The recorded JSON
-also carries a modeled-users-per-wall-second scalar: the same
-generation work re-labeled as a million-user population (``users`` is
-reporting-only flyweight state, so the cost is identical).
+measures 5.3-6.0x steady-state).
 """
 
 import json
@@ -29,7 +26,6 @@ from repro.experiments.testbed import Testbed
 from repro.net import (
     Address,
     ClientPopulation,
-    Flow,
     OpenLoopGenerator,
     PayloadPool,
     PoissonPopulation,
@@ -51,8 +47,6 @@ ROUNDS = 4
 #: the acceptance bar; dev machine measures 5.3-6.0x steady-state
 #: (the first round runs cold, which is what best-of-rounds absorbs)
 RATIO_FLOOR = 5.0
-#: flyweight population size for the users/wall-second scalar
-MODELED_USERS = 1_000_000
 
 
 def _save(section, payload):
@@ -92,13 +86,12 @@ def _scalar_round(seed):
     return sum(g.offered for g in gens), wall
 
 
-def _vector_round(seed, users=1):
+def _vector_round(seed):
     """(arrivals, wall_seconds) for the population plane."""
     tb, dst = _mute_testbed(seed)
-    flow = Flow("bench",
-                PoissonPopulation(RATE, tb.rng.stream("bench"), users=users),
-                PayloadPool.single(b"x" * 64))
-    pop = ClientPopulation(tb.env, tb.network, "10.0.9.1", dst, [flow],
+    pop = ClientPopulation(tb.env, tb.network, "10.0.9.1", dst,
+                           PoissonPopulation(RATE, tb.rng.stream("bench")),
+                           PayloadPool.single(b"x" * 64),
                            coalesce_us=COALESCE_US)
     t0 = time.perf_counter()
     tb.run(until=HORIZON_US)
@@ -112,7 +105,7 @@ def test_vectorized_plane_beats_scalar():
     for i in range(ROUNDS):
         # Interleave within the round so drift hits both planes alike.
         s_arrivals, s_wall = _scalar_round(SEED + i)
-        v_arrivals, v_wall = _vector_round(SEED + i, users=MODELED_USERS)
+        v_arrivals, v_wall = _vector_round(SEED + i)
         s_rate = s_arrivals / s_wall
         v_rate = v_arrivals / v_wall
         entry = {
@@ -123,7 +116,6 @@ def test_vectorized_plane_beats_scalar():
             "vector_wall_seconds": round(v_wall, 4),
             "vector_arrivals_per_sec": round(v_rate),
             "ratio": round(v_rate / s_rate, 2),
-            "users_per_wall_second": round(MODELED_USERS / v_wall),
         }
         rounds.append(entry)
         if best is None or entry["ratio"] > best["ratio"]:
@@ -133,10 +125,8 @@ def test_vectorized_plane_beats_scalar():
         "horizon_us": HORIZON_US,
         "coalesce_us": COALESCE_US,
         "scalar_clients": SCALAR_CLIENTS,
-        "modeled_users": MODELED_USERS,
         "best_ratio": best["ratio"],
         "best_vector_arrivals_per_sec": best["vector_arrivals_per_sec"],
-        "best_users_per_wall_second": best["users_per_wall_second"],
         "rounds": rounds,
     })
     assert best["ratio"] >= RATIO_FLOOR, (

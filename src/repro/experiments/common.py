@@ -5,7 +5,7 @@ from .. import telemetry
 from ..apps.base import SpinApp
 from ..baseline import HostCentricServer
 from ..config import K40M
-from ..net import Address, ClientPopulation, ClosedLoopGenerator, Flow, \
+from ..net import Address, ClientPopulation, ClosedLoopGenerator, \
     OpenLoopGenerator, PayloadPool, PoissonPopulation
 from ..net.packet import UDP
 from .testbed import Testbed
@@ -99,7 +99,7 @@ def measure_population(dep, payload, rate_per_us, warmup=20000.0,
     if source is None:
         source = PoissonPopulation(rate_per_us, tb.rng.stream("population"))
     pop = ClientPopulation(tb.env, tb.network, "10.0.9.1", dep.address,
-                           [Flow("load", source, PayloadPool.single(payload))],
+                           source, PayloadPool.single(payload),
                            timeout=timeout)
     tb.warmup_then_measure([pop], warmup, measure)
     pop.flush()

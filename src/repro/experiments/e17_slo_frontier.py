@@ -34,8 +34,7 @@ from ..apps.lenet import LeNetApp, MnistStream
 from ..apps.memcached import MemcachedServer, encode_get, encode_set
 from ..config import XEON_VMA
 from ..errors import ConfigError
-from ..net import Address, ClientPopulation, Flow, PayloadPool, \
-    arrival_factory
+from ..net import Address, ClientPopulation, PayloadPool, arrival_factory
 from .base import ExperimentResult
 from .common import HOST_CENTRIC, LYNX_BLUEFIELD, deploy
 from .slo import find_sustainable_load
@@ -105,8 +104,7 @@ def _memcached_trial(design, arrivals, rate, seed, warmup, measure):
                             skew=MC_ZIPF_SKEW)
     source = arrival_factory(arrivals)(rate, tb.rng.stream("population"))
     pop = ClientPopulation(env, tb.network, "10.0.9.1", address,
-                           [Flow("memcached", source, pool)],
-                           timeout=TIMEOUT_US["memcached"])
+                           source, pool, timeout=TIMEOUT_US["memcached"])
     return _drive(pop, tb, warmup, measure)
 
 
@@ -120,8 +118,7 @@ def _lenet_trial(design, arrivals, rate, seed, warmup, measure):
     pool = PayloadPool.uniform(images, tb.rng.stream("population.keys"))
     source = arrival_factory(arrivals)(rate, tb.rng.stream("population"))
     pop = ClientPopulation(dep.env, tb.network, "10.0.9.1", dep.address,
-                           [Flow("lenet", source, pool)],
-                           timeout=TIMEOUT_US["lenet"])
+                           source, pool, timeout=TIMEOUT_US["lenet"])
     return _drive(pop, tb, warmup, measure)
 
 

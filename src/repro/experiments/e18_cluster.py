@@ -41,7 +41,7 @@ fixed seed (pinned by ``tests/experiments/test_e18_cluster.py``).
 from ..apps.memcached import MemcachedServer, encode_get
 from ..config import XEON_VMA
 from ..faults import FaultInjector, FaultSchedule, RackFailure
-from ..net import Address, ClientPopulation, ConsistentHashRing, Flow, \
+from ..net import Address, ClientPopulation, ConsistentHashRing, \
     L4LoadBalancer, PayloadPool, arrival_factory, shard_preload
 from ..telemetry.instruments import LogHistogram
 from .base import krps
@@ -189,8 +189,7 @@ def cluster_scenario(policy, nodes, failover, warmup, measure, seed=42,
             skew=ZIPF_SKEW)
         source = arrival_factory("poisson")(
             rate / RACKS, tb.rng.stream("population.r%d" % rack))
-        pops.append(ClientPopulation(env, net, ip, vip_addr,
-                                     [Flow("kv", source, pool)],
+        pops.append(ClientPopulation(env, net, ip, vip_addr, source, pool,
                                      timeout=TIMEOUT_US))
 
     injector = None

@@ -254,7 +254,8 @@ class LynxRuntime:
             procs = respawn()
         else:
             # Apps with a custom handle() coroutine (backend RPCs,
-            # pipeline relays) keep the interruptible generator loop.
+            # pipeline relays), and every app on a non-GPU accelerator,
+            # keep the interruptible generator loop.
             def body_factory(tb):
                 return _service_loop(self.env, io, app, contexts[tb])
 
@@ -470,66 +471,19 @@ class _ThreadblockOp(Event):
 def _service_loop(env, io, app, ctx):
     """One threadblock's request loop (runs until killed).
 
-    The loop stays a real :class:`Process` so failure injection can
-    ``interrupt()`` it, but the steady-state request chain is flattened:
-    :meth:`AcceleratorIO.recv`/:meth:`~AcceleratorIO.send` are inlined
-    (their bodies, event for event), and apps that use the stock
-    ``ServerApp.handle`` skip the ``handle``/``ctx.compute`` generator
-    pair entirely.  Generator creation consumes no schedule slots, so
-    the flattening is invisible to the event order — it only removes
-    four heap allocations and a yield-from trampoline per request.
+    Serves apps with a custom ``handle()`` coroutine, and every app on
+    an accelerator that is not a :class:`~repro.hw.gpu.GPU` (the VCA
+    adapter); stock-handle apps on a GPU run as :class:`_ThreadblockOp`
+    instead.  The loop stays a real :class:`Process` so failure
+    injection can ``interrupt()`` it.
     """
-    from ..apps.base import ServerApp
-    from ..net.packet import payload_size
-    from ..sim import Interrupt
-    from .mqueue import MQueueEntry
-
     mq = ctx.mq
-    gpu = ctx.gpu
-    local = io.local_latency
-    timeout = env.timeout
-    pop_rx = mq.pop_rx
-    push_tx = mq.push_tx
-    stock_handle = type(app).handle is ServerApp.handle
     try:
         while True:
-            # -- io.recv(mq), inlined --
-            entry = yield pop_rx()
-            yield timeout(local)
-            io.received += 1
-            req_msg = entry.request_msg
-            if req_msg is not None:
-                req_msg.meta["t_accel_start"] = env.now
-            # -- app.handle(ctx, entry) --
-            if stock_handle:
-                result = app.compute(entry.payload)
-                if gpu is None:
-                    yield timeout(app.gpu_duration)
-                elif app.use_dynamic_parallelism:
-                    # gpu.child_launch(duration) with one threadblock,
-                    # inlined (the LeNet server's per-request launch)
-                    yield timeout(gpu.profile.device_launch_latency)
-                    slot = gpu.sm_slots.request()
-                    yield slot
-                    gpu.kernels_launched += 1
-                    try:
-                        yield timeout(gpu.scaled(app.gpu_duration))
-                    finally:
-                        slot.release()
-                else:
-                    yield timeout(gpu.scaled(app.gpu_duration))
-            else:
-                result = yield from app.handle(ctx, entry)
+            entry = yield from io.recv(mq)
+            result = yield from app.handle(ctx, entry)
             if result is not None:
-                # -- io.send(mq, result, reply_to=entry), inlined --
-                out = MQueueEntry(payload=result, size=payload_size(result),
-                                  error=0, request_msg=req_msg)
-                if req_msg is not None:
-                    req_msg.meta["t_accel_done"] = env.now
-                yield timeout(local)
-                yield push_tx(out)
-                mq.ring_doorbell()
-                io.sent += 1
+                yield from io.send(mq, result, reply_to=entry)
     except Interrupt:
         # failure injection: the threadblock dies quietly; upstream
         # stages observe it through backend timeouts (§5.1 metadata)

@@ -7,13 +7,11 @@ from .cluster import ConsistentHashRing, L4LoadBalancer, STEER_POLICIES, \
     extract_key, shard_preload
 from .rdma import RdmaEngine, QueuePair
 from .client import Client, OpenLoopGenerator, ClosedLoopGenerator
-from .arrivals import ArrivalProcess, OnOffBurst, Poisson, TraceReplay, \
-    Uniform, load_trace_timestamps
+from .arrivals import OnOffBurst, TraceReplay, load_trace_timestamps
 from .population import (
     BModelPopulation,
     ClientPopulation,
     DiurnalPopulation,
-    Flow,
     InFlightTable,
     OnOffPopulation,
     PayloadPool,
@@ -43,9 +41,6 @@ __all__ = [
     "Client",
     "OpenLoopGenerator",
     "ClosedLoopGenerator",
-    "ArrivalProcess",
-    "Uniform",
-    "Poisson",
     "OnOffBurst",
     "TraceReplay",
     "load_trace_timestamps",
@@ -57,7 +52,6 @@ __all__ = [
     "BModelPopulation",
     "TracePopulation",
     "PayloadPool",
-    "Flow",
     "InFlightTable",
     "arrival_factory",
 ]

@@ -1,9 +1,11 @@
-"""Arrival processes for load generation.
+"""Gap-at-a-time arrival processes for ``OpenLoopGenerator``.
 
-sockperf-style constant pacing and Poisson arrivals cover the paper's
-methodology; bursty (Markov-modulated on/off) and trace-replay
-processes support the ablations (e.g. ring sizing under bursts) and
-downstream users with their own traces.
+The generator paces constant or Poisson load itself (sockperf's two
+modes, the paper's methodology); the processes here override that
+pacing with bursty (Markov-modulated on/off) and trace-replay gaps for
+the ablations (e.g. ring sizing under bursts) and for downstream users
+with their own traces.  Each yields successive inter-arrival gaps (us)
+from ``next_gap()``.
 """
 
 import csv
@@ -50,42 +52,7 @@ def load_trace_timestamps(path):
     return stamps
 
 
-class ArrivalProcess:
-    """Yields successive inter-arrival gaps (us)."""
-
-    def next_gap(self):
-        raise NotImplementedError
-
-
-class Uniform(ArrivalProcess):
-    """Constant pacing at a fixed rate (sockperf's default)."""
-
-    def __init__(self, rate_per_us):
-        if rate_per_us <= 0:
-            raise ConfigError("rate must be positive")
-        self._gap = 1.0 / rate_per_us
-
-    def next_gap(self):
-        """Constant gap."""
-        return self._gap
-
-
-class Poisson(ArrivalProcess):
-    """Memoryless arrivals at a mean rate."""
-
-    def __init__(self, rate_per_us, rng, stream="poisson-arrivals"):
-        if rate_per_us <= 0:
-            raise ConfigError("rate must be positive")
-        self._mean = 1.0 / rate_per_us
-        self._rng = rng
-        self._stream = stream
-
-    def next_gap(self):
-        """Exponential gap with the configured mean."""
-        return self._rng.exponential(self._stream, self._mean)
-
-
-class OnOffBurst(ArrivalProcess):
+class OnOffBurst:
     """Markov-modulated on/off bursts.
 
     During an ON period arrivals come at ``burst_rate``; OFF periods are
@@ -127,7 +94,7 @@ class OnOffBurst(ArrivalProcess):
             self.burst_rate, self.on_mean, self.off_mean, self.mean_rate)
 
 
-class TraceReplay(ArrivalProcess):
+class TraceReplay:
     """Replays recorded arrival timestamps (us, ascending), looping."""
 
     @classmethod

@@ -302,7 +302,8 @@ class OpenLoopGenerator:
         self.proto = proto
         self.conn = conn
         self.poisson = poisson
-        #: optional ArrivalProcess overriding rate/poisson pacing
+        #: optional gap source (``OnOffBurst``, ``TraceReplay``: any
+        #: object with ``next_gap()``) overriding rate/poisson pacing
         self.arrivals = arrivals
         self.name = name or "openloop->%s" % (dst,)
         self._stopped = False

@@ -17,9 +17,9 @@ every per-request quantity in struct-of-arrays numpy columns:
   (Zipf-sampled keys for memcached, pre-rendered tensors for the
   accelerator apps), sampled per chunk with one ``searchsorted``;
 * in-flight requests live in an :class:`InFlightTable` — msg-id /
-  send-time / deadline / stream-id columns, no per-request object —
-  and response latencies are resolved in batches straight into
-  telemetry :class:`~repro.telemetry.instruments.LogHistogram`\\ s via
+  send-time / deadline columns, no per-request object — and response
+  latencies are resolved in batches straight into a telemetry
+  :class:`~repro.telemetry.instruments.LogHistogram` via
   ``record_many``;
 * injection is frame-coalesced: arrivals within ``coalesce_us`` of
   each other wake the population once and ride one
@@ -43,7 +43,7 @@ from .. import telemetry, units
 from ..errors import ConfigError
 from ..sim import Channel, RateMeter
 from ..telemetry.instruments import LogHistogram
-from .packet import Address, Message, UDP, UDP_HEADER, payload_size
+from .packet import Address, Message, UDP_HEADER, payload_size
 from .arrivals import load_trace_timestamps
 
 #: target arrivals per pre-generated chunk
@@ -76,27 +76,23 @@ class PopulationArrivals:
     of arrival times in ``[start, until)``.  Windows are consumed
     monotonically (``start`` of one call is ``until`` of the previous),
     so sources may keep segment state between calls.  ``mean_rate`` is
-    the long-run average (arrivals/us), used for chunk sizing;
-    ``users`` is the modeled population size behind the aggregate
-    (reporting only — the flyweight cost is independent of it).
+    the long-run average (arrivals/us), used for chunk sizing.
     """
 
     mean_rate = 0.0
-    users = 1
 
     def take(self, start, until):
         raise NotImplementedError
 
 
 class PoissonPopulation(PopulationArrivals):
-    """Aggregate Poisson arrivals: the superposition of ``users``
+    """Aggregate Poisson arrivals: the superposition of any number of
     independent user processes is itself Poisson at the summed rate."""
 
-    def __init__(self, rate_per_us, stream, users=1):
+    def __init__(self, rate_per_us, stream):
         if rate_per_us <= 0:
             raise ConfigError("population rate must be positive")
         self.mean_rate = float(rate_per_us)
-        self.users = int(users)
         self._stream = stream
 
     def take(self, start, until):
@@ -109,8 +105,7 @@ class OnOffPopulation(PopulationArrivals):
     periods are silent, period lengths are exponential — the vectorized
     twin of :class:`~repro.net.arrivals.OnOffBurst`."""
 
-    def __init__(self, burst_rate_per_us, on_mean_us, off_mean_us, stream,
-                 users=1):
+    def __init__(self, burst_rate_per_us, on_mean_us, off_mean_us, stream):
         if burst_rate_per_us <= 0 or on_mean_us <= 0 or off_mean_us < 0:
             raise ConfigError("invalid on/off burst parameters")
         self.burst_rate = float(burst_rate_per_us)
@@ -118,7 +113,6 @@ class OnOffPopulation(PopulationArrivals):
         self.off_mean = float(off_mean_us)
         self.mean_rate = (self.burst_rate * self.on_mean
                           / (self.on_mean + self.off_mean))
-        self.users = int(users)
         self._stream = stream
         self._on = True
         self._left = float(stream.exponential(self.on_mean))
@@ -157,8 +151,7 @@ class DiurnalPopulation(PopulationArrivals):
     #: default envelope: a trough-to-evening-peak "day" in 8 phases
     ENVELOPE = (0.35, 0.55, 0.9, 1.3, 1.5, 1.45, 1.0, 0.95)
 
-    def __init__(self, mean_rate_per_us, period_us, stream, envelope=None,
-                 users=1):
+    def __init__(self, mean_rate_per_us, period_us, stream, envelope=None):
         if mean_rate_per_us <= 0 or period_us <= 0:
             raise ConfigError("invalid diurnal parameters")
         envelope = tuple(envelope if envelope is not None else self.ENVELOPE)
@@ -168,7 +161,6 @@ class DiurnalPopulation(PopulationArrivals):
         self.envelope = tuple(e * scale for e in envelope)
         self.mean_rate = float(mean_rate_per_us)
         self.period = float(period_us)
-        self.users = int(users)
         self._stream = stream
         self._phase_len = self.period / len(self.envelope)
 
@@ -217,7 +209,7 @@ class BModelPopulation(DiurnalPopulation):
     """
 
     def __init__(self, mean_rate_per_us, period_us, stream, b=0.7,
-                 levels=7, users=1):
+                 levels=7):
         if not 0.5 <= b < 1.0:
             raise ConfigError("b-model bias must be in [0.5, 1.0)")
         if not 1 <= levels <= 20:
@@ -236,7 +228,7 @@ class BModelPopulation(DiurnalPopulation):
         # gives a mean-1.0 envelope (DiurnalPopulation re-normalizes,
         # which is a no-op here but keeps float round-off consistent).
         super().__init__(mean_rate_per_us, period_us, stream,
-                         envelope=weights * weights.size, users=users)
+                         envelope=weights * weights.size)
 
 
 class TracePopulation(PopulationArrivals):
@@ -246,7 +238,7 @@ class TracePopulation(PopulationArrivals):
     long-run rate matches a target (bisection over trace-shaped load).
     """
 
-    def __init__(self, timestamps, rate_per_us=None, users=1):
+    def __init__(self, timestamps, rate_per_us=None):
         stamps = np.asarray(list(timestamps), dtype=float)
         if stamps.size < 2:
             raise ConfigError("a trace needs at least two timestamps")
@@ -268,13 +260,11 @@ class TracePopulation(PopulationArrivals):
         self._span = span
         self._cycle_start = 0.0
         self.mean_rate = gaps.size / span
-        self.users = int(users)
 
     @classmethod
-    def from_file(cls, path, rate_per_us=None, users=1):
+    def from_file(cls, path, rate_per_us=None):
         """Load ``.npy`` or CSV timestamps (see ``TraceReplay.from_file``)."""
-        return cls(load_trace_timestamps(path), rate_per_us=rate_per_us,
-                   users=users)
+        return cls(load_trace_timestamps(path), rate_per_us=rate_per_us)
 
     def take(self, start, until):
         parts = []
@@ -337,6 +327,7 @@ class PayloadPool:
     Holds the distinct request payloads once (e.g. one memcached GET
     per key) plus their sizes; :meth:`sample` draws per-arrival payload
     indices for a whole chunk with one inverse-CDF ``searchsorted``.
+    Without *weights* every payload is equally likely.
     """
 
     def __init__(self, payloads, stream=None, weights=None):
@@ -347,12 +338,12 @@ class PayloadPool:
         #: injection loop, where scalar conversion would cost
         self.sizes = [payload_size(p) for p in self.payloads]
         self._stream = stream
-        self._cdf = None
-        if weights is not None:
-            w = np.asarray(list(weights), dtype=float)
-            if w.size != len(self.payloads) or (w < 0).any() or w.sum() <= 0:
-                raise ConfigError("invalid payload weights")
-            self._cdf = np.cumsum(w) / w.sum()
+        if weights is None:
+            weights = np.ones(len(self.payloads))
+        w = np.asarray(list(weights), dtype=float)
+        if w.size != len(self.payloads) or (w < 0).any() or w.sum() <= 0:
+            raise ConfigError("invalid payload weights")
+        self._cdf = np.cumsum(w) / w.sum()
         if len(self.payloads) > 1 and stream is None:
             raise ConfigError("a multi-payload pool needs an RNG stream")
 
@@ -371,8 +362,7 @@ class PayloadPool:
     @classmethod
     def uniform(cls, payloads, stream):
         """Equal-probability sampling over *payloads*."""
-        return cls(payloads, stream=stream,
-                   weights=np.ones(len(payloads)))
+        return cls(payloads, stream=stream)
 
     def sample(self, n):
         """Payload indices for *n* arrivals (int64 array)."""
@@ -382,29 +372,12 @@ class PayloadPool:
                                side="right").astype(np.int64)
 
 
-class Flow:
-    """One traffic class inside a population: an arrival source plus a
-    payload pool, recorded under its own latency histogram."""
-
-    __slots__ = ("name", "arrivals", "payloads", "proto", "hist")
-
-    def __init__(self, name, arrivals, payloads, proto=UDP):
-        if proto != UDP:
-            raise ConfigError("populations model UDP datagram traffic; "
-                              "use Client/ClosedLoopGenerator for TCP")
-        self.name = name
-        self.arrivals = arrivals
-        self.payloads = payloads
-        self.proto = proto
-        self.hist = LogHistogram()
-
-
 class InFlightTable:
     """Struct-of-arrays in-flight request tracking.
 
     Columns: request ``msg_id`` (monotonically increasing — the global
-    Message counter only moves forward), send time, deadline, flow
-    (stream) id, and a done flag.  Appends stage into a python list and
+    Message counter only moves forward), send time and deadline, plus a
+    done flag.  Injection frames stage into a python list and
     bulk-materialize into the columns at resolve/expiry boundaries;
     responses resolve ids to rows with one ``searchsorted`` per batch.
     No per-request objects, no ``_waiters`` dict.
@@ -420,15 +393,9 @@ class InFlightTable:
         self._msg = np.zeros(capacity, dtype=np.int64)
         self._send = np.zeros(capacity, dtype=np.float64)
         self._deadline = np.zeros(capacity, dtype=np.float64)
-        self._flow = np.zeros(capacity, dtype=np.int16)
         self._done = np.zeros(capacity, dtype=bool)
 
-    def append(self, msg_id, send_time, deadline, flow):
-        """Stage one in-flight request (materialized lazily)."""
-        self._staged.append((msg_id, send_time, deadline, flow))
-        self._live += 1
-
-    def append_run(self, first_id, send_times, deadline_offset, flow):
+    def append_run(self, first_id, send_times, deadline_offset):
         """Stage one injection frame of consecutive message ids.
 
         The pump creates a frame's Messages back to back, so their ids
@@ -441,7 +408,7 @@ class InFlightTable:
         else:
             deadlines = (t + deadline_offset for t in send_times)
         self._staged.extend(zip(itertools.count(first_id), send_times,
-                                deadlines, itertools.repeat(flow)))
+                                deadlines))
         self._live += len(send_times)
 
     @property
@@ -464,7 +431,6 @@ class InFlightTable:
         self._msg[n:n + k] = cols[:, 0].astype(np.int64)
         self._send[n:n + k] = cols[:, 1]
         self._deadline[n:n + k] = cols[:, 2]
-        self._flow[n:n + k] = cols[:, 3].astype(np.int16)
         self._done[n:n + k] = False
         self._n = n + k
         staged.clear()
@@ -478,12 +444,11 @@ class InFlightTable:
         while live + (need - n) > cap // 2:
             cap *= 2
         msg, send = self._msg[:n][keep], self._send[:n][keep]
-        deadline, flow = self._deadline[:n][keep], self._flow[:n][keep]
+        deadline = self._deadline[:n][keep]
         self._grow_to(cap)
         self._msg[:live] = msg
         self._send[:live] = send
         self._deadline[:live] = deadline
-        self._flow[:live] = flow
         self._n = live
 
     def _rows_for(self, ids):
@@ -503,19 +468,18 @@ class InFlightTable:
     def resolve(self, ids, times):
         """Complete the requests answered by *ids* at *times*.
 
-        Returns ``(latencies, flows, misses)``: raw response-minus-send
-        latencies and flow ids for the matched rows (response order),
-        plus the count of ids with no live row (late responses landing
-        after their deadline sweep, duplicates).
+        Returns ``(latencies, misses)``: raw response-minus-send
+        latencies for the matched rows (response order), plus the count
+        of ids with no live row (late responses landing after their
+        deadline sweep, duplicates).
         """
         rows = self._rows_for(ids)
         ok = rows >= 0
         hit = rows[ok]
         lat = np.asarray(times, dtype=float)[ok] - self._send[hit]
-        flows = self._flow[hit]
         self._done[hit] = True
         self._live -= int(hit.size)
-        return lat, flows, int(len(ids) - hit.size)
+        return lat, int(len(ids) - hit.size)
 
     def kill(self, ids):
         """Mark *ids* done without recording latency (error responses).
@@ -542,6 +506,12 @@ class InFlightTable:
             view[stale] = True
             self._live -= count
         return count
+
+
+#: buffered responses that trigger one vectorized resolve
+RESOLVE_BATCH = 256
+#: source ports a population rotates its requests over (40001, ...)
+SRC_ADDRS = 64
 
 
 class _PopulationRxOp:
@@ -571,7 +541,7 @@ class _PopulationRxOp:
             ingest = pop._ingest
             for msg in more:
                 ingest(msg, now)
-        if len(pop._resp_ids) >= pop.resolve_batch:
+        if len(pop._resp_ids) >= RESOLVE_BATCH:
             pop._resolve_pending()
         self._arm()
 
@@ -579,10 +549,12 @@ class _PopulationRxOp:
 class ClientPopulation:
     """A ToR port's worth of users as one flyweight network endpoint.
 
-    Parameters mirror :class:`~repro.net.client.Client` where they
-    model the same thing (``send_cost``/``recv_cost``/``link_rate``).
-    ``flows`` is a list of :class:`Flow`; ``timeout`` (us) bounds each
-    request's deadline column (``None`` disables expiry).
+    Sends UDP datagrams at the instants of one *arrivals* source
+    (a :class:`PopulationArrivals`), each carrying a payload drawn from
+    one :class:`PayloadPool`.  Parameters mirror
+    :class:`~repro.net.client.Client` where they model the same thing
+    (``send_cost``/``recv_cost``/``link_rate``).  ``timeout`` (us)
+    bounds each request's deadline column (``None`` disables expiry).
     ``coalesce_us`` frames injection wakeups: arrivals whose wire entry
     falls in the same frame are injected back-to-back at the frame's
     last entry time (0 = exact per-arrival wakeups).  Coalescing delay
@@ -590,13 +562,10 @@ class ClientPopulation:
     generator's send machinery, exactly like NIC interrupt moderation.
     """
 
-    def __init__(self, env, network, ip, dst, flows, link_rate=units.gbps(40),
-                 send_cost=2.0, recv_cost=2.0, timeout=None, coalesce_us=1.0,
-                 chunk=CHUNK, resolve_batch=256, src_addrs=64, name=None):
-        if not flows:
-            raise ConfigError("a population needs at least one flow")
-        total = sum(f.arrivals.mean_rate for f in flows)
-        if total <= 0:
+    def __init__(self, env, network, ip, dst, arrivals, payloads,
+                 link_rate=units.gbps(40), send_cost=2.0, recv_cost=2.0,
+                 timeout=None, coalesce_us=1.0, chunk=CHUNK, name=None):
+        if arrivals.mean_rate <= 0:
             raise ConfigError("population mean rate must be positive")
         if coalesce_us < 0:
             raise ConfigError("coalesce_us must be >= 0")
@@ -604,19 +573,20 @@ class ClientPopulation:
         self.network = network
         self.ip = ip
         self.dst = dst
-        self.flows = list(flows)
+        self.arrivals = arrivals
+        self.payloads = payloads
         self.link_rate = link_rate
         self.send_cost = send_cost
         self.recv_cost = recv_cost
         self.timeout = timeout
         self.coalesce_us = coalesce_us
-        self.resolve_batch = resolve_batch
         self.name = name or "population-%s" % ip
-        self.mean_rate = total
-        self.users = sum(f.arrivals.users for f in self.flows)
+        self.mean_rate = arrivals.mean_rate
         #: chunk window width: ~`chunk` arrivals per refill
-        self._width = max(chunk / total, 1e-9)
+        self._width = max(chunk / self.mean_rate, 1e-9)
         self._cursor = env.now
+        #: payload sizes as floats, for the vectorized wire-entry instants
+        self._sizes = np.asarray(payloads.sizes, dtype=float)
         self.rx = Channel(env, name="%s-rx" % self.name)
         network.attach(ip, self)
         # Resolved now (the server must already be attached): injection
@@ -626,18 +596,16 @@ class ClientPopulation:
         # less per request), or this ToR's uplink when the destination
         # lives in another rack (DESIGN.md §4.15).
         self._wire = network.inject_channel(ip, dst.ip)
-        self._src = [Address(ip, 40001 + i) for i in range(src_addrs)]
+        self._src = [Address(ip, 40001 + i) for i in range(SRC_ADDRS)]
         self._src_i = 0
         self.table = InFlightTable()
         # Current chunk (python lists: consumed element-wise in _fire)
         self._times = []
         self._keys = []
-        self._streams = []
         self._frame_end = []
         self._frame_wake = []
         self._pos = 0
         self._frame = 0
-        self._stopped = False
         # Pending response buffer (resolved in vectorized batches)
         self._resp_ids = []
         self._resp_times = []
@@ -658,8 +626,6 @@ class ClientPopulation:
         reg.pull(base + "timeouts", lambda: self.timeouts)
         reg.pull(base + "errors", lambda: self.errors)
         reg.pull(base + "late", lambda: self.late)
-        for flow in self.flows:
-            reg.register(base + "flow.%s.latency" % flow.name, flow.hist)
         _PopulationRxOp(self)
         env._kick(self._begin)
 
@@ -667,33 +633,19 @@ class ClientPopulation:
 
     def _refill(self):
         """Generate the next non-empty chunk of arrivals (vectorized)."""
-        header = UDP_HEADER
         for _ in range(10000):
             start = self._cursor
             until = start + self._width
             self._cursor = until
-            times, keys, streams = [], [], []
-            for fi, flow in enumerate(self.flows):
-                t = flow.arrivals.take(start, until)
-                if t.size:
-                    times.append(t)
-                    keys.append(flow.payloads.sample(t.size))
-                    streams.append(np.full(t.size, fi, dtype=np.int16))
-            if not times:
+            t = self.arrivals.take(start, until)
+            if not t.size:
                 continue
-            t = np.concatenate(times) if len(times) > 1 else times[0]
-            k = np.concatenate(keys) if len(keys) > 1 else keys[0]
-            s = np.concatenate(streams) if len(streams) > 1 else streams[0]
+            k = self.payloads.sample(t.size)
             # Wire-entry instants: arrival + send cost + serialization.
-            sizes = np.empty(t.size, dtype=float)
-            for fi, flow in enumerate(self.flows):
-                sel = s == fi
-                if sel.any():
-                    fsizes = np.asarray(flow.payloads.sizes, dtype=float)
-                    sizes[sel] = fsizes[k[sel]]
-            inject = t + self.send_cost + (sizes + header) / self.link_rate
+            inject = (t + self.send_cost
+                      + (self._sizes[k] + UDP_HEADER) / self.link_rate)
             order = np.argsort(inject, kind="stable")
-            t, k, s, inject = t[order], k[order], s[order], inject[order]
+            t, k, inject = t[order], k[order], inject[order]
             # Frame boundaries: arrivals sharing floor(inject/coalesce)
             # wake the pump once and inject together.
             if self.coalesce_us > 0:
@@ -706,18 +658,15 @@ class ClientPopulation:
             self._frame_wake = inject[ends - 1].tolist()
             self._times = t.tolist()
             self._keys = k.tolist()
-            self._streams = s.tolist()
             self._pos = 0
             self._frame = 0
-            return True
+            return
         raise ConfigError("no arrivals in 10000 consecutive windows "
                           "(population rate effectively zero)")
 
     # -- the pump ----------------------------------------------------------
 
     def _begin(self, _event):
-        if self._stopped:
-            return
         self._refill()
         self._arm()
 
@@ -726,83 +675,47 @@ class ClientPopulation:
         self.env.defer(delay if delay > 0 else 0.0, self._fire)
 
     def _fire(self, _event):
-        if self._stopped:
-            return
-        env = self.env
-        table_append = self.table.append
-        times, keys, streams = self._times, self._keys, self._streams
-        flows = self.flows
+        times, keys = self._times, self._keys
+        payloads, sizes = self.payloads.payloads, self.payloads.sizes
         dst = self.dst
         srcs = self._src
-        nsrc = len(srcs)
-        deadline_for = self.timeout
-        i = self._pos
+        nsrc = SRC_ADDRS
+        start = i = self._pos
         end = self._frame_end[self._frame]
         src_i = self._src_i
         frame = []
         frame_append = frame.append
         nbytes = 0
-        inf = math.inf
-        if len(flows) == 1:
-            # Single-flow fast path: the flow's payload library, sizes,
-            # and proto are loop invariants (every E17 trial, and any
-            # homogeneous population, takes this branch), and the
-            # frame's consecutive msg ids stage as one table run.
-            base = i
-            flow = flows[0]
-            pl = flow.payloads.payloads
-            sz = flow.payloads.sizes
-            proto = flow.proto
-            while i < end:
-                t = times[i]
-                key = keys[i]
-                size = sz[key]
-                msg = Message(src=srcs[src_i], dst=dst, payload=pl[key],
-                              proto=proto, created_at=t, size=size)
-                src_i = src_i + 1 if src_i + 1 < nsrc else 0
-                frame_append(msg)
-                nbytes += size + UDP_HEADER
-                i += 1
-            self.table.append_run(frame[0].msg_id, times[base:end],
-                                  deadline_for, 0)
-        else:
-            while i < end:
-                t = times[i]
-                flow = flows[streams[i]]
-                key = keys[i]
-                msg = Message(src=srcs[src_i], dst=dst,
-                              payload=flow.payloads.payloads[key],
-                              proto=flow.proto, created_at=t,
-                              size=flow.payloads.sizes[key])
-                src_i = src_i + 1 if src_i + 1 < nsrc else 0
-                table_append(msg.msg_id, t,
-                             t + deadline_for
-                             if deadline_for is not None else inf,
-                             streams[i])
-                frame_append(msg)
-                nbytes += msg.size + UDP_HEADER
-                i += 1
+        while i < end:
+            key = keys[i]
+            size = sizes[key]
+            frame_append(Message(src=srcs[src_i], dst=dst,
+                                 payload=payloads[key],
+                                 created_at=times[i], size=size))
+            src_i = src_i + 1 if src_i + 1 < nsrc else 0
+            nbytes += size + UDP_HEADER
+            i += 1
+        # The frame's Messages were created back to back, so their ids
+        # are consecutive: the table stages them as one run.
+        self.table.append_run(frame[0].msg_id, times[start:end],
+                              self.timeout)
         # One landing event for the whole frame (Channel.push_many):
         # the burst costs O(1) scheduler events, and an idle RX ring
         # absorbs it as a single bulk extend.
         self._wire.push_many(frame, nbytes=nbytes)
         self._src_i = src_i
-        n = end - self._pos
+        n = end - start
         self.offered += n
         self.offered_meter.count += n
         self._pos = end
         self._frame += 1
         if self._frame >= len(self._frame_wake):
             # Chunk exhausted: expiry sweep + next vectorized refill.
-            if deadline_for is not None:
+            if self.timeout is not None:
                 self._resolve_pending()
-                self.timeouts += self.table.expire(env.now)
+                self.timeouts += self.table.expire(self.env.now)
             self._refill()
         self._arm()
-
-    def stop(self):
-        """Cease generating (in-flight responses still resolve)."""
-        self._stopped = True
 
     # -- response path -----------------------------------------------------
 
@@ -819,26 +732,18 @@ class ClientPopulation:
             self._err_ids.append(rid)
 
     def _resolve_pending(self):
-        """Vector-resolve the buffered responses into the histograms."""
+        """Vector-resolve the buffered responses into the histogram."""
         ids = self._resp_ids
         if ids:
-            lat, flows, misses = self.table.resolve(ids, self._resp_times)
+            lat, misses = self.table.resolve(ids, self._resp_times)
             self._resp_ids = []
             self._resp_times = []
             self.late += misses
             n = lat.size
             if n:
-                lat = lat + self.recv_cost
                 self.responses.count += n
                 self.env.requests_completed += n
-                self.latency.record_many(lat)
-                if len(self.flows) == 1:
-                    self.flows[0].hist.record_many(lat)
-                else:
-                    for fi, flow in enumerate(self.flows):
-                        sel = flows == fi
-                        if sel.any():
-                            flow.hist.record_many(lat[sel])
+                self.latency.record_many(lat + self.recv_cost)
         if self._err_ids:
             self.table.kill(self._err_ids)
             self._err_ids = []
@@ -855,8 +760,6 @@ class ClientPopulation:
         the same semantics as ``Client.latency.reset()``)."""
         self._resolve_pending()
         self.latency.reset(at_time)
-        for flow in self.flows:
-            flow.hist.reset(at_time)
         self.responses.reset(at_time)
         self.offered_meter.reset(at_time)
         self.offered = 0
@@ -893,5 +796,5 @@ class ClientPopulation:
         }
 
     def __repr__(self):
-        return "<ClientPopulation %s %.3f/us users=%d in_flight=%d>" % (
-            self.ip, self.mean_rate, self.users, self.table.in_flight)
+        return "<ClientPopulation %s %.3f/us in_flight=%d>" % (
+            self.ip, self.mean_rate, self.table.in_flight)

@@ -68,6 +68,24 @@ class TestSameRuntimeApi:
         env.run(until=50000)
         assert answers == [42]
 
+    def test_dynamic_parallelism_app_on_vca_node(self):
+        # Regression: a stock app with dynamic parallelism runs its
+        # child launch through the adapter (VCA nodes have no GPU
+        # profile to take a device-launch latency from).
+        app = EchoApp(delay=3.0)
+        app.use_dynamic_parallelism = True
+        tb, env, server, service, addr = build(app)
+        client = tb.client("10.0.1.1")
+        results = []
+
+        def drive(env):
+            r = yield from client.request(b"dp", addr, proto=UDP)
+            results.append(bytes(r.payload))
+
+        env.process(drive(env))
+        env.run(until=50000)
+        assert results == [b"dp"]
+
     def test_mqueues_live_in_host_memory_per_workaround(self):
         tb, env, server, service, addr = build(EchoApp())
         for mq in service.mqueues:

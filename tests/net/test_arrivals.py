@@ -3,31 +3,8 @@
 import pytest
 
 from repro.errors import NetworkError, ConfigError
-from repro.net.arrivals import OnOffBurst, Poisson, TraceReplay, Uniform
+from repro.net.arrivals import OnOffBurst, TraceReplay
 from repro.sim import RngRegistry
-
-
-class TestUniform:
-    def test_constant_gap(self):
-        proc = Uniform(0.5)
-        assert [proc.next_gap() for _ in range(3)] == [2.0, 2.0, 2.0]
-
-    def test_rate_validated(self):
-        with pytest.raises(ConfigError):
-            Uniform(0)
-
-
-class TestPoisson:
-    def test_mean_rate(self):
-        proc = Poisson(0.1, RngRegistry(0))
-        gaps = [proc.next_gap() for _ in range(4000)]
-        assert sum(gaps) / len(gaps) == pytest.approx(10.0, rel=0.1)
-
-    def test_deterministic_given_seed(self):
-        a = Poisson(0.1, RngRegistry(1))
-        b = Poisson(0.1, RngRegistry(1))
-        assert [a.next_gap() for _ in range(5)] == \
-               [b.next_gap() for _ in range(5)]
 
 
 class TestOnOffBurst:
@@ -43,9 +20,11 @@ class TestOnOffBurst:
         import numpy as np
 
         burst = OnOffBurst(1.0, 100.0, 300.0, rng=RngRegistry(3))
-        pois = Poisson(burst.mean_rate, RngRegistry(3))
+        # the open-loop generator's own Poisson draw at the same rate
+        rng = RngRegistry(3)
         burst_gaps = np.array([burst.next_gap() for _ in range(5000)])
-        pois_gaps = np.array([pois.next_gap() for _ in range(5000)])
+        pois_gaps = np.array([rng.exponential("poisson", 1.0 / burst.mean_rate)
+                              for _ in range(5000)])
 
         def cv2(gaps):
             return gaps.var() / gaps.mean() ** 2
@@ -124,7 +103,7 @@ class TestGeneratorIntegration:
         client = tb.client("10.0.1.1")
         gen = OpenLoopGenerator(tb.env, client, Address("10.9.9.9", 1),
                                 payload_fn=lambda i: b"x",
-                                arrivals=Uniform(0.01))
+                                arrivals=TraceReplay([0.0, 100.0]))
         tb.run(until=10000)
         assert gen.offered == pytest.approx(100, abs=3)
 

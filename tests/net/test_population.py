@@ -1,7 +1,6 @@
 """The flyweight population traffic plane (DESIGN.md §4.13)."""
 
 import json
-import math
 
 import numpy as np
 import pytest
@@ -11,11 +10,11 @@ from repro.net import (
     BModelPopulation,
     ClientPopulation,
     DiurnalPopulation,
-    Flow,
     InFlightTable,
     OnOffPopulation,
     PayloadPool,
     PoissonPopulation,
+    PopulationArrivals,
     TracePopulation,
     TraceReplay,
     arrival_factory,
@@ -54,12 +53,6 @@ class TestPoissonPopulation:
     def test_validates_rate(self):
         with pytest.raises(ConfigError):
             PoissonPopulation(0.0, RngRegistry(0).stream("p"))
-
-    def test_users_are_reporting_only(self):
-        src = PoissonPopulation(0.5, RngRegistry(1).stream("p"),
-                                users=2_000_000)
-        assert src.users == 2_000_000
-        assert src.mean_rate == 0.5
 
 
 class TestOnOffPopulation:
@@ -240,6 +233,21 @@ class TestPayloadPool:
         idx = pool.sample(4000)
         assert abs(idx.mean() - 0.5) < 0.05
 
+    def test_no_weights_samples_uniformly(self):
+        # Regression: a multi-payload pool built without weights used
+        # to pass construction and then fail on its first sample().
+        pool = PayloadPool([b"a", b"bb", b"ccc"],
+                           stream=RngRegistry(7).stream("u"))
+        idx = pool.sample(6000)
+        counts = np.bincount(idx, minlength=3)
+        assert counts.sum() == 6000
+        assert all(abs(c - 2000) < 200 for c in counts)
+        # "no weights" is exactly equal weights: same stream, same draws
+        twin = PayloadPool([b"a", b"bb", b"ccc"],
+                           stream=RngRegistry(7).stream("u"),
+                           weights=[1.0, 1.0, 1.0])
+        assert (twin.sample(6000) == idx).all()
+
     def test_validation(self):
         with pytest.raises(ConfigError):
             PayloadPool([])
@@ -250,29 +258,27 @@ class TestPayloadPool:
 
 
 class TestInFlightTable:
-    def test_resolve_records_latency_and_flow(self):
+    def test_resolve_records_latency(self):
         table = InFlightTable(capacity=64)
-        table.append(10, 100.0, math.inf, 0)
-        table.append(12, 110.0, math.inf, 1)
-        lat, flows, misses = table.resolve([12, 10], [150.0, 160.0])
+        table.append_run(10, [100.0], None)
+        table.append_run(12, [110.0], None)
+        lat, misses = table.resolve([12, 10], [150.0, 160.0])
         assert lat == pytest.approx([40.0, 60.0])
-        assert list(flows) == [1, 0]
         assert misses == 0
         assert table.in_flight == 0
 
     def test_unknown_and_duplicate_ids_count_as_misses(self):
         table = InFlightTable(capacity=64)
-        table.append(5, 0.0, math.inf, 0)
-        lat, _, misses = table.resolve([5, 99], [10.0, 10.0])
+        table.append_run(5, [0.0], None)
+        lat, misses = table.resolve([5, 99], [10.0, 10.0])
         assert lat.size == 1 and misses == 1
-        _, _, misses = table.resolve([5], [11.0])  # already done
+        _, misses = table.resolve([5], [11.0])  # already done
         assert misses == 1
 
     def test_expire_skips_resolved_rows(self):
         table = InFlightTable(capacity=64)
-        table.append(1, 0.0, 50.0, 0)
-        table.append(2, 0.0, 50.0, 0)
-        table.append(3, 0.0, 500.0, 0)
+        table.append_run(1, [0.0, 0.0], 50.0)
+        table.append_run(3, [0.0], 500.0)
         table.resolve([1], [10.0])
         assert table.expire(100.0) == 1   # row 2 only
         assert table.in_flight == 1       # row 3 still live
@@ -281,11 +287,11 @@ class TestInFlightTable:
     def test_compaction_grows_past_capacity(self):
         table = InFlightTable(capacity=64)
         for i in range(1000):
-            table.append(i, float(i), math.inf, 0)
+            table.append_run(i, [float(i)], None)
             if i % 2:
                 table.resolve([i], [float(i)])
         assert table.in_flight == 500
-        lat, _, misses = table.resolve([998], [2000.0])
+        lat, misses = table.resolve([998], [2000.0])
         assert misses == 0 and lat == pytest.approx([1002.0])
 
 
@@ -298,10 +304,10 @@ def _spin_deployment(seed=42):
 
 def _population_for(dep, rate, coalesce_us=1.0, timeout=None, seed_tag="pop"):
     tb = dep.tb
-    flow = Flow("main", PoissonPopulation(rate, tb.rng.stream(seed_tag)),
-                PayloadPool.single(b"x" * 64))
     return ClientPopulation(dep.env, tb.network, "10.0.9.1", dep.address,
-                            [flow], coalesce_us=coalesce_us, timeout=timeout)
+                            PoissonPopulation(rate, tb.rng.stream(seed_tag)),
+                            PayloadPool.single(b"x" * 64),
+                            coalesce_us=coalesce_us, timeout=timeout)
 
 
 class TestClientPopulation:
@@ -330,7 +336,6 @@ class TestClientPopulation:
             assert hist.count > 0
             snap = reg.snapshot()
             assert "net.population.10.0.9.1.responses" in snap
-            assert "net.population.10.0.9.1.flow.main.latency" in snap
         finally:
             telemetry.pop_scope()
 
@@ -348,9 +353,9 @@ class TestClientPopulation:
         tb.network.attach("10.0.0.9", MuteSink())
         pop = ClientPopulation(
             tb.env, tb.network, "10.0.9.1", Address("10.0.0.9", 7777),
-            [Flow("m", PoissonPopulation(0.05, tb.rng.stream("p")),
-                  PayloadPool.single(b"x"))],
-            timeout=1000.0, chunk=256)  # small chunk: frequent sweeps
+            PoissonPopulation(0.05, tb.rng.stream("p")),
+            PayloadPool.single(b"x"), timeout=1000.0,
+            chunk=256)  # small chunk: frequent sweeps
         tb.run(until=30000.0)
         pop.flush()
         assert pop.responses.count == 0
@@ -368,18 +373,13 @@ class TestClientPopulation:
         assert pop.offered == pytest.approx(500, rel=0.15)
         assert pop.offered_per_sec() == pytest.approx(50000, rel=0.15)
 
-    def test_validates_flows(self):
+    def test_validates_rate(self):
+        # A source without a positive long-run rate cannot size chunks.
         dep = _spin_deployment()
         with pytest.raises(ConfigError):
             ClientPopulation(dep.env, dep.tb.network, "10.0.9.1",
-                             dep.address, [])
-
-    def test_tcp_flows_rejected(self):
-        from repro.net.packet import TCP
-
-        with pytest.raises(ConfigError):
-            Flow("t", PoissonPopulation(0.1, RngRegistry(0).stream("p")),
-                 PayloadPool.single(b"x"), proto=TCP)
+                             dep.address, PopulationArrivals(),
+                             PayloadPool.single(b"x"))
 
 
 class TestGoldenParity:
