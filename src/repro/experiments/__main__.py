@@ -184,10 +184,15 @@ def slo_main(argv):
     telemetry.push_scope()
     try:
         start = time.time()
-        outcome = e17.measure_frontier(
-            args.workload, args.design, args.seed, warmup, measure,
-            args.iters, arrivals=args.arrivals, slo_us=args.slo_us,
-            lo=args.lo, hi=args.hi)
+        # One point through the sweep executor, as E17 runs it, so the
+        # point's collector boundary frees each trial's testbed.
+        point = sweep.Point(
+            ("slo", args.workload, args.design), e17.measure_frontier,
+            dict(workload=args.workload, design=args.design, warmup=warmup,
+                 measure=measure, iters=args.iters, arrivals=args.arrivals,
+                 slo_us=args.slo_us, lo=args.lo, hi=args.hi),
+            seed=args.seed)
+        outcome, = sweep.run_points([point], jobs=1)
         print("SLO frontier: %s on %s, arrivals=%s, p99 <= %gus"
               % (args.workload, args.design, args.arrivals,
                  outcome["slo_us"]))

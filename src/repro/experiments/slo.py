@@ -22,12 +22,17 @@ fixed float arithmetic, and every trial derives its seed from the
 caller's seed and the trial index via the sweep executor's blake2s
 derivation — the whole search is one deterministic unit of work, so an
 E17 point is bit-identical across ``--jobs 1/N``.
+
+Every probe runs through :func:`~repro.experiments.sweep.run_trial`:
+its own telemetry scope, merged into the caller's when the probe
+returns (a point's snapshot counts every trial, not the last one), and
+inside a sweep point its testbed is freed right away.
 """
 
 import math
 
 from ..errors import ConfigError
-from .sweep import derive_seed
+from .sweep import derive_seed, run_trial
 
 
 class TrialResult:
@@ -115,7 +120,7 @@ def find_sustainable_load(trial, lo, hi, slo_us, percentile=99.0,
 
     def probe(rate, index):
         trial_seed = derive_seed(seed, ("slo-trial", index))
-        m = trial(rate, trial_seed)
+        m = run_trial(trial, rate, trial_seed)
         p_tail = m["p_tail_us"]
         offered = m["offered_per_sec"]
         delivered = m["delivered_per_sec"]

@@ -47,12 +47,16 @@ shipped back; the CLI forces serial execution when tracing is enabled.
 
 Memory (DESIGN.md §4.8): every point — inline or in a worker — runs
 inside one collector boundary, which frees the point's finished testbed
-with one young-generation collection when the point ends.
+with one young-generation collection when the point ends.  A point that
+builds one testbed per trial (an SLO bisection) runs each trial through
+:func:`run_trial`, which frees the trial's testbed when the trial
+returns.
 """
 
 import gc
 import hashlib
 import os
+from functools import partial
 
 from ..errors import ConfigError
 from .. import telemetry
@@ -69,6 +73,10 @@ _active_jobs = None
 
 #: True while a point's collector boundary is open in this process
 _in_boundary = False
+
+#: True once a trial's collection inside the open boundary has promoted
+#: the point's live objects out of generation 0
+_trial_collected = False
 
 
 def configure(jobs):
@@ -198,10 +206,13 @@ def _run_in_boundary(point):
     construction included, so the whole testbed is still in generation
     0 when :func:`_run_point` returns.  By then its frame is gone, and
     with it the telemetry scope whose pull instruments pin the testbed,
-    so one young-generation collection frees the testbed.  The caller's
-    collector state is restored.  A nested boundary only runs the point.
+    so one young-generation collection frees the testbed.  After a
+    :func:`run_trial` collection the point's older objects sit in
+    generation 1, so the closing collection sweeps that too.  The
+    caller's collector state is restored.  A nested boundary only runs
+    the point.
     """
-    global _in_boundary
+    global _in_boundary, _trial_collected
     if _in_boundary:
         return _run_point(point)
     was_enabled = gc.isenabled()
@@ -211,9 +222,31 @@ def _run_in_boundary(point):
         return _run_point(point)
     finally:
         _in_boundary = False
-        gc.collect(0)
+        gc.collect(1 if _trial_collected else 0)
+        _trial_collected = False
         if was_enabled:
             gc.enable()
+
+
+def run_trial(fn, *args):
+    """``fn(*args)`` as one trial of the enclosing point.
+
+    For points that run one fresh simulation per trial (an SLO
+    bisection's probes, DESIGN.md §4.13): the point's boundary in
+    miniature.  The trial runs in its own telemetry scope and frame,
+    and its snapshot is merged into the enclosing scope, so the point's
+    snapshot is the merge of its trials rather than the last trial's
+    instruments.  Inside a point's collector boundary one
+    young-generation collection then frees the trial's dead testbed;
+    outside one, the collector is left alone.
+    """
+    global _trial_collected
+    value, snapshot = _run_point(partial(fn, *args))
+    telemetry.registry().merge(snapshot)
+    if _in_boundary:
+        gc.collect(0)
+        _trial_collected = True
+    return value
 
 
 def _run_pool(points, jobs):

@@ -199,7 +199,7 @@ class Resource:
     def _cancel(self, req):
         if req.triggered:  # granted requests are always triggered
             return
-        # Lazy deletion: mark by failing silently-defused; skipped on grant.
+        # Eager removal: rebuild the waiter heap without this request.
         self._waiters = [w for w in self._waiters if w[2] is not req]
         heapq.heapify(self._waiters)
         self.queue_depth.set(len(self._waiters))

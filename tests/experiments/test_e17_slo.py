@@ -1,11 +1,16 @@
 """E17: sustainable-load bisection, frontier shape, and determinism."""
 
+import gc
 import json
+import weakref
 
 import pytest
 
+from repro import telemetry
 from repro.errors import ConfigError
 from repro.experiments import e17_slo_frontier as e17
+from repro.experiments import sweep
+from repro.experiments.__main__ import slo_main
 from repro.experiments.common import HOST_CENTRIC, LYNX_BLUEFIELD
 from repro.experiments.slo import find_sustainable_load
 from repro.experiments.sweep import derive_seed
@@ -181,3 +186,80 @@ class TestDeterminism:
         other = e17.run(fast=True, seed=43, measure=8000.0, iters=3,
                         jobs=1)
         assert json.dumps(other.rows) != json.dumps(result.rows)
+
+
+POP = "net.population.10.0.9.1."
+
+
+def _tiny_points(n):
+    """The first *n* E17 points at tiny windows and one bisection step."""
+    return e17.sweep_points(fast=True, seed=42, measure=1000.0,
+                            iters=1)[:n]
+
+
+class TestTrialTelemetry:
+    """A point's snapshot is the merge of all its trials (DESIGN.md §4.9),
+    not the last trial's population instruments."""
+
+    def test_point_counts_sum_over_trials(self, monkeypatch):
+        real = e17.TRIALS["memcached"]
+        per_trial = []
+
+        def counted(*args):
+            out = real(*args)
+            reg = telemetry.registry()
+            per_trial.append((reg.get(POP + "offered").snapshot()["count"],
+                              reg.get(POP + "responses").snapshot()["count"]))
+            return out
+
+        monkeypatch.setitem(e17.TRIALS, "memcached", counted)
+        with telemetry.scope() as reg:
+            sweep.run_points(_tiny_points(1), jobs=1)
+            snap = reg.snapshot()
+        assert len(per_trial) >= 2
+        assert snap[POP + "offered"]["count"] == sum(
+            o for o, _ in per_trial)
+        assert snap[POP + "responses"]["count"] == sum(
+            r for _, r in per_trial)
+
+    def test_metric_snapshots_identical_across_jobs(self):
+        """Worker and inline points merge their trial scopes with the
+        same arithmetic; only host wall-clock may differ."""
+        def metrics(jobs):
+            with telemetry.scope() as reg:
+                sweep.run_points(_tiny_points(2), jobs=jobs)
+                snap = reg.snapshot()
+            snap.pop("sim.kernel.wall_seconds", None)
+            return snap
+
+        serial = metrics(1)
+        assert POP + "latency" in serial
+        assert metrics(2) == serial
+
+
+class TestSloCli:
+    def test_trial_testbeds_dead_when_the_call_returns(self, monkeypatch,
+                                                       capsys):
+        built = []
+        real = e17.Testbed
+
+        def tracked(*args, **kwargs):
+            tb = real(*args, **kwargs)
+            built.append(weakref.ref(tb.env))
+            return tb
+
+        monkeypatch.setattr(e17, "Testbed", tracked)
+        was_enabled = gc.isenabled()
+        gc.collect()
+        gc.disable()
+        try:
+            assert slo_main(["--workload", "memcached", "--design",
+                             "host-centric", "--measure", "500",
+                             "--iters", "1"]) == 0
+            assert len(built) >= 2
+            assert [ref() for ref in built] == [None] * len(built)
+        finally:
+            if was_enabled:
+                gc.enable()
+        assert "SLO frontier: memcached on host-centric" in \
+            capsys.readouterr().out

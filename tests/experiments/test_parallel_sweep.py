@@ -73,6 +73,25 @@ def nested_sweep(seed):
     return ENV_REFS[-1]() is not None
 
 
+def trial_sweep(seed, trials=3):
+    """Runs *trials* testbeds through ``run_trial``; whether each one's
+    environment was dead right after its probe returned."""
+    dead = []
+    for i in range(trials):
+        sweep.run_trial(pinned_testbed, seed + i)
+        dead.append(ENV_REFS[-1]() is None)
+    return dead
+
+
+def outer_then_trial(seed):
+    """An outer testbed built before the first trial and pinned by the
+    point's scope; True when it survived the trial's collection."""
+    pinned_testbed(seed)
+    outer = ENV_REFS[-1]
+    sweep.run_trial(pinned_testbed, seed + 1)
+    return outer() is not None
+
+
 class TestDeriveSeed:
     def test_deterministic(self):
         assert (sweep.derive_seed(42, ("E04", 20.0, 1))
@@ -246,6 +265,39 @@ class TestCollectorBoundary:
         point = sweep.Point("outer", nested_sweep)
         assert sweep.run_points([point], jobs=1) == [True]
         assert [ref() for ref in ENV_REFS] == [None]
+
+
+@pytest.mark.usefixtures("collector_paused")
+class TestTrialBoundary:
+    """Each trial of a point is freed when it returns; its telemetry
+    merges into the point's scope (DESIGN.md §4.8, §4.9)."""
+
+    def test_trial_freed_when_probe_returns_serial(self):
+        point = sweep.Point("trials", trial_sweep)
+        assert sweep.run_points([point], jobs=1) == [[True, True, True]]
+
+    def test_trial_freed_when_probe_returns_in_worker(self):
+        value, _ = sweep._run_point_task(sweep.Point("trials", trial_sweep))
+        assert value == [True, True, True]
+
+    def test_outer_testbed_still_freed_at_point_end(self):
+        # The trial's collection promotes the live outer testbed out of
+        # generation 0; the point's closing collection must reach it.
+        point = sweep.Point("outer", outer_then_trial)
+        assert sweep.run_points([point], jobs=1) == [True]
+        assert [ref() for ref in ENV_REFS] == [None, None]
+
+    def test_no_collection_outside_a_boundary(self):
+        sweep.run_trial(pinned_testbed, 1)
+        assert ENV_REFS[0]() is not None
+        gc.collect()
+        assert ENV_REFS[0]() is None
+
+    def test_trial_snapshots_merge_into_the_enclosing_scope(self):
+        with telemetry.scope() as reg:
+            for seed in (1, 2):
+                sweep.run_trial(pinned_testbed, seed)
+            assert reg.snapshot()["test.now"]["value"] == 10.0
 
 
 class TestGoldenParallelIdentity:

@@ -16,10 +16,11 @@ callback state machine steps with ``Environment.defer`` and
 by pushing a heap entry or reading the event-id counter, and never by
 hanging its callback on a fresh ``get()`` or ``timeout()`` event.
 
-The cyclic collector belongs to ``repro/sim/`` and the sweep's point
-boundary (``experiments/sweep.py``, DESIGN.md §4.8): a collection in the
-middle of a point would promote the live testbed out of generation 0,
-and the boundary's young-generation collection would then miss it.
+The cyclic collector belongs to ``repro/sim/`` and the sweep's point and
+trial boundaries (``experiments/sweep.py``, DESIGN.md §4.8): any other
+collection in the middle of a point would promote the live testbed out
+of generation 0, and the boundary's closing collection would then miss
+it.
 
 Usage::
 
