@@ -14,7 +14,7 @@ Two gates, strongest first:
 
 * **kernel events** — batching must collapse the per-message wakeup
   ladder: exact counts under the fixed seed, deterministic on any
-  machine (the same style as ``test_channel_batching``).
+  machine.
 * **wall-clock** — rounds interleave the two modes (A/B/A/B...) so
   machine-speed drift lands on both sides; the recorded ``best_ratio``
   (best batched:scalar steered-per-wall-second across rounds) feeds

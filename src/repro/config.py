@@ -313,19 +313,6 @@ class LynxProfile:
     ring_entries: int = 64
     #: 4-byte metadata coalescing enabled (§5.1)
     coalesce_metadata: bool = True
-    #: ingress deliveries coalesced into one RDMA doorbell (§5.2's
-    #: "fetch up to N entries" applied to the delivery path); 1 keeps
-    #: the paper's per-message delivery and is bit-identical to the
-    #: pre-batching model
-    batch_size: int = 1
-    #: max TX entries fetched per mqueue per egress sweep (§5.2);
-    #: 0 drains every pending entry, matching the paper's prototype
-    poll_batch: int = 0
-    #: credit-based backpressure: with a full RX ring, park deliveries
-    #: until the accelerator frees a slot instead of dropping (the UDP
-    #: drop-tail default); parked messages are bounded by one ring's
-    #: worth per mqueue
-    backpressure: bool = False
     #: backend-response deadline for client mqueues; on expiry the SNIC
     #: delivers an entry with the error flag set (§5.1: the metadata
     #: carries "error status from the Bluefield if a connection error

@@ -14,7 +14,6 @@ Usage::
 import argparse
 import sys
 import time
-from dataclasses import replace
 
 from . import REGISTRY
 from . import ablations, breakdown, sweep
@@ -253,15 +252,6 @@ def main(argv=None):
                              "--metrics PATH writes the JSON snapshot "
                              "(schema %s) for report tooling"
                              % telemetry.SCHEMA)
-    parser.add_argument("--batch-size", type=int, default=None, metavar="N",
-                        help="coalesce up to N ingress deliveries into one "
-                             "RDMA doorbell (LynxProfile.batch_size, §5.2)")
-    parser.add_argument("--poll-batch", type=int, default=None, metavar="N",
-                        help="fetch at most N TX entries per mqueue per "
-                             "egress sweep (0 = drain all)")
-    parser.add_argument("--backpressure", action="store_true",
-                        help="park deliveries on RX-ring credits instead of "
-                             "dropping when a ring is full")
     parser.add_argument("--trace-channel", metavar="NAME",
                         help="enable tracing and, after each run, print the "
                              "records of channels whose name contains NAME")
@@ -269,23 +259,6 @@ def main(argv=None):
                         help="max trace rows printed per run "
                              "(with --trace-channel; default 40)")
     args = parser.parse_args(argv)
-
-    overrides = {}
-    lynx_fields = {}
-    if args.batch_size is not None:
-        if args.batch_size < 1:
-            parser.error("--batch-size must be >= 1")
-        lynx_fields["batch_size"] = args.batch_size
-    if args.poll_batch is not None:
-        if args.poll_batch < 0:
-            parser.error("--poll-batch must be >= 0")
-        lynx_fields["poll_batch"] = args.poll_batch
-    if args.backpressure:
-        lynx_fields["backpressure"] = True
-    if lynx_fields:
-        overrides["lynx"] = replace(DEFAULT_CONFIG.lynx, **lynx_fields)
-    if args.trace_channel:
-        overrides["trace"] = True
 
     jobs = args.jobs
     if jobs is not None and jobs < 1:
@@ -318,8 +291,8 @@ def main(argv=None):
     if args.kernel_stats:
         reset_kernel_totals()
 
-    if overrides:
-        testbed_mod.set_active_config(DEFAULT_CONFIG.with_(**overrides))
+    if args.trace_channel:
+        testbed_mod.set_active_config(DEFAULT_CONFIG.with_(trace=True))
     sweep.configure(jobs)
     try:
         for exp_id in wanted:
@@ -360,7 +333,7 @@ def main(argv=None):
                 print("metrics written to %s" % args.metrics)
     finally:
         sweep.configure(None)
-        if overrides:
+        if args.trace_channel:
             testbed_mod.set_active_config(None)
         trace_mod.clear_enabled_tracers()
         telemetry.pop_scope()

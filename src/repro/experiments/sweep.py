@@ -34,10 +34,6 @@ Worker-side state handling:
 * each worker scrubs the tracer registry and the inherited telemetry
   scopes before running a point, so nothing inherited from the parent
   (under the ``fork`` start method) leaks into snapshots;
-* the parent's active config override (``--batch-size`` and friends,
-  see :func:`~repro.experiments.testbed.set_active_config`) is shipped
-  to workers through the pool initializer, so points behave the same in
-  or out of process;
 * each point result travels back with the point's registry snapshot,
   which the parent merges — there is no kernel-totals special case;
   ``sim.kernel.*`` rides along with every other instrument.
@@ -61,7 +57,6 @@ from functools import partial
 from ..errors import ConfigError
 from .. import telemetry
 from ..sim import trace as trace_mod
-from . import testbed as testbed_mod
 
 #: seeds stay below 2**31 so every consumer (numpy generators, the
 #: RngRegistry's stream derivation, struct-packed seeds) accepts them
@@ -256,9 +251,7 @@ def _run_pool(points, jobs):
         ctx = multiprocessing.get_context("fork")
     except ValueError:  # pragma: no cover - non-POSIX platforms
         ctx = multiprocessing.get_context("spawn")
-    config = testbed_mod.active_config()
-    pool = ctx.Pool(processes=jobs, initializer=_worker_init,
-                    initargs=(config,))
+    pool = ctx.Pool(processes=jobs, initializer=_reset_worker_state)
     try:
         # map() preserves input order, which is what makes parallel
         # output indistinguishable from serial output.  Chunked
@@ -279,16 +272,9 @@ def _run_pool(points, jobs):
     return values
 
 
-def _worker_init(config):
-    """Pool initializer: scrub inherited state and apply the parent's
-    active-config override (a no-op under ``fork``, the only way
-    workers learn about it under ``spawn``)."""
-    _reset_worker_state()
-    testbed_mod.set_active_config(config)
-
-
 def _reset_worker_state():
-    """Per-worker scrub: tracer registry and inherited telemetry state.
+    """Pool initializer: scrub the tracer registry and inherited
+    telemetry state.
 
     Dropping the inherited scopes and root instruments matters under
     ``fork``: the parent's registry holds pull instruments closed over

@@ -31,9 +31,10 @@ _active_config = None
 def set_active_config(config):
     """Install *config* as the default for testbeds built without one.
 
-    Experiment modules expose only ``run(fast, seed)``, so CLI knobs
-    (``--batch-size``, ``--trace-channel``, ...) and benchmarks reach
-    their testbeds through this hook.  Pass ``None`` to reset.
+    Experiment modules expose only ``run(fast, seed)``, so the CLI's
+    ``--trace-channel`` reaches their testbeds through this hook.  The
+    CLI runs serially when it is set, so sweep workers never need it.
+    Pass ``None`` to reset.
     """
     global _active_config
     _active_config = config

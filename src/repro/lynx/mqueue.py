@@ -8,9 +8,8 @@ The SNIC reaches the rings remotely via one-sided RDMA (see
 
 Both rings are :class:`~repro.sim.Channel` instances; the RX ring's
 credit accounting models what the SNIC-side shadow indices can see
-(slots claimed by in-flight RDMA writes count as occupied), and its
-``claim_wait`` credit event is what the manager's backpressure mode
-parks on.
+(slots claimed by in-flight RDMA writes count as occupied), so a
+delivery that finds no free slot is dropped (UDP drop-tail).
 
 Two types (§4.3):
 
@@ -104,11 +103,6 @@ class MQueue:
         self.conn = None
         #: the port binding that owns this server mqueue (at most one)
         self.bound_port = None
-        #: deliveries parked on RX-ring credits (manager backpressure)
-        self.parked = 0
-        #: total deliveries that ever parked (monotonic; `parked` is the
-        #: instantaneous count)
-        self.park_waits = 0
         self.delivered = 0
         self.dropped = 0
         self.sent = 0
@@ -121,7 +115,6 @@ class MQueue:
         reg.pull(base + "delivered", lambda: self.delivered)
         reg.pull(base + "dropped", lambda: self.dropped)
         reg.pull(base + "sent", lambda: self.sent)
-        reg.pull(base + "backpressure_waits", lambda: self.park_waits)
 
     # -- SNIC-side (RDMA producer) ---------------------------------------------
 
@@ -153,7 +146,6 @@ class MQueue:
         return get
 
     def _on_rx_pop(self, event):
-        # Freed credit goes to a parked producer first (backpressure).
         self.rx_ring.release_claim()
 
     def push_tx(self, entry):
@@ -174,10 +166,9 @@ class MQueue:
     def drain(self):
         """Flush both rings after an accelerator crash; returns entries lost.
 
-        RX entries release their producer credits as they are discarded
-        — parked backpressure deliveries wake with a fresh slot, which
-        is exactly how service resumes after the restart.  Unconsumed TX
-        entries (responses the dead kernel never shipped) are dropped.
+        RX entries release their producer credits as they are discarded,
+        so deliveries after the restart find free slots again.  Unconsumed
+        TX entries (responses the dead kernel never shipped) are dropped.
         """
         lost = 0
         while self.rx_ring.try_get() is not None:

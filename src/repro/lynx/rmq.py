@@ -4,22 +4,16 @@ Runs on the SNIC and owns all RDMA access to one accelerator's mqueues:
 
 * **ingress** — after the dispatcher picks an mqueue, the manager posts
   a one-sided RDMA write of payload + 4B coalesced metadata into the RX
-  ring.  If the accelerator requires the PCIe-ordering workaround
-  (§5.1), delivery becomes three operations (data write, barrier read,
+  ring, or drops the message when the ring is full (UDP drop-tail).
+  If the accelerator requires the PCIe-ordering workaround (§5.1),
+  delivery becomes three operations (data write, barrier read,
   doorbell write) and coalescing is disabled, costing ~5us extra.
-  With ``LynxProfile.batch_size > 1`` the manager coalesces up to that
-  many queued deliveries into **one** RDMA doorbell (§5.2's batching
-  applied to the delivery path): the first message of an idle manager
-  still posts immediately, so batching adds no latency at low load and
-  collapses per-message ops into per-batch ops at saturation.
 * **egress** — the accelerator cannot interrupt the SNIC, so the
   manager *polls* TX doorbells over RDMA.  We model the poll loop as
   doorbell-armed sweeps: a sweep visits every ring of the accelerator
   (costing per-ring scan time on an SNIC core), issues an RDMA read to
-  fetch pending responses, and hands them to the forwarder.  Sweeps
-  repeat at the configured interval while work remains.
-  ``LynxProfile.poll_batch`` bounds how many entries one sweep fetches
-  per mqueue ("fetch up to N mqueue entries per poll", §5.2).
+  fetch every pending response, and hands them to the forwarder.
+  Sweeps repeat at the configured interval while work remains.
 
 All RDMA ops flow through the engine's serialized
 :class:`~repro.sim.Channel` (``manager.channel``): per §5.1 all mqueues
@@ -27,25 +21,16 @@ of one accelerator share a single RC QP, so the manager *is* the
 per-QP delivery worker and the channel's issue slot is the QP
 arbitration point between ingress writes and egress poll reads.
 
-Delivery runs as small callback state machines (:class:`_DeliveryOp`,
-:class:`_BatchDeliveryOp`) whose op records are pooled on the manager.
+Each delivery runs as a small callback state machine
+(:class:`_DeliveryOp`) whose op records are pooled on the manager.
 A *single* blocking worker coroutine would serialize QP arbitration
 and kill the op-level pipelining the RDMA engine models, so the state
-machines keep the exact event sequence of the old per-message
+machine keeps the exact event sequence of the old per-message
 processes — one URGENT kick, then one ``Channel.transfer_then`` hop
 (request → occupancy → release → latency) per RDMA op — which keeps
 results bit-identical under a fixed seed while spawning zero processes
 per message.
-
-Backpressure (``LynxProfile.backpressure``): instead of dropping on a
-full RX ring, :meth:`RemoteMQManager.deliver` parks the message on the
-ring's credit event (:meth:`~repro.sim.Channel.claim_wait`) and resumes
-delivery when the accelerator pops an entry.  Parked messages are
-bounded by one ring's worth per mqueue; beyond that the manager drops,
-so an unresponsive accelerator cannot build an unbounded backlog.
 """
-
-from collections import deque
 
 from ..errors import ConfigError
 from ..sim import Channel
@@ -104,77 +89,6 @@ class _DeliveryOp:
         if len(manager._op_pool) < manager.OP_POOL_CAP:
             manager._op_pool.append(self)
         mq.complete_rx(entry)
-
-
-class _BatchDeliveryOp:
-    """Coalesced ingress (§5.2 batching): one op ladder per batch.
-
-    At most one batch is in flight per manager; deliveries arriving
-    while a batch's RDMA ops run accumulate in ``manager._backlog`` and
-    form the next batch the moment the current one completes.  An idle
-    manager posts a batch of one immediately, so the default-latency
-    path is unchanged — batching only coalesces under load, where the
-    backlog is non-empty.
-    """
-
-    __slots__ = ("manager", "batch", "plan", "index")
-
-    def __init__(self, manager):
-        self.manager = manager
-        self.batch = None
-        self.plan = None
-        self.index = 0
-
-    def enqueue(self, mq, msg):
-        manager = self.manager
-        manager._backlog.append((mq, msg))
-        if self.batch is None:
-            self.batch = ()  # claims the op until _begin runs
-            manager.env._kick(self._begin)
-
-    def _begin(self, _event):
-        manager = self.manager
-        backlog = manager._backlog
-        take = len(backlog)
-        if take > manager.batch_size:
-            take = manager.batch_size
-        manager.batch_sizes.record(take)
-        batch = []
-        payload_bytes = 0
-        for _ in range(take):
-            mq, msg = backlog.popleft()
-            entry = MQueueEntry(payload=msg.payload, size=msg.size,
-                                request_msg=msg)
-            batch.append((mq, msg, entry))
-            payload_bytes += msg.size
-        self.batch = batch
-        self.plan = manager._plan_batch(payload_bytes, take)
-        self.index = 0
-        manager._post(self.plan[0], self._op_done)
-
-    def _op_done(self):
-        manager = self.manager
-        manager.engine.account(manager.qp, self.plan[self.index][2])
-        self.index += 1
-        if self.index < len(self.plan):
-            manager._post(self.plan[self.index], self._op_done)
-            return
-        now = manager.env.now
-        # self.batch stays non-None through the completions: an
-        # accelerator pop triggered by complete_rx may synchronously
-        # call deliver() again, which must append to the backlog rather
-        # than start a second in-flight batch.
-        for mq, msg, entry in self.batch:
-            manager.deliveries += 1
-            if msg.meta is not None:
-                msg.meta["t_delivered"] = now
-            mq.complete_rx(entry)
-        self.plan = None
-        if manager._backlog:
-            self.batch = ()
-            manager.env._kick(self._begin)
-        else:
-            self.batch = None
 
 
 class _PollerOp:
@@ -236,23 +150,13 @@ class _PollerOp:
         manager.engine.account(manager.qp, self.nbytes)
         pending = []
         total_bytes = 0
-        limit = manager.poll_batch
-        if limit:
-            # §5.2: fetch up to N entries per mqueue per poll; the
-            # remainder is picked up by the next paced sweep.
-            for mq in manager.mqueues:
-                batch = mq.tx_ring.recv_batch(limit)
-                for entry in batch:
-                    pending.append((mq, entry))
-                    total_bytes += entry.size + METADATA_BYTES
-        else:
-            for mq in manager.mqueues:
-                while True:
-                    entry = mq.tx_ring.try_get()
-                    if entry is None:
-                        break
-                    pending.append((mq, entry))
-                    total_bytes += entry.size + METADATA_BYTES
+        for mq in manager.mqueues:
+            while True:
+                entry = mq.tx_ring.try_get()
+                if entry is None:
+                    break
+                pending.append((mq, entry))
+                total_bytes += entry.size + METADATA_BYTES
         if not pending:
             self._after_sweep(0)
             return
@@ -301,28 +205,20 @@ class RemoteMQManager:
         self.channel = qp.engine.channel
         self.workers = workers
         self.profile = lynx_profile
-        self.batch_size = lynx_profile.batch_size
-        self.poll_batch = lynx_profile.poll_batch
-        self.backpressure = lynx_profile.backpressure
         self.needs_barrier = needs_barrier
         self.name = name or "rmq-%s" % getattr(accelerator, "name", "accel")
         self.mqueues = []
         self._mqueue_set = set()
         self._op_pool = []
-        self._backlog = deque()
-        self._batcher = (_BatchDeliveryOp(self)
-                         if self.batch_size > 1 else None)
         self._doorbells = Channel(env, name="%s-doorbells" % self.name)
         self._tx_sink = None
         self._poller = _PollerOp(self)
         self.deliveries = 0
         self.sweeps = 0
-        # Telemetry (DESIGN.md §4.9): doorbell-batch sizes feed a
-        # mergeable histogram (recorded once per RDMA batch, not per
-        # message); the counters are pulled at snapshot time.
+        # Telemetry (DESIGN.md §4.9): the counters are pulled at
+        # snapshot time.
         reg = telemetry.registry()
         base = "lynx.rmq.%s." % self.name
-        self.batch_sizes = reg.histogram(base + "batch_size")
         reg.pull(base + "deliveries", lambda: self.deliveries)
         reg.pull(base + "sweeps", lambda: self.sweeps)
 
@@ -350,39 +246,17 @@ class RemoteMQManager:
     def deliver(self, mq, msg):
         """Called by a worker after dispatch: start the RDMA delivery.
 
-        Returns True if a ring slot was claimed or the message was
-        parked on the ring's credits (backpressure mode), False if the
-        message was dropped — UDP semantics under overload.
+        Returns True if a ring slot was claimed, False if the message
+        was dropped — UDP semantics under overload.
         """
         if mq not in self._mqueue_set:
             raise ConfigError("mqueue %s is not managed by %s" % (mq.name, self.name))
-        if not mq.rx_ring.try_claim():
-            if not self.backpressure or mq.parked >= mq.entries:
-                mq.dropped += 1
-                return False
-            # Park on the ring's credit event; the accelerator's next
-            # pop hands the freed credit straight to this delivery.
-            mq.parked += 1
-            mq.park_waits += 1
-            waiter = mq.rx_ring.claim_wait()
-            waiter.callbacks.append(
-                lambda _evt, mq=mq, msg=msg: self._unparked(mq, msg))
-            return True
-        self._start_delivery(mq, msg)
-        return True
-
-    def _unparked(self, mq, msg):
-        mq.parked -= 1
-        self._start_delivery(mq, msg)
-
-    def _start_delivery(self, mq, msg):
-        """Start the RDMA op ladder for a delivery holding a ring credit."""
-        if self._batcher is not None:
-            self._batcher.enqueue(mq, msg)
-            return
+        if not mq.claim_rx_slot():
+            return False
         pool = self._op_pool
         op = pool.pop() if pool else _DeliveryOp(self)
         op.start(mq, msg)
+        return True
 
     def _post(self, op, then):
         """One planned RDMA op on the QP's engine channel, then *then()*."""
@@ -390,41 +264,31 @@ class RemoteMQManager:
         self.channel.transfer_then(nbytes, then, occupancy=occupancy,
                                    post_latency=latency)
 
-    def _plan_ops(self, size):
-        """The RDMA op sequence delivering one *size*-byte message."""
-        return self._plan_batch(size, 1)
-
-    def _plan_batch(self, payload_bytes, count):
-        """The RDMA op sequence delivering *count* coalesced messages.
+    def _plan_ops(self, nbytes):
+        """The RDMA op sequence delivering one *nbytes*-byte message.
 
         Each entry is ``(occupancy, latency, nbytes)``; the write
         barrier is a zero-byte read.
-        Coalesced mode moves every payload plus each entry's 4B
-        metadata in one write whose final doorbell word publishes the
-        whole batch.  Barrier mode cannot coalesce: one payload write,
-        one write barrier, then a single doorbell write covering the
-        batch's metadata words.
         """
         engine = self.engine
         profile = engine.profile
         write_latency = profile.op_latency
         if self.qp.remote:
             write_latency += profile.remote_extra_latency
-        meta_bytes = count * METADATA_BYTES
         channel = self.channel
         if self.needs_barrier or not self.profile.coalesce_metadata:
-            # Three transactions: payload, write barrier, doorbell.
+            # Payload write, the write barrier if needed, then the
+            # doorbell write carrying the metadata word.
             from ..net.rdma import _MIN_OP_GAP
-            plan = [(channel.occupancy(payload_bytes), write_latency,
-                     payload_bytes)]
+            plan = [(channel.occupancy(nbytes), write_latency, nbytes)]
             if self.needs_barrier:
                 plan.append((_MIN_OP_GAP, profile.barrier_latency, 0))
-            plan.append((channel.occupancy(meta_bytes), write_latency,
-                         meta_bytes))
+            plan.append((channel.occupancy(METADATA_BYTES), write_latency,
+                         METADATA_BYTES))
             return plan
         # Metadata coalesced with the payload: one RDMA write, and
         # the doorbell (last word) becomes visible after the data.
-        nbytes = payload_bytes + meta_bytes
+        nbytes += METADATA_BYTES
         return [(channel.occupancy(nbytes), write_latency, nbytes)]
 
     # -- egress ----------------------------------------------------------------------

@@ -113,8 +113,8 @@ class GpuService:
     def drain_rings(self):
         """Crash recovery: drop both rings' contents on every mqueue.
 
-        Returns the number of entries lost.  Freed RX credits wake
-        parked backpressure deliveries, which is how ingress resumes.
+        Returns the number of entries lost.  The freed RX credits let
+        the next deliveries claim slots, which is how ingress resumes.
         """
         return sum(mq.drain() for mq in self.mqueues)
 

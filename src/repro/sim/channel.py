@@ -4,8 +4,8 @@ Every message-moving path in the model — wire links, the RDMA engine
 pipe, PCIe link directions, mqueue rings, doorbell mailboxes, the
 GPU-centric work rings — is an instance of one :class:`Channel`
 primitive: a bounded FIFO with an optional cost model (serialized issue
-slot, bandwidth occupancy, fixed latency), credit-based producer
-accounting for backpressure, batch dequeue, and uniform trace emission.
+slot, bandwidth occupancy, fixed latency), producer credit claims
+for in-flight transfers, batch dequeue, and uniform trace emission.
 
 Performance contract: a Channel with tracing disabled inherits the
 :class:`~.store.Store` fast paths untouched — ``put``/``get``/
@@ -25,7 +25,6 @@ a Channel leaves fixed-seed results bit-identical.
 from collections import deque
 
 from ..errors import CapacityError, SimulationError
-from .events import Event
 from .resources import Resource
 from .store import Store
 
@@ -125,7 +124,6 @@ class Channel(Store):
         #: maintained on the claim paths only, so the put/get fast
         #: paths stay Store's untouched bound methods.
         self.claimed_peak = 0
-        self._credit_waiters = deque()
         #: idle transfer_then leg records (steady state allocates none)
         self._legs = []
         # Uniform per-hop statistics.
@@ -282,7 +280,7 @@ class Channel(Store):
             land(_event)
             count -= 1
 
-    # -- producer credits (backpressure) -----------------------------------
+    # -- producer credits ----------------------------------------------------
 
     @property
     def claimed(self):
@@ -300,37 +298,11 @@ class Channel(Store):
             self.claimed_peak = claimed
         return True
 
-    def claim_wait(self):
-        """Event: fires holding one credit, once a slot is available.
-
-        This is the credit-based backpressure signal: a producer that
-        would overflow parks on this event instead of dropping, and is
-        woken (credit in hand) when a consumer frees a slot.
-        """
-        event = Event(self.env)
-        claimed = self._claimed
-        if claimed < self.capacity:
-            claimed += 1
-            self._claimed = claimed
-            if claimed > self.claimed_peak:
-                self.claimed_peak = claimed
-            event.succeed()
-        else:
-            self._credit_waiters.append(event)
-        return event
-
     def release_claim(self):
         """Return one credit (consumer freed a slot, or claim expired)."""
         if self._claimed <= 0:
             raise CapacityError("releasing an unclaimed slot on %s"
                                 % self.name)
-        waiters = self._credit_waiters
-        while waiters:
-            waiter = waiters.popleft()
-            if not waiter.triggered:
-                # Hand the freed credit straight to the parked producer.
-                waiter.succeed()
-                return
         self._claimed -= 1
 
     def abort_claim(self):

@@ -32,16 +32,6 @@ class TestCli:
 
 
 class TestChannelFlags:
-    def test_batching_flags_do_not_leak_config(self, capsys):
-        assert main(["E01", "--batch-size", "4", "--poll-batch", "2",
-                     "--backpressure"]) == 0
-        assert "[E01]" in capsys.readouterr().out
-        assert testbed.active_config() is None  # reset after the run
-
-    def test_batch_size_must_be_positive(self, capsys):
-        with pytest.raises(SystemExit):
-            main(["E01", "--batch-size", "0"])
-
     def test_trace_channel_prints_and_clears(self, capsys):
         assert main(["E09", "--trace-channel", "wire",
                      "--trace-limit", "3"]) == 0

@@ -100,33 +100,6 @@ class TestWraparound:
         assert mq.dropped == 0
 
 
-class TestBackpressure:
-    def test_parked_producer_resumes_when_consumer_frees_slot(self, env,
-                                                              memory):
-        mq = MQueue(env, memory, 1)
-        assert mq.claim_rx_slot()
-        mq.complete_rx(make_entry(b"first"))
-        order = []
-
-        def producer(env):
-            yield mq.rx_ring.claim_wait()  # ring full: parked on credits
-            order.append("granted")
-            mq.complete_rx(make_entry(b"second"))
-
-        def consumer(env):
-            yield env.timeout(3.0)
-            entry = yield mq.pop_rx()
-            order.append("popped-" + entry.payload.decode())
-
-        env.process(producer(env))
-        env.process(consumer(env))
-        env.run()
-        assert order == ["popped-first", "granted"]
-        assert len(mq.rx_ring) == 1
-        assert mq.delivered == 2
-        assert mq.dropped == 0
-
-
 class TestTxRing:
     def test_doorbell_requires_registration(self, env, memory):
         mq = MQueue(env, memory, 4)

@@ -70,6 +70,18 @@ class TestIngress:
         assert len(mq.rx_ring) == 1
         assert manager.deliveries == 1
         # coalesced: one write of payload+metadata
+        assert manager.qp.ops == 1
+        assert manager.qp.bytes_moved == 64 + METADATA_BYTES
+
+    def test_uncoalesced_mode_uses_two_transactions(self, setup):
+        env, accel, manager = setup
+        manager.profile = replace(manager.profile, coalesce_metadata=False)
+        mq = manager.register(MQueue(env, accel.memory, 8))
+        assert manager.deliver(mq, _msg())
+        env.run(until=100)
+        assert len(mq.rx_ring) == 1
+        # payload write, then a separate metadata (doorbell) write
+        assert manager.qp.ops == 2
         assert manager.qp.bytes_moved == 64 + METADATA_BYTES
 
     def test_full_ring_drops(self, setup):
@@ -88,80 +100,6 @@ class TestIngress:
         env.run(until=100)
         # payload write + barrier read + doorbell write
         assert manager.qp.ops == 3
-
-
-def _manager(env, accel, profile):
-    engine = RdmaEngine(env, DEFAULT_RDMA)
-    qp = engine.connect(accel.memory)
-    workers = CorePool(env, XEON_E5_2620, count=2)
-    return RemoteMQManager(env, accel, qp, workers, profile)
-
-
-class TestBatching:
-    def test_batched_deliveries_coalesce_doorbells(self):
-        env = Environment()
-        accel = _Accel(env)
-        profile = replace(DEFAULT_CONFIG.lynx, batch_size=4)
-        manager = _manager(env, accel, profile)
-        mq = manager.register(MQueue(env, accel.memory, 16))
-        for _ in range(8):
-            assert manager.deliver(mq, _msg())
-        env.run(until=200)
-        assert manager.deliveries == 8
-        assert len(mq.rx_ring) == 8
-        # two coalesced batch writes instead of eight per-message ops
-        assert manager.qp.ops == 2
-        assert manager.qp.bytes_moved == 2 * 4 * (64 + METADATA_BYTES)
-
-    def test_idle_manager_posts_a_batch_of_one_immediately(self):
-        env = Environment()
-        accel = _Accel(env)
-        profile = replace(DEFAULT_CONFIG.lynx, batch_size=8)
-        manager = _manager(env, accel, profile)
-        mq = manager.register(MQueue(env, accel.memory, 8))
-        assert manager.deliver(mq, _msg())
-        env.run(until=50)
-        assert manager.qp.ops == 1
-        assert manager.deliveries == 1
-
-
-class TestBackpressure:
-    def test_full_ring_parks_instead_of_dropping(self):
-        env = Environment()
-        accel = _Accel(env)
-        profile = replace(DEFAULT_CONFIG.lynx, backpressure=True)
-        manager = _manager(env, accel, profile)
-        mq = manager.register(MQueue(env, accel.memory, 2))
-        assert manager.deliver(mq, _msg())
-        assert manager.deliver(mq, _msg())
-        assert manager.deliver(mq, _msg())  # parked, not dropped
-        assert mq.dropped == 0
-        assert mq.parked == 1
-        env.run(until=100)
-        assert manager.deliveries == 2  # third waits for a free slot
-
-        def consumer(env):
-            yield mq.pop_rx()
-
-        env.process(consumer(env))
-        env.run(until=300)
-        assert mq.parked == 0
-        assert manager.deliveries == 3
-        assert mq.dropped == 0
-
-    def test_parked_backlog_is_bounded(self):
-        env = Environment()
-        accel = _Accel(env)
-        profile = replace(DEFAULT_CONFIG.lynx, backpressure=True)
-        manager = _manager(env, accel, profile)
-        mq = manager.register(MQueue(env, accel.memory, 2))
-        assert manager.deliver(mq, _msg())
-        assert manager.deliver(mq, _msg())
-        assert manager.deliver(mq, _msg())  # parked
-        assert manager.deliver(mq, _msg())  # parked (== ring entries)
-        assert not manager.deliver(mq, _msg())  # beyond the bound: drop
-        assert mq.parked == 2
-        assert mq.dropped == 1
 
 
 class TestEgress:

@@ -294,36 +294,6 @@ class TestCredits:
         with pytest.raises(CapacityError):
             ch.complete_claim("item")
 
-    def test_claim_wait_blocks_producer_until_consumer_frees(self, env):
-        ch = Channel(env, capacity=1)
-        assert ch.try_claim()
-        ch.complete_claim("first")
-        log = []
-
-        def producer(env):
-            yield ch.claim_wait()  # parked: ring is full
-            log.append(("granted", env.now))
-            ch.complete_claim("second")
-
-        def consumer(env):
-            yield env.timeout(5.0)
-            item = ch.try_get()
-            log.append(("popped", item, env.now))
-            ch.release_claim()
-
-        env.process(producer(env))
-        env.process(consumer(env))
-        env.run()
-        assert log[0] == ("popped", "first", 5.0)
-        assert log[1] == ("granted", 5.0)
-        assert ch.try_get() == "second"
-
-    def test_claim_wait_succeeds_immediately_with_space(self, env):
-        ch = Channel(env, capacity=2)
-        event = ch.claim_wait()
-        assert event.triggered
-        assert ch.claimed == 1
-
 
 class TestTracing:
     def test_channel_emits_uniform_schema(self, env):
