@@ -45,15 +45,10 @@ class ServerApp:
 
 
 class EchoApp(ServerApp):
-    """The §3.2 microbenchmark kernel: copy input to output, optionally
-    spinning for a configurable emulated processing time."""
+    """The §3.2 microbenchmark kernel: copy input to output."""
 
     name = "echo"
-
-    def __init__(self, delay=0.0):
-        if delay < 0:
-            raise ConfigError("negative echo delay")
-        self.gpu_duration = delay
+    gpu_duration = 0.0
 
     def compute(self, payload):
         return payload
@@ -65,11 +60,10 @@ class SpinApp(ServerApp):
 
     name = "spin"
 
-    def __init__(self, runtime_us, response=b"ok!\x00"):
+    def __init__(self, runtime_us):
         if runtime_us < 0:
             raise ConfigError("negative runtime")
         self.gpu_duration = runtime_us
-        self._response = response
 
     def compute(self, payload):
-        return self._response
+        return b"ok!\x00"

@@ -51,10 +51,9 @@ class FaceVerificationApp(ServerApp):
     #: the LBP compare kernel runs "about 50us" (§6.4)
     use_dynamic_parallelism = False
 
-    def __init__(self, timings=DEFAULT_APP_TIMINGS,
-                 threshold=DEFAULT_THRESHOLD, compute_for_real=True):
-        self.gpu_duration = timings.facever_gpu
-        self.threshold = threshold
+    def __init__(self, compute_for_real=True):
+        self.gpu_duration = DEFAULT_APP_TIMINGS.facever_gpu
+        self.threshold = DEFAULT_THRESHOLD
         self.compute_for_real = compute_for_real
         self.verified = 0
         self.rejected = 0

@@ -55,8 +55,8 @@ def decode_result(payload):
 class KnnDataset:
     """A seeded, replicated vector dataset."""
 
-    def __init__(self, size=DEFAULT_DATASET, seed=77):
-        rng = np.random.default_rng(seed)
+    def __init__(self, size=DEFAULT_DATASET):
+        rng = np.random.default_rng(77)
         self.vectors = rng.standard_normal((size, DIM)).astype(np.float32)
         #: precomputed squared norms for the distance kernel
         self._norms = np.einsum("ij,ij->i", self.vectors, self.vectors)
@@ -86,9 +86,9 @@ class KnnApp(ServerApp):
     name = "knn"
     use_dynamic_parallelism = True
 
-    def __init__(self, dataset=None, k=DEFAULT_K, compute_for_real=True):
+    def __init__(self, dataset=None, compute_for_real=True):
         self.dataset = dataset or KnnDataset()
-        self.k = k
+        self.k = DEFAULT_K
         self.compute_for_real = compute_for_real
         # Brute-force distance kernel time on a K40m: the dataset scan
         # is memory-bound; ~0.12us per vector at DIM=64.

@@ -77,15 +77,13 @@ def image_bytes(digit, noise=0.0, shift=(0, 0), rng=None):
 class MnistStream:
     """Deterministic stream of (payload, label) pairs for load clients."""
 
-    def __init__(self, seed=0, noise=0.02, max_shift=1):
+    def __init__(self, seed=0, noise=0.02):
         self._rng = np.random.default_rng(seed)
         self.noise = noise
-        self.max_shift = max_shift
 
     def sample(self, index):
         digit = index % 10
-        shift = (int(self._rng.integers(-self.max_shift, self.max_shift + 1)),
-                 int(self._rng.integers(-self.max_shift, self.max_shift + 1)))
+        shift = (int(self._rng.integers(-1, 2)), int(self._rng.integers(-1, 2)))
         return image_bytes(digit, noise=self.noise, shift=shift,
                            rng=self._rng), digit
 

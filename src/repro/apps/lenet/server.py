@@ -20,6 +20,9 @@ from .model import LeNet5
 #: run pays 90 numpy forward passes for bit-identical weights.
 _CALIBRATION_CACHE = {}
 
+#: seed of the LeNet weights every server loads
+WEIGHT_SEED = 1998
+
 
 class LeNetApp(ServerApp):
     """GPU LeNet inference server application."""
@@ -31,16 +34,15 @@ class LeNetApp(ServerApp):
     #: launch chain (§6.3)
     host_kernel_launches = 5
 
-    def __init__(self, timings=DEFAULT_APP_TIMINGS, calibrated=True,
-                 seed=1998, compute_for_real=True):
-        self.gpu_duration = timings.lenet_gpu
-        self.model = LeNet5(seed=seed)
+    def __init__(self, calibrated=True, compute_for_real=True):
+        self.gpu_duration = DEFAULT_APP_TIMINGS.lenet_gpu
+        self.model = LeNet5(seed=WEIGHT_SEED)
         if calibrated:
-            cached = _CALIBRATION_CACHE.get(seed)
+            cached = _CALIBRATION_CACHE.get(WEIGHT_SEED)
             if cached is None:
                 self.model.calibrate_to_templates(template_set())
-                _CALIBRATION_CACHE[seed] = (self.model.fc3_w.copy(),
-                                            self.model.fc3_b.copy())
+                _CALIBRATION_CACHE[WEIGHT_SEED] = (
+                    self.model.fc3_w.copy(), self.model.fc3_b.copy())
             else:
                 # calibrate_to_templates only rewrites the fc3 readout.
                 self.model.fc3_w = cached[0].copy()

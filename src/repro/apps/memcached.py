@@ -32,6 +32,13 @@ STORED = b"STORED"
 DELETED = b"DELETED"
 MISS = b""
 
+#: the port every server listens on
+PORT = 11211
+#: LLC pressure of a request's dict op: the memory-bound share of its
+#: cost and the bytes it touches (0: the store fits beside the stack)
+MEMORY_INTENSITY = 0.25
+WORKING_SET = 0
+
 
 def encode_get(key):
     return GET + bytes(key)
@@ -152,8 +159,8 @@ class _WorkerOp:
         cost = (server.op_cost_fn(msg, result)
                 if server.op_cost_fn is not None else server.op_cost)
         self.pool.run_then(cost, self._executed,
-                           memory_intensity=server.memory_intensity,
-                           working_set=server.working_set)
+                           memory_intensity=MEMORY_INTENSITY,
+                           working_set=WORKING_SET)
 
     def _executed(self):
         msg = self.msg
@@ -181,30 +188,24 @@ class _WorkerOp:
 class MemcachedServer:
     """The network-facing server bound to a platform's cores + stack."""
 
-    def __init__(self, env, nic, pool, stack_profile, port=11211,
-                 op_cost=None, op_cost_fn=None, timings=DEFAULT_APP_TIMINGS,
-                 memory_intensity=0.25, working_set=0, name=None):
+    def __init__(self, env, nic, pool, stack_profile, op_cost_fn=None):
         self.env = env
         self.nic = nic
         self.pool = pool
-        self.port = port
-        self.name = name or "memcached@%s:%d" % (nic.ip, port)
+        self.port = PORT
+        self.name = "memcached@%s:%d" % (nic.ip, PORT)
         self.stack = NetworkStack(env, pool, stack_profile,
                                   name="%s-stack" % self.name)
-        self.stack.listen(port)
+        self.stack.listen(PORT)
         self.store = KeyValueStore()
         #: per-op service cost in *platform* us (calibrated, Fig 9)
-        if op_cost is None:
-            op_cost = (timings.memcached_op_arm
-                       if "arm" in pool.profile.name
-                       else timings.memcached_op_xeon)
-        self.op_cost = op_cost
+        self.op_cost = (DEFAULT_APP_TIMINGS.memcached_op_arm
+                        if "arm" in pool.profile.name
+                        else DEFAULT_APP_TIMINGS.memcached_op_xeon)
         #: optional per-request cost: ``op_cost_fn(msg, result) -> us``
         #: (heterogeneous service times, e.g. value-size-dependent ops
         #: in the cluster tier); ``None`` keeps the flat calibrated cost
         self.op_cost_fn = op_cost_fn
-        self.memory_intensity = memory_intensity
-        self.working_set = working_set
         self.ops = RateMeter(env, name="%s-ops" % self.name)
         # One serving loop per core (DESIGN.md §4.6: no Process).
         for _ in range(pool.count):

@@ -33,14 +33,13 @@ class SgxEchoApp:
 
     name = "sgx-echo"
 
-    def __init__(self, key=b"lynx-enclave-key", multiplier=MULTIPLIER,
-                 timings=DEFAULT_APP_TIMINGS):
+    def __init__(self, key=b"lynx-enclave-key", multiplier=MULTIPLIER):
         if len(key) != 16:
             raise ConfigError("AES-128 key must be 16 bytes")
         self._cipher = AES128(key)
         self.multiplier = multiplier
         #: enclave compute time per request (AES + multiply), in E3 us
-        self.compute_us = 2 * timings.sgx_aes_block + 0.5
+        self.compute_us = 2 * DEFAULT_APP_TIMINGS.sgx_aes_block + 0.5
 
     def encrypt_value(self, value):
         """Client-side helper: encrypt a 4-byte integer."""
@@ -58,12 +57,12 @@ class SgxEchoApp:
 class VcaLynxService:
     """The Lynx deployment: node polls its mqueue, enclave included."""
 
-    def __init__(self, env, node, mq, app, name=None):
+    def __init__(self, env, node, mq, app):
         self.env = env
         self.node = node
         self.mq = mq
         self.app = app
-        self.name = name or "%s-lynx-sgx" % node.name
+        self.name = "%s-lynx-sgx" % node.name
         self.io = AcceleratorIO(env, node.mqueue_access_latency())
         self.served = RateMeter(env, name="%s-served" % self.name)
         env.process(self._loop(), name=self.name)
@@ -83,18 +82,17 @@ class VcaBridgeBaseline:
     """Intel's preferred path: host bridge + node Linux stack + per-
     request enclave invocation."""
 
-    def __init__(self, env, host_machine, node, app, port,
-                 host_stack=XEON_KERNEL, name=None):
+    def __init__(self, env, host_machine, node, app, port):
         self.env = env
         self.machine = host_machine
         self.node = node
         self.app = app
         self.port = port
-        self.name = name or "%s-bridge-sgx" % node.name
+        self.name = "%s-bridge-sgx" % node.name
         # the host forwards bridge traffic with a (kernel) stack core
         self.host_pool = host_machine.pool(count=1,
                                            name="%s-bridge" % self.name)
-        self.host_stack = NetworkStack(env, self.host_pool, host_stack,
+        self.host_stack = NetworkStack(env, self.host_pool, XEON_KERNEL,
                                        name="%s-hstack" % self.name)
         self.node_stack = NetworkStack(env, node.pool, node.vca.profile.stack,
                                        name="%s-nstack" % self.name)

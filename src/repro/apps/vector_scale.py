@@ -33,12 +33,9 @@ class VectorScaleApp(ServerApp):
     #: the kernel itself is tiny
     gpu_duration = 3.0
 
-    def __init__(self, scale=SCALE):
-        self.scale = scale
-
     def compute(self, payload):
         vec = decode_vector(payload)
-        return (vec * self.scale).astype(np.int32).tobytes()
+        return (vec * SCALE).astype(np.int32).tobytes()
 
 
 class MatrixProductAggressor:
@@ -56,13 +53,12 @@ class MatrixProductAggressor:
     DURATION_XEON_US = 230000.0
     CHUNK_US = 200.0
 
-    def __init__(self, env, pool, name="matmul-aggressor"):
+    def __init__(self, env, pool):
         self.env = env
         self.pool = pool
-        self.name = name
         self.completed = 0
         self.total_busy = 0.0
-        self._proc = env.process(self._run(), name=name)
+        self._proc = env.process(self._run(), name="matmul-aggressor")
 
     def _run(self):
         chunks = int(self.DURATION_XEON_US / self.CHUNK_US)

@@ -35,7 +35,7 @@ class GpuCentricServer:
     """A server running entirely on the GPU over RDMA transport."""
 
     def __init__(self, env, machine, gpu, app, port, app_threadblocks=200,
-                 io_threadblocks=32, helper_cores=2, name=None):
+                 io_threadblocks=32, helper_cores=2):
         if app_threadblocks + io_threadblocks > gpu.profile.max_threadblocks:
             raise ConfigError(
                 "app (%d) + I/O (%d) threadblocks exceed the GPU's %d"
@@ -48,7 +48,7 @@ class GpuCentricServer:
         self.gpu = gpu
         self.app = app
         self.port = port
-        self.name = name or "gpucentric@%s" % machine.ip
+        self.name = "gpucentric@%s" % machine.ip
         self.app_threadblocks = app_threadblocks
         self.io_threadblocks = io_threadblocks
         self.helpers = machine.pool(count=helper_cores,

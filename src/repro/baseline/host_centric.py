@@ -17,6 +17,9 @@ from ..net.packet import Address, Message, TCP, UDP, payload_size
 from ..net.stack import NetworkStack, TcpConnection
 from ..sim import RateMeter, Resource
 
+#: CUDA streams per GPU: bounds the requests in flight on each GPU
+STREAMS_PER_GPU = 256
+
 
 class HostContext:
     """What a host-centric app handler can use."""
@@ -152,9 +155,7 @@ class _HostRxOp:
 class HostCentricServer:
     """CPU-driven GPU server (the baseline in every §6 experiment)."""
 
-    def __init__(self, env, machine, gpus, app, port, cores=1,
-                 streams_per_gpu=256, stack_profile=XEON_VMA, proto=UDP,
-                 name=None):
+    def __init__(self, env, machine, gpus, app, port, cores=1, proto=UDP):
         if not gpus:
             raise ConfigError("host-centric server needs at least one GPU")
         self.env = env
@@ -163,14 +164,14 @@ class HostCentricServer:
         self.app = app
         self.port = port
         self.proto = proto
-        self.name = name or "hostcentric@%s" % machine.ip
+        self.name = "hostcentric@%s" % machine.ip
         self.pool = machine.pool(count=cores, name="%s-pool" % self.name)
-        self.stack = NetworkStack(env, self.pool, stack_profile,
+        self.stack = NetworkStack(env, self.pool, XEON_VMA,
                                   name="%s-stack" % self.name)
         self.stack.listen(port)
         self.nic = machine.nic
         #: CUDA stream pool — bounds concurrently in-flight GPU requests
-        self.streams = Resource(env, streams_per_gpu * len(self.gpus),
+        self.streams = Resource(env, STREAMS_PER_GPU * len(self.gpus),
                                 name="%s-streams" % self.name)
         self.requests = RateMeter(env, name="%s-reqs" % self.name)
         self.responses = RateMeter(env, name="%s-resps" % self.name)

@@ -111,7 +111,7 @@ def campaign_main(argv):
             with telemetry.scope() as reg:
                 outcome = CAMPAIGNS[exp_id].run(
                     fast=not args.full, seed=args.seed, jobs=jobs,
-                    pairwise=True if args.pairwise else None)
+                    pairwise=args.pairwise)
                 snap = reg.snapshot()
             telemetry.registry().merge(snap)
             outcome.result.attach_metrics(snap)

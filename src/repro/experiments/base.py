@@ -14,12 +14,12 @@ benchmarks can print paper-vs-measured tables and assert on shape.
 class ExperimentResult:
     """Rows + metadata from one experiment run."""
 
-    def __init__(self, exp_id, title, paper_ref, rows=None, notes=None):
+    def __init__(self, exp_id, title, paper_ref):
         self.exp_id = exp_id
         self.title = title
         self.paper_ref = paper_ref
-        self.rows = rows or []
-        self.notes = notes or []
+        self.rows = []
+        self.notes = []
         #: merged telemetry snapshot for the whole run (DESIGN.md §4.9);
         #: attached by the CLI, empty when the experiment ran bare
         self.metrics = {}

@@ -203,10 +203,6 @@ class Campaign:
         Optional ``callable(fast, variant) -> dict`` merged over the
         default scenario kwargs — the escape hatch for per-variant
         measurement windows.
-    pairwise:
-        Also generate two-knob-off interaction points (multi-knob
-        campaigns only); they ride in rows but stay out of the
-        per-component importance means.
     summary:
         One-line description for registries and docstrings.
     """
@@ -214,7 +210,7 @@ class Campaign:
     def __init__(self, exp_id, title, paper_ref, scenario, components,
                  slug=None, settings=None, row=None, metric=None,
                  higher_is_better=True, notes=(), finish=None,
-                 point_kwargs=None, pairwise=False, summary=""):
+                 point_kwargs=None, summary=""):
         self.exp_id = exp_id
         self.title = title
         self.paper_ref = paper_ref
@@ -228,7 +224,6 @@ class Campaign:
         self.notes = tuple(notes)
         self.finish = finish
         self.point_kwargs = point_kwargs
-        self.pairwise = pairwise
         self.summary = summary
         self.module = getattr(scenario, "__module__", None)
         knobs = self.knobs()
@@ -241,9 +236,13 @@ class Campaign:
     def knobs(self):
         return tuple(k for comp in self.components for k in comp.knobs)
 
-    def variants(self, fast=True, pairwise=None):
-        """The generated grid, in deterministic declaration order."""
-        pairwise = self.pairwise if pairwise is None else pairwise
+    def variants(self, fast=True, pairwise=False):
+        """The generated grid, in deterministic declaration order.
+
+        *pairwise* adds two-knob-off interaction points (multi-knob
+        campaigns only); they ride in rows but stay out of the
+        per-component importance means.
+        """
         knobs = self.knobs()
         baseline = {k.name: k.baseline(fast) for k in knobs}
         if len(knobs) == 1:
@@ -296,7 +295,7 @@ class Campaign:
 
     # -- execution ---------------------------------------------------------
 
-    def run(self, fast=True, seed=42, jobs=None, pairwise=None):
+    def run(self, fast=True, seed=42, jobs=None, pairwise=False):
         """Run the campaign; returns a :class:`CampaignOutcome`."""
         variants = self.variants(fast, pairwise=pairwise)
         points = []
@@ -548,7 +547,7 @@ def find_campaign(exp_id, module=None):
 
 
 def run_campaigns(exp_ids=None, fast=True, seed=42, jobs=None,
-                  pairwise=None):
+                  pairwise=False):
     """Run declared campaigns; returns their outcomes in order.
 
     *exp_ids* of ``None`` runs every registered campaign in declaration

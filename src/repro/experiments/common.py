@@ -32,10 +32,6 @@ class Deployment:
         self.host = host
         self.gpu = gpu
 
-    def served_per_sec(self):
-        """Responses/s measured at the server egress."""
-        return self.server.responses.per_sec()
-
 
 def deploy(design, app=None, n_mqueues=1, proto=UDP, port=7777, seed=42,
            gpu_profile=K40M, config=None, hc_cores=1):
@@ -67,14 +63,15 @@ def deploy(design, app=None, n_mqueues=1, proto=UDP, port=7777, seed=42,
 
 
 def measure_saturation(dep, payload_fn, offered_per_sec, proto=UDP,
-                       warmup=20000.0, measure=60000.0, clients=2):
-    """Open-loop overload: returns delivered responses/s."""
+                       warmup=20000.0, measure=60000.0):
+    """Open-loop overload from two clients: returns delivered
+    responses/s."""
     reg = telemetry.registry()
     meters = []
-    for i in range(clients):
+    for i in range(2):
         client = dep.tb.client("10.0.9.%d" % (i + 1))
         OpenLoopGenerator(dep.env, client, dep.address,
-                          offered_per_sec / clients / 1e6, payload_fn,
+                          offered_per_sec / 2 / 1e6, payload_fn,
                           proto=proto)
         # Fetched through the registry (DESIGN.md §4.9): the client
         # registers its live meters at construction, so this is the

@@ -126,9 +126,3 @@ def run(fast=True, seed=42, measure_us=None, jobs=None):
     result.note("paper: Lynx 3.5K (UDP) = +25%% over host-centric 2.8K; "
                 "single-GPU max 3.6K; p90 ~295-300us vs 14%% slower baseline")
     return result
-
-
-def latency_distribution(design, proto=UDP, seed=42, measure_us=200000.0):
-    """Latency samples for the Fig 8a CDF (used by examples/plots)."""
-    _, latency = measure(design, proto, seed, measure_us)
-    return latency.samples

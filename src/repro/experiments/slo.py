@@ -67,11 +67,9 @@ class TrialResult:
 class SustainableLoad:
     """The outcome of one :func:`find_sustainable_load` search."""
 
-    __slots__ = ("rate", "knee", "trials", "slo_us", "percentile",
-                 "bracket_saturated")
+    __slots__ = ("rate", "knee", "trials", "slo_us", "bracket_saturated")
 
-    def __init__(self, rate, knee, trials, slo_us, percentile,
-                 bracket_saturated=False):
+    def __init__(self, rate, knee, trials, slo_us, bracket_saturated=False):
         #: highest sustainable offered rate (requests/us); 0.0 when
         #: even the bracket's low end violated the SLO
         self.rate = rate
@@ -80,7 +78,6 @@ class SustainableLoad:
         self.knee = knee
         self.trials = trials
         self.slo_us = slo_us
-        self.percentile = percentile
         #: True when the whole bracket sustained the SLO — ``rate`` is
         #: then only a lower bound and the caller should widen the
         #: bracket and re-search
@@ -90,23 +87,13 @@ class SustainableLoad:
     def per_sec(self):
         return self.rate * 1e6
 
-    def render_trials(self):
-        lines = ["%10s  %10s  %10s  %8s  %s"
-                 % ("rate/us", "offered/s", "delivered/s",
-                    "p%g us" % self.percentile, "ok")]
-        for t in self.trials:
-            lines.append("%10.4f  %10.0f  %10.0f  %8.1f  %s"
-                         % (t.rate, t.offered_per_sec, t.delivered_per_sec,
-                            t.p_tail, "yes" if t.ok else "NO"))
-        return "\n".join(lines)
 
-
-def find_sustainable_load(trial, lo, hi, slo_us, percentile=99.0,
-                          goodput_floor=0.98, iters=7, seed=42):
+def find_sustainable_load(trial, lo, hi, slo_us, goodput_floor=0.98,
+                          iters=7, seed=42):
     """Bisect offered λ to the highest rate meeting the SLO.
 
     ``trial(rate_per_us, seed)`` runs one independent measurement and
-    returns a dict with ``p_tail_us`` (latency at *percentile*),
+    returns a dict with ``p_tail_us`` (the tail latency *slo_us* bounds),
     ``offered_per_sec``, and ``delivered_per_sec``.  The bracket ends
     are probed first (so the returned trial list documents both
     extremes), then *iters* bisection probes narrow the knee; the
@@ -139,11 +126,11 @@ def find_sustainable_load(trial, lo, hi, slo_us, percentile=99.0,
     if high.ok:
         # The whole bracket sustains: report the top end as a lower
         # bound and flag it so callers can widen the bracket.
-        return SustainableLoad(hi, high, trials, slo_us, percentile,
+        return SustainableLoad(hi, high, trials, slo_us,
                                bracket_saturated=True)
     if not low.ok:
         # Even the low end violates the SLO: nothing sustainable here.
-        return SustainableLoad(0.0, None, trials, slo_us, percentile)
+        return SustainableLoad(0.0, None, trials, slo_us)
     for i in range(iters):
         mid = 0.5 * (lo + hi)
         result = probe(mid, 2 + i)
@@ -152,4 +139,4 @@ def find_sustainable_load(trial, lo, hi, slo_us, percentile=99.0,
             lo = mid
         else:
             hi = mid
-    return SustainableLoad(best.rate, best, trials, slo_us, percentile)
+    return SustainableLoad(best.rate, best, trials, slo_us)

@@ -50,8 +50,7 @@ class Testbed:
     #: not a pytest test class, despite the name
     __test__ = False
 
-    def __init__(self, config=None, seed=None, racks=None,
-                 oversubscription=1.0):
+    def __init__(self, config=None, seed=None, racks=None):
         self.config = config or _active_config or DEFAULT_CONFIG
         if seed is not None:
             self.config = self.config.with_(seed=seed)
@@ -68,8 +67,7 @@ class Testbed:
         if racks is None:
             self.network = Network(self.env)
         else:
-            self.network = MultiRackNetwork(
-                self.env, racks=racks, oversubscription=oversubscription)
+            self.network = MultiRackNetwork(self.env, racks=racks)
         self.machines = {}
         self.clients = {}
 

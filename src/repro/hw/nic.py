@@ -20,15 +20,14 @@ class Nic:
     #: descriptors in the RX ring; overflow is dropped (drop-tail)
     RX_RING_ENTRIES = 1024
 
-    def __init__(self, env, network, ip, link_rate=units.gbps(40), name=None,
-                 rx_ring_entries=None):
+    def __init__(self, env, network, ip, link_rate=units.gbps(40), name=None):
         self.env = env
         self.network = network
         self.ip = ip
         self.link_rate = link_rate
         self.name = name or "nic-%s" % ip
         self.rx = Channel(env,
-                          capacity=rx_ring_entries or self.RX_RING_ENTRIES,
+                          capacity=self.RX_RING_ENTRIES,
                           name="%s-rx" % self.name)
         #: the port's TX serializer: one frame at a time at line rate
         self.tx = Channel(env, serialized=True, bandwidth=link_rate,

@@ -61,9 +61,11 @@ class PcieFabric:
     property Lynx relies on.
     """
 
-    def __init__(self, env, hop_latency=0.2):
+    #: latency (us) a DMA adds crossing the switch / root complex
+    hop_latency = 0.2
+
+    def __init__(self, env):
         self.env = env
-        self.hop_latency = hop_latency
         self._links = {}
 
     def attach(self, device_name, link):

@@ -77,6 +77,6 @@ class InnovaSNIC:
 
     def check_tx_supported(self):
         """The paper's Innova prototype implements only the receive path."""
-        if self.profile.rx_only:
+        if not self.profile.projected:
             raise ConfigError(
                 "Innova prototype implements the receive path only (§5.2)")

@@ -46,11 +46,9 @@ class VcaNode:
         With the paper's workaround the ring lives in host memory, so
         every poll/enqueue crosses PCIe.
         """
-        if self.vca.profile.mqueue_in_host_memory:
-            return (self.vca.pcie_crossing
-                    + self.vca.profile.mqueue_poll_overhead
-                    + self.vca.mqueue_memory.access_latency)
-        return self.vca.mqueue_memory.access_latency
+        return (self.vca.pcie_crossing
+                + self.vca.profile.mqueue_poll_overhead
+                + self.vca.mqueue_memory.access_latency)
 
 
 class VcaNodeAccelerator:
@@ -95,15 +93,15 @@ class VcaNodeAccelerator:
 class IntelVCA:
     """The VCA board: three nodes on an internal PCIe switch."""
 
-    def __init__(self, env, profile, cache_profile, rng, name="vca",
-                 pcie_crossing=0.9):
+    #: one PCIe traversal between the host root complex and a node (us)
+    pcie_crossing = 0.9
+
+    def __init__(self, env, profile, cache_profile, rng, name="vca"):
         if profile.nodes < 1:
             raise ConfigError("VCA needs at least one node")
         self.env = env
         self.profile = profile
         self.name = name
-        #: one PCIe traversal between host root complex and a VCA node
-        self.pcie_crossing = pcie_crossing
         #: where mqueues actually live (host DRAM, per the workaround)
         self.mqueue_memory = MemoryRegion(
             env, "%s-mqueue-mem" % name, access_latency=HOST_DRAM_LATENCY)

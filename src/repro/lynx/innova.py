@@ -1,5 +1,6 @@
-"""Lynx on the Innova Flex FPGA SNIC (§5.2) — receive path only.
+"""Lynx on the Innova Flex FPGA SNIC (§5.2).
 
+``InnovaProfile.projected`` picks one of §5.2's two configurations.
 The paper's partial prototype implements the Lynx network server as a
 NICA AFU: an on-FPGA UDP stack parses each packet, appends the 4-byte
 metadata and places the payload onto a custom ring (the mqueue) in
@@ -10,6 +11,9 @@ modelled faithfully:
 * the UC custom ring needs a host CPU helper thread to refill the QP
   receive queue and handle flow control — a per-message cost on a host
   core.
+
+The projected full configuration (``INNOVA_PROJECTED``) drops both: RC
+rings need no helper, and the AFU also sends responses.
 """
 
 from ..errors import ConfigError
@@ -26,14 +30,14 @@ HELPER_COST_US = 0.12
 class InnovaLynxServer:
     """The AFU-resident Lynx receive pipeline."""
 
-    def __init__(self, env, snic, helper_pool, name=None):
-        if snic.profile.needs_cpu_helper and helper_pool is None:
+    def __init__(self, env, snic, helper_pool):
+        if not snic.profile.projected and helper_pool is None:
             raise ConfigError(
                 "the Innova prototype needs a host CPU helper thread (§5.2)")
         self.env = env
         self.snic = snic
         self.helper_pool = helper_pool
-        self.name = name or "lynx-innova@%s" % snic.nic.ip
+        self.name = "lynx-innova@%s" % snic.nic.ip
         self._ports = {}
         self._qps = {}
         self.delivered = RateMeter(env, name="%s-delivered" % self.name)
@@ -41,29 +45,29 @@ class InnovaLynxServer:
         self.dropped = 0
         env.process(self._rx_loop(), name="%s-rx" % self.name)
         # §5.2: the prototype's TX limitation "is not fundamental".  In
-        # the projected full configuration (rx_only=False) the AFU also
+        # the projected full configuration (projected=True) the AFU also
         # polls TX doorbells over one-sided RDMA and sends responses
         # through its on-FPGA UDP stack.
         self._doorbells = Channel(env, name="%s-doorbells" % self.name)
-        if not snic.profile.rx_only:
+        if snic.profile.projected:
             env.process(self._tx_loop(), name="%s-tx" % self.name)
 
-    def bind(self, port, mqueues, policy=None, accelerator_memory=None):
+    def bind(self, port, mqueues, policy=None):
         """Listen on *port*, dispatching into *mqueues* (AFU table entry).
 
         The prototype uses UC custom rings (hence the CPU helper); the
         projected full configuration uses one-sided RDMA over RC, which
         also enables the TX path's doorbell reads.
         """
-        memory = accelerator_memory or mqueues[0].memory
         from ..net.rdma import RC, UC
 
-        qp_type = UC if self.snic.profile.needs_cpu_helper else RC
-        qp = self.snic.rdma.connect(memory, name="innova-qp-%d" % port,
+        qp_type = RC if self.snic.profile.projected else UC
+        qp = self.snic.rdma.connect(mqueues[0].memory,
+                                    name="innova-qp-%d" % port,
                                     qp_type=qp_type)
         self._ports[port] = (policy or RoundRobin(), list(mqueues))
         self._qps[port] = qp
-        if not self.snic.profile.rx_only:
+        if self.snic.profile.projected:
             for mq in mqueues:
                 mq.tx_doorbell = self._doorbells
                 mq.bound_port = port
@@ -96,7 +100,7 @@ class InnovaLynxServer:
         qp = self._qps[msg.dst.port]
         yield from self.snic.rdma.write(qp, msg.size + METADATA_BYTES)
         # UC custom ring: host helper refills the receive queue.
-        if self.snic.profile.needs_cpu_helper:
+        if not self.snic.profile.projected:
             yield from self.helper_pool.run_calibrated(HELPER_COST_US)
         entry = MQueueEntry(payload=msg.payload, size=msg.size,
                             request_msg=msg)

@@ -56,15 +56,14 @@ class MQueueEntry:
 
     __slots__ = ("payload", "size", "error", "request_msg", "enqueued_at")
 
-    def __init__(self, payload, size, request_msg=None, error=0,
-                 enqueued_at=0.0):
+    def __init__(self, payload, size, request_msg=None, error=0):
         self.payload = payload
         self.size = size
         self.error = error
         #: the network message this entry came from (zero-copy reference;
         #: carries reply routing: source address, TCP connection, ...)
         self.request_msg = request_msg
-        self.enqueued_at = enqueued_at
+        self.enqueued_at = 0.0
 
 
 class MQueue:

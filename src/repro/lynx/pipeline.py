@@ -30,13 +30,11 @@ _STAGE_PORT_BASE = 9800
 
 
 class PipelineStage:
-    """One accelerator stage: (accelerator, app, mqueue count)."""
+    """One accelerator stage: an app on an accelerator, one mqueue."""
 
-    def __init__(self, gpu, app, n_mqueues=1, remote=False):
+    def __init__(self, gpu, app):
         self.gpu = gpu
         self.app = app
-        self.n_mqueues = n_mqueues
-        self.remote = remote
 
 
 class _StageApp:
@@ -103,9 +101,8 @@ def start_pipeline(runtime, stages, port, proto=UDP):
         if next_port is not None:
             backends[NEXT_STAGE] = (Address(server.ip, next_port), proto)
         service = yield from runtime.start_gpu_service(
-            stage.gpu, wrapped, port=stage_port,
-            n_mqueues=stage.n_mqueues, proto=proto, backends=backends,
-            remote=stage.remote)
+            stage.gpu, wrapped, port=stage_port, proto=proto,
+            backends=backends)
         services.append(service)
         stage_apps.append(wrapped)
         ports.append(stage_port)

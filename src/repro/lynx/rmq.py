@@ -196,7 +196,7 @@ class RemoteMQManager:
     OP_POOL_CAP = 1024
 
     def __init__(self, env, accelerator, qp, workers, lynx_profile,
-                 needs_barrier=False, name=None):
+                 needs_barrier=False):
         self.env = env
         self.accelerator = accelerator
         self.qp = qp
@@ -206,7 +206,7 @@ class RemoteMQManager:
         self.workers = workers
         self.profile = lynx_profile
         self.needs_barrier = needs_barrier
-        self.name = name or "rmq-%s" % getattr(accelerator, "name", "accel")
+        self.name = "rmq-%s" % getattr(accelerator, "name", "accel")
         self.mqueues = []
         self._mqueue_set = set()
         self._op_pool = []

@@ -60,15 +60,14 @@ class OnOffBurst:
     rate is ``burst_rate * on_mean / (on_mean + off_mean)``.
     """
 
-    def __init__(self, burst_rate_per_us, on_mean_us, off_mean_us, rng,
-                 stream="onoff-arrivals"):
+    def __init__(self, burst_rate_per_us, on_mean_us, off_mean_us, rng):
         if burst_rate_per_us <= 0 or on_mean_us <= 0 or off_mean_us < 0:
             raise ConfigError("invalid on/off burst parameters")
         self.burst_rate = burst_rate_per_us
         self.on_mean = on_mean_us
         self.off_mean = off_mean_us
         self._rng = rng
-        self._stream = stream
+        self._stream = "onoff-arrivals"
         self._remaining_on = 0.0
 
     @property

@@ -18,6 +18,15 @@ from .. import telemetry
 from .packet import Address, Message, TCP, UDP
 from .stack import TcpConnection
 
+#: client NIC line rate (bytes/us)
+LINK_RATE = units.gbps(40)
+#: sockperf-with-VMA userspace costs per message (us).  The receive
+#: cost is *accounted* into recorded latency but not simulated as a
+#: serialization point, so a single client can sink high response rates
+#: (the paper uses two client machines).
+SEND_COST = 2.0
+RECV_COST = 2.0
+
 
 class _SendOp:
     """One in-flight fire-and-forget send (callback twin of Client.send).
@@ -76,7 +85,7 @@ class _ClientRxOp:
         created = msg.meta.get("request_created_at")
         if created is not None and msg.kind == "response":
             client.latency._samples.append(
-                client.env.now - created + client.recv_cost)
+                client.env.now - created + RECV_COST)
             client.responses.count += 1
         if msg.kind == "response":
             # The one place client-plane exchanges complete (feeds the
@@ -93,18 +102,10 @@ class _ClientRxOp:
 class Client:
     """One client host attached to the network."""
 
-    def __init__(self, env, network, ip, link_rate=units.gbps(40),
-                 send_cost=2.0, recv_cost=2.0, name=None, rng=None):
+    def __init__(self, env, network, ip, name=None, rng=None):
         self.env = env
         self.network = network
         self.ip = ip
-        self.link_rate = link_rate
-        # sockperf-with-VMA userspace costs per message.  recv_cost is
-        # *accounted* into recorded latency but not simulated as a
-        # serialization point, so a single client can sink high response
-        # rates (the paper uses two client machines).
-        self.send_cost = send_cost
-        self.recv_cost = recv_cost
         self.name = name or "client-%s" % ip
         self.rng = rng
         self.rx = Channel(env, name="%s-rx" % self.name)
@@ -146,7 +147,7 @@ class Client:
         caller charges it, then hands *msg* to :meth:`_wire`."""
         if msg.conn is not None and not msg.kind.startswith("tcp-"):
             msg.meta["tcp_seq"] = msg.conn.next_seq(msg.src)
-        return self.send_cost + msg.wire_size / self.link_rate
+        return SEND_COST + msg.wire_size / LINK_RATE
 
     def _wire(self, msg):
         self.sent.count += 1          # inlined RateMeter.tick()
@@ -288,8 +289,7 @@ class OpenLoopGenerator:
     """Poisson (or uniform) arrivals at a fixed offered rate."""
 
     def __init__(self, env, client, dst, rate_per_us=None, payload_fn=None,
-                 proto=UDP, conn=None, poisson=True, arrivals=None,
-                 name=None):
+                 proto=UDP, conn=None, poisson=True, arrivals=None):
         if arrivals is None and (rate_per_us is None or rate_per_us <= 0):
             raise NetworkError("open-loop rate must be positive")
         if payload_fn is None:
@@ -305,7 +305,7 @@ class OpenLoopGenerator:
         #: optional gap source (``OnOffBurst``, ``TraceReplay``: any
         #: object with ``next_gap()``) overriding rate/poisson pacing
         self.arrivals = arrivals
-        self.name = name or "openloop->%s" % (dst,)
+        self.name = "openloop->%s" % (dst,)
         self._stopped = False
         self.offered = 0
         # Callback state machine standing in for the old arrival Process
@@ -375,7 +375,7 @@ class _ClosedLoopOp:
 
     def _begin(self, _event):
         gen = self.gen
-        if not gen.use_tcp_connections:
+        if gen.proto != TCP:
             self._next()
             return
         syn, waiter = gen.client._open_syn(gen.dst)
@@ -452,12 +452,6 @@ class _ClosedLoopOp:
             gen.errors += 1
         else:
             gen.completed += 1
-        if gen.think_time > 0:
-            gen.env.defer(gen.think_time, self._thought)
-        else:
-            self._next()
-
-    def _thought(self, _arg):
         self._next()
 
 
@@ -465,8 +459,7 @@ class ClosedLoopGenerator:
     """N workers, each with one outstanding request at a time."""
 
     def __init__(self, env, client, dst, concurrency, payload_fn, proto=UDP,
-                 timeout=None, think_time=0.0, use_tcp_connections=False,
-                 retries=0, retry_backoff=None, name=None):
+                 timeout=None, retries=0, retry_backoff=None):
         self.env = env
         self.client = client
         self.dst = dst
@@ -474,12 +467,10 @@ class ClosedLoopGenerator:
         self.payload_fn = payload_fn
         self.proto = proto
         self.timeout = timeout
-        self.think_time = think_time
-        self.use_tcp_connections = use_tcp_connections or proto == TCP
         self.retries = retries
         self.retry_backoff = retry_backoff
         self.policy = RetryPolicy(timeout, retries, retry_backoff)
-        self.name = name or "closedloop->%s" % (dst,)
+        self.name = "closedloop->%s" % (dst,)
         self._stopped = False
         self.completed = 0
         self.timeouts = 0

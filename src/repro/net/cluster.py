@@ -42,6 +42,11 @@ from ..sim import Channel
 #: replica-steering policies the VIP understands
 STEER_POLICIES = ("round_robin", "least_loaded", "p2c")
 
+#: virtual nodes per ring member
+VNODES = 64
+#: most messages one steering wakeup drains from the VIP's RX ring
+MAX_BATCH = 64
+
 # apps.memcached wire-format prefixes (kept literal here: the fabric
 # layer must not import the application layer)
 _GET = b"get \x00"
@@ -73,10 +78,7 @@ def _point(data):
 class ConsistentHashRing:
     """Virtual-node consistent hashing over a set of node names."""
 
-    def __init__(self, nodes=(), vnodes=64):
-        if vnodes < 1:
-            raise ConfigError("consistent-hash ring needs >= 1 vnode")
-        self.vnodes = vnodes
+    def __init__(self, nodes=()):
         self._nodes = []
         self._points = []   # sorted vnode positions
         self._owners = []   # node name per position
@@ -99,7 +101,7 @@ class ConsistentHashRing:
             raise ConfigError("node %r already on the ring" % (node,))
         self._nodes.append(node)
         encoded = node.encode("utf-8") if isinstance(node, str) else node
-        for v in range(self.vnodes):
+        for v in range(VNODES):
             point = _point(b"%s#%d" % (encoded, v))
             at = bisect_right(self._points, point)
             self._points.insert(at, point)
@@ -197,7 +199,7 @@ class _SteerOp:
         lb = self.lb
         batch = [msg]
         if lb.batched:
-            batch.extend(lb.rx.recv_batch(lb.max_batch - 1))
+            batch.extend(lb.rx.recv_batch(MAX_BATCH - 1))
         self.batch = batch
         lb.env.defer(lb.steer_cost * len(batch), self._forward)
 
@@ -236,7 +238,7 @@ class L4LoadBalancer:
 
     def __init__(self, env, network, ip, port=11211, policy="p2c", rng=None,
                  ring=None, replication=None, steer_cost=0.3, rx_ring=4096,
-                 batched=True, max_batch=64, key_of=extract_key, name=None):
+                 batched=True):
         if policy not in STEER_POLICIES:
             raise ConfigError("unknown steering policy %r (one of %s)"
                               % (policy, ", ".join(STEER_POLICIES)))
@@ -252,9 +254,7 @@ class L4LoadBalancer:
         self.replication = replication
         self.steer_cost = steer_cost
         self.batched = batched
-        self.max_batch = max_batch
-        self.key_of = key_of
-        self.name = name or "lb@%s" % ip
+        self.name = "lb@%s" % ip
         self._stream = "cluster.p2c.%s" % ip
         self.rx = Channel(env, capacity=rx_ring, name="%s-rx" % self.name)
         network.attach(ip, self)
@@ -339,9 +339,8 @@ class L4LoadBalancer:
         network).  Replies bypass the VIP entirely (DSR)."""
         deliver = self.network.deliver
         backends = self._backends
-        key_of = self.key_of
         for msg in msgs:
-            candidates = self._candidates(key_of(msg.payload))
+            candidates = self._candidates(extract_key(msg.payload))
             if not candidates:
                 self.unrouted += 1
                 continue

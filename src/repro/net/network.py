@@ -12,9 +12,8 @@ drop-tail in the RX ring.
 out to several ToRs behind a spine: intra-rack traffic keeps the exact
 single-hop path above, while cross-rack frames ride two extra
 :class:`~repro.sim.Channel` hops — the source ToR's uplink and the
-destination ToR's downlink — each adding ``spine_latency`` and bounded
-by a drop-tail spine-port queue whose depth shrinks with the
-configured ``oversubscription`` factor.  Racks are fault domains:
+destination ToR's downlink — each adding ``SPINE_LATENCY`` and bounded
+by a drop-tail spine-port queue.  Racks are fault domains:
 :meth:`MultiRackNetwork.fail_rack` partitions a rack mid-run (frames
 to *and* from it drop, counted), which is what the cluster failover
 experiment (E18) recovers from.
@@ -25,6 +24,11 @@ from collections import deque
 from ..errors import NetworkError
 from ..sim import Channel
 from .. import telemetry
+
+#: one-way latencies (us) of a host wire, the ToR switch and a spine hop
+WIRE_LATENCY = 0.3
+SWITCH_LATENCY = 0.3
+SPINE_LATENCY = 0.5
 
 
 class _FabricCounters:
@@ -65,10 +69,8 @@ class _FabricCounters:
 class Network:
     """A single-switch Ethernet/InfiniBand fabric."""
 
-    def __init__(self, env, wire_latency=0.3, switch_latency=0.3):
+    def __init__(self, env):
         self.env = env
-        self.wire_latency = wire_latency
-        self.switch_latency = switch_latency
         self._endpoints = {}
         #: per-destination wire channels (created at attach time)
         self._channels = {}
@@ -117,7 +119,7 @@ class Network:
     @property
     def one_way_latency(self):
         """Port-to-port latency through the switch, excluding serialization."""
-        return 2 * self.wire_latency + self.switch_latency
+        return 2 * WIRE_LATENCY + SWITCH_LATENCY
 
     def inject_channel(self, src_ip, dst_ip):
         """The Channel a flyweight source at *src_ip* injects into when
@@ -209,29 +211,24 @@ class MultiRackNetwork(Network):
     Endpoints are placed into racks with :meth:`place` (default rack
     0).  Intra-rack delivery is byte-identical to the single-switch
     fabric; a cross-rack frame rides ``uplink(src rack) ->
-    downlink(dst rack) -> wire(dst)``, adding ``spine_latency`` per
-    spine hop.  ``oversubscription`` shrinks the drop-tail spine-port
-    queue (``spine_queue / oversubscription`` entries), so a congested
-    spine drops frames on the *uplink* hop — the classic
-    oversubscribed-fabric failure mode.
+    downlink(dst rack) -> wire(dst)``, adding ``SPINE_LATENCY`` per
+    spine hop.  The spine port is a drop-tail queue of ``spine_queue``
+    entries, so a congested spine drops frames on the *uplink* hop — the
+    classic oversubscribed-fabric failure mode.
 
     Racks are fault domains: :meth:`fail_rack` partitions a rack
     (frames to and from it are dropped and counted in
     ``dropped_rack_down``); :meth:`restore_rack` heals it.
     """
 
-    def __init__(self, env, racks=2, wire_latency=0.3, switch_latency=0.3,
-                 spine_latency=0.5, oversubscription=1.0, spine_queue=512):
-        super().__init__(env, wire_latency, switch_latency)
+    #: spine-port queue depth (drop-tail)
+    spine_queue = 512
+
+    def __init__(self, env, racks=2):
+        super().__init__(env)
         if racks < 1:
             raise NetworkError("a multi-rack fabric needs >= 1 rack")
-        if oversubscription < 1.0:
-            raise NetworkError("oversubscription factor must be >= 1.0")
         self.racks = racks
-        self.spine_latency = spine_latency
-        self.oversubscription = oversubscription
-        #: spine-port queue depth after oversubscription (drop-tail)
-        self.spine_queue = max(1, int(round(spine_queue / oversubscription)))
         self._rack_plan = {}
         self._dead_racks = set()
         self.dropped_rack_down = 0
@@ -239,10 +236,10 @@ class MultiRackNetwork(Network):
         self._downlinks = []
         reg = telemetry.registry()
         for rack in range(racks):
-            up = Channel(env, name="tor%d-up" % rack, latency=spine_latency,
+            up = Channel(env, name="tor%d-up" % rack, latency=SPINE_LATENCY,
                          sink=_TorUplinkSink(self, rack))
             down = Channel(env, name="tor%d-down" % rack,
-                           latency=spine_latency,
+                           latency=SPINE_LATENCY,
                            sink=_TorDownlinkSink(self, rack))
             self._uplinks.append(up)
             self._downlinks.append(down)

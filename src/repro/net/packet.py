@@ -69,7 +69,7 @@ class Message:
                  "created_at", "_meta", "conn", "kind")
 
     def __init__(self, src, dst, payload, proto=UDP, created_at=0.0,
-                 size=None, meta=None, conn=None, kind="request"):
+                 size=None, conn=None, kind="request"):
         self.msg_id = next(_ids)
         self.src = src
         self.dst = dst
@@ -77,7 +77,7 @@ class Message:
         self.payload = payload
         self.size = payload_size(payload) if size is None else size
         self.created_at = created_at
-        self._meta = meta or None
+        self._meta = None
         self.conn = conn
         self.kind = kind
 

@@ -39,12 +39,13 @@ import math
 
 import numpy as np
 
-from .. import telemetry, units
+from .. import telemetry
 from ..errors import ConfigError
 from ..sim import Channel, RateMeter
 from ..telemetry.instruments import LogHistogram
 from .packet import Address, Message, UDP_HEADER, payload_size
 from .arrivals import load_trace_timestamps
+from .client import LINK_RATE, RECV_COST, SEND_COST
 
 #: target arrivals per pre-generated chunk
 CHUNK = 4096
@@ -383,8 +384,11 @@ class InFlightTable:
     No per-request objects, no ``_waiters`` dict.
     """
 
-    def __init__(self, capacity=8192):
-        self._grow_to(max(capacity, 64))
+    #: rows allocated up front; compaction grows the columns past it
+    CAPACITY = 8192
+
+    def __init__(self):
+        self._grow_to(self.CAPACITY)
         self._n = 0
         self._live = 0
         self._staged = []
@@ -551,9 +555,8 @@ class ClientPopulation:
 
     Sends UDP datagrams at the instants of one *arrivals* source
     (a :class:`PopulationArrivals`), each carrying a payload drawn from
-    one :class:`PayloadPool`.  Parameters mirror
-    :class:`~repro.net.client.Client` where they model the same thing
-    (``send_cost``/``recv_cost``/``link_rate``).  ``timeout`` (us)
+    one :class:`PayloadPool`.  Send and receive costs and the line rate
+    are :class:`~repro.net.client.Client`'s.  ``timeout`` (us)
     bounds each request's deadline column (``None`` disables expiry).
     ``coalesce_us`` frames injection wakeups: arrivals whose wire entry
     falls in the same frame are injected back-to-back at the frame's
@@ -563,8 +566,7 @@ class ClientPopulation:
     """
 
     def __init__(self, env, network, ip, dst, arrivals, payloads,
-                 link_rate=units.gbps(40), send_cost=2.0, recv_cost=2.0,
-                 timeout=None, coalesce_us=1.0, chunk=CHUNK, name=None):
+                 timeout=None, coalesce_us=1.0):
         if arrivals.mean_rate <= 0:
             raise ConfigError("population mean rate must be positive")
         if coalesce_us < 0:
@@ -575,15 +577,12 @@ class ClientPopulation:
         self.dst = dst
         self.arrivals = arrivals
         self.payloads = payloads
-        self.link_rate = link_rate
-        self.send_cost = send_cost
-        self.recv_cost = recv_cost
         self.timeout = timeout
         self.coalesce_us = coalesce_us
-        self.name = name or "population-%s" % ip
+        self.name = "population-%s" % ip
         self.mean_rate = arrivals.mean_rate
-        #: chunk window width: ~`chunk` arrivals per refill
-        self._width = max(chunk / self.mean_rate, 1e-9)
+        #: chunk window width: ~CHUNK arrivals per refill
+        self._width = max(CHUNK / self.mean_rate, 1e-9)
         self._cursor = env.now
         #: payload sizes as floats, for the vectorized wire-entry instants
         self._sizes = np.asarray(payloads.sizes, dtype=float)
@@ -642,8 +641,8 @@ class ClientPopulation:
                 continue
             k = self.payloads.sample(t.size)
             # Wire-entry instants: arrival + send cost + serialization.
-            inject = (t + self.send_cost
-                      + (self._sizes[k] + UDP_HEADER) / self.link_rate)
+            inject = (t + SEND_COST
+                      + (self._sizes[k] + UDP_HEADER) / LINK_RATE)
             order = np.argsort(inject, kind="stable")
             t, k, inject = t[order], k[order], inject[order]
             # Frame boundaries: arrivals sharing floor(inject/coalesce)
@@ -743,7 +742,7 @@ class ClientPopulation:
             if n:
                 self.responses.count += n
                 self.env.requests_completed += n
-                self.latency.record_many(lat + self.recv_cost)
+                self.latency.record_many(lat + RECV_COST)
         if self._err_ids:
             self.table.kill(self._err_ids)
             self._err_ids = []

@@ -44,7 +44,6 @@ _PAIRS = (
     ("knee_estimate", "paper_knee"),
     ("e2e_us", "paper_e2e_us"),
     ("overhead_us", "paper_overhead_us"),
-    ("p90_us", "paper_p90_us"),
     ("snic_span_total", "paper_span"),
     ("extra_us", "paper_extra_us"),
     ("memcached_ktps", "paper_ktps"),

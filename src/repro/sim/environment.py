@@ -100,8 +100,8 @@ class Environment:
     environment and create events through it.
     """
 
-    def __init__(self, initial_time=0.0):
-        self.now = float(initial_time)
+    def __init__(self):
+        self.now = 0.0
         # The shared trigger sites (Event.succeed, Store hand-offs,
         # Resource grants) heappush ``(time, priority, eid, handler,
         # arg)`` entries straight onto ``_queue``.

@@ -26,8 +26,9 @@ from ..telemetry import instruments as _ti
 class LatencyRecorder:
     """Collects individual samples and reports exact percentiles.
 
-    ``start`` (optional) is the warmup cut: samples recorded while
-    ``env.now < start`` are discarded by :meth:`record`.  (Hot paths
+    ``start`` is the warmup cut that :meth:`reset` sets: samples
+    recorded while ``env.now < start`` are discarded by :meth:`record`.
+    (Hot paths
     that append to ``_samples`` directly — the client RX fast path —
     bypass the cut and rely on :meth:`reset` at the warmup boundary
     instead.)
@@ -35,10 +36,10 @@ class LatencyRecorder:
 
     kind = "histogram"
 
-    def __init__(self, env, name=None, start=None):
+    def __init__(self, env, name=None):
         self.env = env
         self.name = name or "latency"
-        self.start = start
+        self.start = None
         self._samples = []
         self._merged = None
 

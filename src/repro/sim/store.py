@@ -208,8 +208,8 @@ class Store:
 class PriorityStore(Store):
     """A store that yields the smallest item first (heap order)."""
 
-    def __init__(self, env, capacity=float("inf"), name=None):
-        super().__init__(env, capacity, name)
+    def __init__(self, env):
+        super().__init__(env)
         self._items = []
         self._seq = count()
 

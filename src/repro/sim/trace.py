@@ -4,7 +4,8 @@ Tracing is off by default (zero overhead beyond a truthiness check).
 When enabled, channels and components emit uniform
 ``(time, channel, event, msg_id, detail)`` rows — the Channel layer's
 trace schema (DESIGN.md §4.7) — so one message can be followed across
-hops by its ``msg_id``.  Records past ``limit`` are counted in
+hops by its ``msg_id``.  Records past ``Tracer.limit`` (default
+:data:`LIMIT`) are counted in
 ``tracer.dropped`` instead of vanishing silently, and :meth:`format`
 warns once when the buffer overflowed.
 """
@@ -19,6 +20,9 @@ from .. import telemetry
 _MAX_ENABLED = 64
 _enabled_tracers = []
 
+#: records a tracer keeps before it starts counting drops
+LIMIT = 100000
+
 
 def enabled_tracers():
     """Snapshot of recently-constructed enabled tracers."""
@@ -32,10 +36,10 @@ def clear_enabled_tracers():
 class Tracer:
     """Collects trace records; disabled unless ``enabled`` is True."""
 
-    def __init__(self, env, enabled=False, limit=100000):
+    def __init__(self, env, enabled=False):
         self.env = env
         self.enabled = enabled
-        self.limit = limit
+        self.limit = LIMIT
         self.records = []
         #: records rejected because the buffer hit ``limit``
         self.dropped = 0

@@ -40,8 +40,8 @@ class Counter:
     kind = "counter"
     __slots__ = ("value",)
 
-    def __init__(self, value=0):
-        self.value = value
+    def __init__(self):
+        self.value = 0
 
     def inc(self, n=1):
         self.value += n
@@ -62,8 +62,8 @@ class PeakGauge:
     kind = "peak"
     __slots__ = ("value",)
 
-    def __init__(self, value=0):
-        self.value = value
+    def __init__(self):
+        self.value = 0
 
     def record(self, v):
         if v > self.value:
@@ -222,8 +222,8 @@ class RatioHolder:
     kind = "ratio"
     __slots__ = ("value",)
 
-    def __init__(self, value=0.0):
-        self.value = value
+    def __init__(self):
+        self.value = 0.0
 
     def snapshot(self):
         return {"kind": "ratio", "value": self.value}
@@ -342,9 +342,9 @@ class RateStat:
     kind = "rate"
     __slots__ = ("count", "elapsed")
 
-    def __init__(self, count=0, elapsed=0.0):
-        self.count = count
-        self.elapsed = elapsed
+    def __init__(self):
+        self.count = 0
+        self.elapsed = 0.0
 
     def per_us(self):
         if self.elapsed <= 0:

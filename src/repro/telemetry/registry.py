@@ -208,8 +208,8 @@ class scope:
     remove *this* scope even if a callee leaked an extra push.
     """
 
-    def __init__(self, registry=None):
-        self.registry = registry if registry is not None else MetricsRegistry()
+    def __init__(self):
+        self.registry = MetricsRegistry()
 
     def __enter__(self):
         push_scope(self.registry)

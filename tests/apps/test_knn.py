@@ -58,18 +58,18 @@ class TestDataset:
             assert indices[0] == i
 
     def test_deterministic(self):
-        a = KnnDataset(size=64, seed=1)
-        b = KnnDataset(size=64, seed=1)
+        a = KnnDataset(size=64)
+        b = KnnDataset(size=64)
         assert np.array_equal(a.vectors, b.vectors)
 
 
 class TestApp:
     def test_compute_encodes_topk(self):
         ds = KnnDataset(size=128)
-        app = KnnApp(dataset=ds, k=3)
+        app = KnnApp(dataset=ds)
         payload = encode_query(ds.sample_query(7))
         pairs = decode_result(app.compute(payload))
-        assert len(pairs) == 3
+        assert len(pairs) == DEFAULT_K
         assert pairs[0][0] == 7
 
     def test_duration_scales_with_dataset(self):

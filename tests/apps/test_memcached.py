@@ -46,11 +46,11 @@ class TestKeyValueStore:
         assert len(store) == 2
 
 
-def build_server(port=11211, cores=2):
+def build_server(cores=2):
     tb = Testbed()
     host = tb.machine("10.0.0.2")
     pool = host.pool(count=cores, name="mc")
-    server = MemcachedServer(tb.env, host.nic, pool, XEON_VMA, port=port)
+    server = MemcachedServer(tb.env, host.nic, pool, XEON_VMA)
     return tb, server
 
 
@@ -126,8 +126,8 @@ def _reference_worker(server):
         yield from server.pool.run_calibrated(
             server.op_cost_fn(msg, result) if server.op_cost_fn is not None
             else server.op_cost,
-            memory_intensity=server.memory_intensity,
-            working_set=server.working_set)
+            memory_intensity=memcached.MEMORY_INTENSITY,
+            working_set=memcached.WORKING_SET)
         response = msg.reply(result, created_at=server.env.now)
         if response.conn is not None:
             response.meta["tcp_seq"] = response.conn.next_seq(response.src)
@@ -151,11 +151,15 @@ def _cotenant(env, pool):
 
 
 def _serve(monkeypatch, reference, proto=UDP, trace=False,
-           stray=False, **server_kw):
+           stray=False, llc=None, **server_kw):
     """Drive a two-core memcached with two closed-loop clients; return
     everything observable: response timestamps, counters, the trace and
-    the kernel's event-id sequence."""
+    the kernel's event-id sequence.  *llc* overrides the module's
+    ``(WORKING_SET, MEMORY_INTENSITY)``."""
     with telemetry.scope(), monkeypatch.context() as patch:
+        if llc is not None:
+            patch.setattr(memcached, "WORKING_SET", llc[0])
+            patch.setattr(memcached, "MEMORY_INTENSITY", llc[1])
         if reference:
             patch.setattr(memcached, "_WorkerOp", lambda server:
                           server.env.process(_reference_worker(server)))
@@ -193,7 +197,7 @@ class TestWorkerParity:
 
     @pytest.mark.parametrize("case", [
         dict(proto=TCP),
-        dict(working_set=12 << 20, memory_intensity=0.5),
+        dict(llc=(12 << 20, 0.5)),
         dict(op_cost_fn=lambda msg, result: 1.0 + 0.05 * len(result)),
         dict(stray=True),
         dict(trace=True),

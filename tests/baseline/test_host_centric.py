@@ -4,21 +4,20 @@ import pytest
 
 from repro import Testbed
 from repro.apps.base import EchoApp, SpinApp
-from repro.baseline import HostCentricServer
+from repro.baseline import HostCentricServer, host_centric
 from repro.config import K40M
 from repro.errors import ConfigError
 from repro.net import Address, ClosedLoopGenerator, OpenLoopGenerator
 from repro.net.packet import TCP, UDP
 
 
-def build(app=None, cores=1, gpus=1, proto=UDP, streams_per_gpu=256):
+def build(app=None, cores=1, gpus=1, proto=UDP):
     tb = Testbed()
     env = tb.env
     host = tb.machine("10.0.0.1")
     gpu_list = [host.add_gpu(K40M) for _ in range(gpus)]
     server = HostCentricServer(env, host, gpu_list, app or EchoApp(),
-                               port=7777, cores=cores, proto=proto,
-                               streams_per_gpu=streams_per_gpu)
+                               port=7777, cores=cores, proto=proto)
     return tb, env, host, server, Address("10.0.0.1", 7777)
 
 
@@ -83,9 +82,9 @@ class TestBottlenecks:
         # Well below the offered 1M/s: tens of K at most.
         assert 10000 < tput < 80000
 
-    def test_stream_pool_bounds_inflight(self):
-        tb, env, host, server, addr = build(app=SpinApp(2000.0),
-                                            streams_per_gpu=4)
+    def test_stream_pool_bounds_inflight(self, monkeypatch):
+        monkeypatch.setattr(host_centric, "STREAMS_PER_GPU", 4)
+        tb, env, host, server, addr = build(app=SpinApp(2000.0))
         client = tb.client("10.0.1.1")
         OpenLoopGenerator(env, client, addr, rate_per_us=0.05,
                           payload_fn=lambda i: b"x", proto=UDP)

@@ -26,7 +26,8 @@ def _toy_scenario(boost=True, seed=42, config=None, extra=0.0):
         value += config.lynx.ring_entries / 1000.0
     reg = telemetry.registry()
     reg.counter("sim.kernel.events_processed").inc(int(value * 10))
-    rate = RateStat(int(value * 100), 1000.0)
+    rate = RateStat()
+    rate.count, rate.elapsed = int(value * 100), 1000.0
     reg.register("net.client.10.0.9.1.responses", rate)
     reg.histogram("net.client.10.0.9.1.latency").record(
         100.0 if boost else 150.0)
@@ -256,9 +257,9 @@ class TestImportance:
                                      kwarg="extra")]),
             ],
             row=lambda ctx, v, value: {"value": value},
-            metric="value", pairwise=True)
+            metric="value")
         with telemetry.scope():
-            outcome = camp.run(fast=True, seed=42)
+            outcome = camp.run(fast=True, seed=42, pairwise=True)
         for entry in outcome.importance:
             assert len(entry["variants"]) == 1  # one-offs only
 

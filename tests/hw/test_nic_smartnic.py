@@ -45,9 +45,10 @@ class TestNic:
         assert len(b.rx) == 1
         assert b.rx.try_get().payload == b"hello"
 
-    def test_rx_ring_drops_overflow(self, env, network):
+    def test_rx_ring_drops_overflow(self, env, network, monkeypatch):
         a = Nic(env, network, "10.0.0.1")
-        b = Nic(env, network, "10.0.0.2", rx_ring_entries=2)
+        monkeypatch.setattr(Nic, "RX_RING_ENTRIES", 2)
+        b = Nic(env, network, "10.0.0.2")
         for i in range(5):
             a.send_async(Message(Address("10.0.0.1", 1000),
                                  Address("10.0.0.2", 2000), b"x"))

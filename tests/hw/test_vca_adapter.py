@@ -72,7 +72,8 @@ class TestSameRuntimeApi:
         # Regression: a stock app with dynamic parallelism runs its
         # child launch through the adapter (VCA nodes have no GPU
         # profile to take a device-launch latency from).
-        app = EchoApp(delay=3.0)
+        app = EchoApp()
+        app.gpu_duration = 3.0
         app.use_dynamic_parallelism = True
         tb, env, server, service, addr = build(app)
         client = tb.client("10.0.1.1")

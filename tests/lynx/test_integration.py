@@ -165,7 +165,7 @@ class TestMultiTenancy:
         runtime, server = tb.lynx_on_bluefield(snic)
         env.process(runtime.start_gpu_service(gpu1, EchoApp(), port=7001,
                                               n_mqueues=1))
-        env.process(runtime.start_gpu_service(gpu2, SpinApp(10.0, b"svc2"),
+        env.process(runtime.start_gpu_service(gpu2, SpinApp(10.0),
                                               port=7002, n_mqueues=1))
         env.run(until=100)
         client = tb.client("10.0.1.1")
@@ -181,7 +181,7 @@ class TestMultiTenancy:
 
         env.process(run(env))
         env.run(until=10000)
-        assert results == {"one": b"one", "two": b"svc2"}
+        assert results == {"one": b"one", "two": b"ok!\x00"}
 
 
 class TestTenantAccounting:

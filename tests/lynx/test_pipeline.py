@@ -26,7 +26,7 @@ class TagApp(ServerApp):
         return bytes(payload) + self.tag
 
 
-def build(n_stages, apps=None, n_mqueues=1):
+def build(n_stages, apps=None):
     tb = Testbed()
     env = tb.env
     host = tb.machine("10.0.0.1")
@@ -34,7 +34,7 @@ def build(n_stages, apps=None, n_mqueues=1):
     snic = tb.bluefield("10.0.0.100")
     runtime, server = tb.lynx_on_bluefield(snic)
     apps = apps or [TagApp(b"|%d" % i) for i in range(n_stages)]
-    stages = [PipelineStage(gpus[i], apps[i], n_mqueues=n_mqueues)
+    stages = [PipelineStage(gpus[i], apps[i])
               for i in range(n_stages)]
     proc = env.process(runtime.start_pipeline(stages, port=7000))
     env.run(until=30000)

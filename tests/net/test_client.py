@@ -98,14 +98,13 @@ class TestOpenLoop:
 
     def test_latency_includes_client_processing(self, env, network):
         _EchoServer(env, network, "10.0.0.1", 7777, delay=0.0)
-        client = Client(env, network, "10.0.1.1", rng=RngRegistry(0),
-                        send_cost=2.0, recv_cost=3.0)
+        client = Client(env, network, "10.0.1.1", rng=RngRegistry(0))
         gen = ClosedLoopGenerator(env, client, Address("10.0.0.1", 7777),
                                   concurrency=1, payload_fn=lambda i: b"p",
                                   proto=UDP)
         env.run(until=500)
-        # send_cost elapses in-path; recv_cost is accounted in.
-        assert client.latency.min() >= 2.0 + 3.0
+        # SEND_COST elapses in-path; RECV_COST is accounted in.
+        assert client.latency.min() >= client_mod.SEND_COST + client_mod.RECV_COST
 
 
 class _FlakyEchoServer(_EchoServer):
@@ -305,9 +304,8 @@ class TestRetries:
 def _reference_worker(gen, index):
     """The retired ``ClosedLoopGenerator._worker`` generator process,
     kept as the parity oracle for the ``_ClosedLoopOp`` state machine."""
-    env = gen.env
     conn = None
-    if gen.use_tcp_connections:
+    if gen.proto == TCP:
         conn = yield from gen.client.connect(gen.dst)
     seq = 0
     while not gen._stopped:
@@ -323,8 +321,6 @@ def _reference_worker(gen, index):
             gen.errors += 1
         else:
             gen.completed += 1
-        if gen.think_time > 0:
-            yield env.timeout(gen.think_time)
 
 
 def _drive(monkeypatch, reference, server_kw, gen_kw):
@@ -364,9 +360,8 @@ class TestClosedLoopParity:
          dict(proto=UDP, timeout=500, retries=3)),
         (dict(heal_at=600), dict(proto=UDP, retries=2, retry_backoff=100.0)),
         (dict(heal_at=0), dict(proto=TCP)),
-        (dict(heal_at=0), dict(proto=UDP, think_time=7.5)),
     ], ids=["timeout", "retry-backoff", "retry-error", "retry-default-deadline",
-            "tcp-connect", "think-time"])
+            "tcp-connect"])
     def test_matches_reference_generator(self, monkeypatch, server_kw,
                                          gen_kw):
         got = _drive(monkeypatch, False, server_kw, gen_kw)

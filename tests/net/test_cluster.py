@@ -68,10 +68,6 @@ class TestConsistentHashRing:
         with pytest.raises(ConfigError):
             ConsistentHashRing(["a"]).remove("b")
 
-    def test_needs_at_least_one_vnode(self):
-        with pytest.raises(ConfigError):
-            ConsistentHashRing(vnodes=0)
-
     def test_membership_surface(self):
         ring = ConsistentHashRing(["a", "b"])
         assert "a" in ring and "c" not in ring

@@ -7,6 +7,7 @@ from repro import telemetry
 from repro.errors import NetworkError
 from repro.experiments import sweep
 from repro.net import MultiRackNetwork
+from repro.net.network import SPINE_LATENCY
 from repro.net.packet import Address, Message
 from repro.sim import Environment, Store
 
@@ -48,16 +49,6 @@ class TestConstruction:
         with pytest.raises(NetworkError):
             MultiRackNetwork(env, racks=0)
 
-    def test_oversubscription_below_one_rejected(self, env):
-        with pytest.raises(NetworkError):
-            MultiRackNetwork(env, oversubscription=0.5)
-
-    def test_oversubscription_shrinks_the_spine_queue(self, env):
-        fat = MultiRackNetwork(env, spine_queue=512)
-        assert fat.spine_queue == 512
-        thin = MultiRackNetwork(Environment(), spine_queue=512,
-                                oversubscription=4.0)
-        assert thin.spine_queue == 128
 
 
 class TestPlacement:
@@ -82,8 +73,8 @@ class TestPlacement:
 
 
 class TestRouting:
-    def _fabric(self, env, **kw):
-        network = MultiRackNetwork(env, racks=2, **kw)
+    def _fabric(self, env):
+        network = MultiRackNetwork(env, racks=2)
         a, b = _Port(env), _Port(env)
         network.attach("10.0.0.1", a)
         network.place("10.0.0.1", 0)
@@ -105,7 +96,7 @@ class TestRouting:
         network.deliver(msg)
         env.run()
         assert env.now == pytest.approx(network.one_way_latency
-                                        + 2 * network.spine_latency)
+                                        + 2 * SPINE_LATENCY)
         assert b.rx.try_get() is msg
         assert network.uplink(0).delivered == 1
         assert network.downlink(1).delivered == 1
@@ -127,7 +118,8 @@ class TestRouting:
             network.inject_channel("10.0.0.1", "10.9.9.9")
 
     def test_spine_queue_drop_tail_on_the_uplink(self, env):
-        network, _a, b = self._fabric(env, spine_queue=2)
+        network, _a, b = self._fabric(env)
+        network.spine_queue = 2
         for _ in range(8):
             network.deliver(_msg("10.0.0.1", "10.0.1.1"))
         env.run()
@@ -197,7 +189,8 @@ class TestConservation:
     def test_every_hop_counter_sums_to_offered(self, env):
         """offered == delivered + rx-ring + spine + no-route + rack-down,
         with every drop class exercised at once."""
-        network = MultiRackNetwork(env, racks=2, spine_queue=2)
+        network = MultiRackNetwork(env, racks=2)
+        network.spine_queue = 2
         a = _Port(env, capacity=4)
         b = _Port(env, capacity=4)
         network.attach("10.0.0.1", a)

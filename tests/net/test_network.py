@@ -4,6 +4,7 @@ import pytest
 
 from repro.errors import NetworkError
 from repro.net import Network
+from repro.net.network import SWITCH_LATENCY, WIRE_LATENCY
 from repro.net.packet import Address, Message
 from repro.sim import Environment, Store
 
@@ -32,13 +33,13 @@ class TestAttachment:
 
 class TestDelivery:
     def test_one_way_latency(self, env):
-        network = Network(env, wire_latency=0.4, switch_latency=0.5)
+        network = Network(env)
         port = _Port(env)
         network.attach("10.0.0.2", port)
         msg = Message(Address("10.0.0.1", 1), Address("10.0.0.2", 2), b"x")
         network.deliver(msg)
         env.run()
-        assert env.now == pytest.approx(2 * 0.4 + 0.5)
+        assert env.now == pytest.approx(2 * WIRE_LATENCY + SWITCH_LATENCY)
         assert port.rx.try_get() is msg
 
     def test_counters(self, env):

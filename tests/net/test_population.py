@@ -19,6 +19,7 @@ from repro.net import (
     TraceReplay,
     arrival_factory,
 )
+from repro.net import population
 from repro.sim import RngRegistry
 
 
@@ -259,7 +260,7 @@ class TestPayloadPool:
 
 class TestInFlightTable:
     def test_resolve_records_latency(self):
-        table = InFlightTable(capacity=64)
+        table = InFlightTable()
         table.append_run(10, [100.0], None)
         table.append_run(12, [110.0], None)
         lat, misses = table.resolve([12, 10], [150.0, 160.0])
@@ -268,7 +269,7 @@ class TestInFlightTable:
         assert table.in_flight == 0
 
     def test_unknown_and_duplicate_ids_count_as_misses(self):
-        table = InFlightTable(capacity=64)
+        table = InFlightTable()
         table.append_run(5, [0.0], None)
         lat, misses = table.resolve([5, 99], [10.0, 10.0])
         assert lat.size == 1 and misses == 1
@@ -276,7 +277,7 @@ class TestInFlightTable:
         assert misses == 1
 
     def test_expire_skips_resolved_rows(self):
-        table = InFlightTable(capacity=64)
+        table = InFlightTable()
         table.append_run(1, [0.0, 0.0], 50.0)
         table.append_run(3, [0.0], 500.0)
         table.resolve([1], [10.0])
@@ -284,8 +285,9 @@ class TestInFlightTable:
         assert table.in_flight == 1       # row 3 still live
         assert table.expire(100.0) == 0   # idempotent
 
-    def test_compaction_grows_past_capacity(self):
-        table = InFlightTable(capacity=64)
+    def test_compaction_grows_past_capacity(self, monkeypatch):
+        monkeypatch.setattr(InFlightTable, "CAPACITY", 64)
+        table = InFlightTable()
         for i in range(1000):
             table.append_run(i, [float(i)], None)
             if i % 2:
@@ -339,7 +341,7 @@ class TestClientPopulation:
         finally:
             telemetry.pop_scope()
 
-    def test_unanswered_requests_time_out(self):
+    def test_unanswered_requests_time_out(self, monkeypatch):
         # Attach a mute endpoint: requests vanish, deadlines fire.
         from repro.experiments.testbed import Testbed
         from repro.net.packet import Address
@@ -351,11 +353,12 @@ class TestClientPopulation:
             rx = Channel(tb.env, name="mute-rx")
 
         tb.network.attach("10.0.0.9", MuteSink())
+        # small chunks: frequent sweeps
+        monkeypatch.setattr(population, "CHUNK", 256)
         pop = ClientPopulation(
             tb.env, tb.network, "10.0.9.1", Address("10.0.0.9", 7777),
             PoissonPopulation(0.05, tb.rng.stream("p")),
-            PayloadPool.single(b"x"), timeout=1000.0,
-            chunk=256)  # small chunk: frequent sweeps
+            PayloadPool.single(b"x"), timeout=1000.0)
         tb.run(until=30000.0)
         pop.flush()
         assert pop.responses.count == 0

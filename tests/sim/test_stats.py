@@ -56,7 +56,8 @@ class TestLatencyRecorder:
         assert many.snapshot() == one.snapshot()
 
     def test_record_many_respects_warmup_cut(self, env):
-        rec = LatencyRecorder(env, start=10.0)
+        rec = LatencyRecorder(env)
+        rec.reset(at_time=10.0)
         rec.record_many([1.0, 2.0])   # env.now == 0 < start: dropped
         assert rec.count == 0
 
@@ -68,7 +69,8 @@ class TestLatencyRecorder:
     def test_start_argument_drops_warmup_samples(self, env):
         # The docstring-promised warmup cut: samples recorded while
         # env.now < start never enter the recorder.
-        rec = LatencyRecorder(env, start=10.0)
+        rec = LatencyRecorder(env)
+        rec.reset(at_time=10.0)
 
         def proc(env):
             rec.record(999.0)          # t=0: warmup, dropped

@@ -48,7 +48,8 @@ class TestTracer:
 
     def test_limit_counts_drops(self):
         env = Environment()
-        tracer = Tracer(env, enabled=True, limit=2)
+        tracer = Tracer(env, enabled=True)
+        tracer.limit = 2
         for _ in range(5):
             tracer.emit("c", "e")
         assert len(tracer.records) == 2
@@ -56,7 +57,8 @@ class TestTracer:
 
     def test_format_warns_once_on_overflow(self):
         env = Environment()
-        tracer = Tracer(env, enabled=True, limit=1)
+        tracer = Tracer(env, enabled=True)
+        tracer.limit = 1
         tracer.emit("c", "e")
         tracer.emit("c", "e")
         with pytest.warns(RuntimeWarning, match="dropped 1 records"):

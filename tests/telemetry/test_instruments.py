@@ -166,7 +166,11 @@ class TestMaterialize:
         hist.record(3.0)
         gauge = TimeWeightedGauge()
         gauge.merge({"kind": "gauge", "area": 5.0, "elapsed": 2.0, "max": 4})
-        for inst in (Counter(7), PeakGauge(3), hist, gauge, RateStat(4, 2.0)):
+        counter, peak, rate = Counter(), PeakGauge(), RateStat()
+        counter.inc(7)
+        peak.record(3)
+        rate.count, rate.elapsed = 4, 2.0
+        for inst in (counter, peak, hist, gauge, rate):
             snap = inst.snapshot()
             clone = materialize(snap)
             assert clone.snapshot() == snap
@@ -209,7 +213,8 @@ class TestDerivedRatio:
 
 class TestRatioHolder:
     def test_latest_reading_wins(self):
-        h = RatioHolder(3.0)
+        h = RatioHolder()
+        h.merge({"kind": "ratio", "value": 3.0})
         h.merge({"kind": "ratio", "value": 5.5})
         assert h.value == 5.5
 
@@ -219,6 +224,7 @@ class TestRatioHolder:
         assert h.value == 2.5
 
     def test_reset(self):
-        h = RatioHolder(9.0)
+        h = RatioHolder()
+        h.merge({"kind": "ratio", "value": 9.0})
         h.reset()
         assert h.value == 0.0

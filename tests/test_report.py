@@ -103,6 +103,19 @@ class TestScorecard:
         card = render_scorecard(scores)
         assert "MATCH 1" in card
 
+    @pytest.mark.parametrize("results", ["results", "results-full-sweep"])
+    def test_each_anchor_graded_once(self, results):
+        import os
+
+        from repro.report import score_results_dir
+
+        root = os.path.join(os.path.dirname(__file__), os.pardir)
+        scores = score_results_dir(os.path.join(root, "benchmarks", results))
+        graded = [(exp_id, f["row"], f["metric"])
+                  for exp_id, findings in scores.items() for f in findings]
+        assert graded
+        assert len(graded) == len(set(graded))
+
     def test_missing_dir_rejected(self):
         from repro.errors import ConfigError
         from repro.report import score_results_dir
