@@ -134,29 +134,6 @@ VCA_KERNEL = StackProfile(
 
 
 # ---------------------------------------------------------------------------
-# PCIe / interconnect
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class PcieProfile:
-    """A PCIe link (one direction modelled at a time)."""
-
-    name: str
-    bandwidth: float  # bytes/us
-    latency: float  # us, per traversal
-
-    @staticmethod
-    def gen3_x16():
-        return PcieProfile("pcie3-x16", bandwidth=units.gbytes_per_sec(12.0),
-                           latency=0.5)
-
-    @staticmethod
-    def gen3_x8():
-        return PcieProfile("pcie3-x8", bandwidth=units.gbytes_per_sec(6.0),
-                           latency=0.5)
-
-
-# ---------------------------------------------------------------------------
 # RDMA
 # ---------------------------------------------------------------------------
 

@@ -18,12 +18,13 @@ from ..apps.base import SpinApp
 from ..baseline.gpu_centric import GpuCentricServer, RDMA_PROTO
 from ..config import K40M
 from ..lynx.dispatch import make_policy
-from ..net import Address, ClosedLoopGenerator, OpenLoopGenerator
+from ..net import Address, ClosedLoopGenerator, OnOffPopulation
 from ..net.packet import UDP
 from .base import krps
 from .campaign import Campaign, Component, Knob, describe, merged_result, \
     run_campaigns
-from .common import LYNX_BLUEFIELD, LYNX_XEON_6, deploy, measure_closed_loop
+from .common import LYNX_BLUEFIELD, LYNX_XEON_6, deploy, \
+    measure_closed_loop, measure_population
 from .testbed import Testbed
 
 
@@ -223,28 +224,20 @@ coalescing_study = Campaign(
 # ---------------------------------------------------------------------------
 
 def _ring_scenario(config, measure, seed=42):
-    from ..net.arrivals import OnOffBurst
-    from ..sim import RngRegistry
-
     kernel_us = 100.0
     service_rate = 1.0 / (kernel_us + 10.0)
     dep = deploy(LYNX_BLUEFIELD, app=SpinApp(kernel_us), n_mqueues=1,
                  proto=UDP, seed=seed, config=config)
-    client = dep.tb.client("10.0.9.1")
     # bursts at 8x the service rate, on 1/4 of the time => ~2x mean
-    arrivals = OnOffBurst(8.0 * service_rate, on_mean_us=2000.0,
-                          off_mean_us=6000.0,
-                          rng=RngRegistry(seed))
-    OpenLoopGenerator(dep.env, client, dep.address,
-                      payload_fn=lambda i: b"x" * 64, proto=UDP,
-                      arrivals=arrivals)
-    dep.tb.warmup_then_measure([client.responses, client.latency],
-                               20000.0, measure)
+    source = OnOffPopulation(8.0 * service_rate, 2000.0, 6000.0,
+                             dep.tb.rng.stream("population"))
+    pop = measure_population(dep, b"x" * 64, None, warmup=20000.0,
+                             measure=measure, source=source)
     delivered = dep.service.delivered
     dropped = dep.service.dropped
-    return (client.responses.per_sec(),
+    return (pop.delivered_per_sec(),
             dropped / max(1, dropped + delivered),
-            client.latency.p50())
+            pop.percentile(50))
 
 
 def _ring_row(ctx, variant, value):

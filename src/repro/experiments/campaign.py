@@ -484,29 +484,33 @@ class CampaignOutcome:
 # standard telemetry signals
 # ---------------------------------------------------------------------------
 
+#: registry prefixes of the planes that offer load and record responses
+_CLIENT_PLANES = ("net.client.", "net.population.")
+
+
 def snapshot_signals(snap):
     """Reduce one variant's registry snapshot to the standard signals.
 
-    * ``goodput`` — summed ``net.client.*.responses`` rates (req/s);
-    * ``p99_us`` — p99 of the merged ``net.client.*.latency``
-      LogHistograms;
+    * ``goodput`` — summed ``.responses`` rates of every client and
+      population (``net.client.*``, ``net.population.*``; req/s);
+    * ``p99_us`` — p99 of their merged ``.latency`` LogHistograms;
     * ``kernel_events`` — ``sim.kernel.events_processed``;
     * ``core_burn`` — summed time-weighted means of the CPU-pool
       ``*.utilization`` gauges (≈ busy cores).
 
     Signals a run never produced come back ``None`` (e.g. flood-driven
-    studies with no closed-loop clients have no client goodput).
+    studies with no clients or populations have no goodput).
     """
     goodput, saw_rate = 0.0, False
     latency = telemetry.LogHistogram()
     core_burn, saw_gauge = 0.0, False
     for name, entry in snap.items():
         kind = entry.get("kind")
-        if (kind == "rate" and name.startswith("net.client.")
+        if (kind == "rate" and name.startswith(_CLIENT_PLANES)
                 and name.endswith(".responses") and entry["elapsed"] > 0):
             goodput += entry["count"] / entry["elapsed"] * 1e6
             saw_rate = True
-        elif (kind == "histogram" and name.startswith("net.client.")
+        elif (kind == "histogram" and name.startswith(_CLIENT_PLANES)
                 and name.endswith(".latency")):
             latency.merge(entry)
         elif kind == "gauge" and name.endswith(".utilization"):

@@ -1,7 +1,6 @@
-"""Hardware substrate: CPUs, caches, PCIe, NICs, GPUs, SmartNICs, VCA."""
+"""Hardware substrate: CPUs, caches, NICs, GPUs, SmartNICs, VCA."""
 
 from .memory import MemoryRegion, HOST_DRAM_LATENCY, GPU_GDDR_LATENCY, SNIC_DRAM_LATENCY
-from .pcie import PcieLink, PcieFabric
 from .cache import LLCModel
 from .cpu import CorePool, CpuSocket
 from .nic import Nic, RdmaNic
@@ -15,8 +14,6 @@ __all__ = [
     "HOST_DRAM_LATENCY",
     "GPU_GDDR_LATENCY",
     "SNIC_DRAM_LATENCY",
-    "PcieLink",
-    "PcieFabric",
     "LLCModel",
     "CorePool",
     "CpuSocket",

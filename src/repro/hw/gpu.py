@@ -12,13 +12,17 @@ Captures exactly the GPU behaviours the paper's results depend on:
 * dynamic parallelism launches child kernels from the device, cheaper
   than a host launch (used by the LeNet server, §6.3);
 * DMA copies pay a fixed cudaMemcpyAsync overhead plus bandwidth time
-  (§5.1: 7-8us fixed).
+  (§5.1: 7-8us fixed) plus one PCIe traversal, a fixed latency: PCIe
+  links are not modelled as contended hops.
 """
 
 from ..errors import AcceleratorError
 from ..sim import Resource
 from .. import telemetry
 from .memory import MemoryRegion, GPU_GDDR_LATENCY
+
+#: latency (us) of one PCIe traversal, added to every DMA copy
+PCIE_LATENCY = 0.5
 
 
 class CudaDriver:
@@ -65,12 +69,10 @@ class CudaDriver:
 class GPU:
     """One GPU board."""
 
-    def __init__(self, env, profile, driver, pcie_link=None, name=None,
-                 index=0):
+    def __init__(self, env, profile, driver, name=None, index=0):
         self.env = env
         self.profile = profile
         self.driver = driver
-        self.pcie_link = pcie_link
         self.index = index
         self.name = name or "%s-%d" % (profile.name, index)
         self.memory = MemoryRegion(env, "%s-mem" % self.name,
@@ -96,10 +98,8 @@ class GPU:
         """Generator: one DMA copy over PCIe (either direction)."""
         with self._copy_engine.request() as req:
             yield req
-            duration = nbytes / self.profile.copy_bandwidth
-            if self.pcie_link is not None:
-                duration += self.pcie_link.profile.latency
-            yield self.env.timeout(duration)
+            yield self.env.timeout(nbytes / self.profile.copy_bandwidth
+                                   + PCIE_LATENCY)
 
     def memcpy_async(self, pool, nbytes):
         """Generator: full cudaMemcpyAsync — driver call + DMA."""

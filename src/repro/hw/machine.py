@@ -1,16 +1,17 @@
-"""A physical server machine: CPU socket, PCIe fabric, NIC, accelerators.
+"""A physical server machine: CPU socket, NIC, accelerators.
 
 Mirrors the paper's testbed nodes (§6): Xeon E5-2620v2 hosts with a
-ConnectX-class RDMA NIC and one or more GPUs on the PCIe fabric.
+ConnectX-class RDMA NIC and one or more GPUs.  PCIe is not a modelled
+hop: a GPU DMA copy pays a fixed per-traversal latency
+(:data:`~repro.hw.gpu.PCIE_LATENCY`).
 """
 
 from .. import units
-from ..config import XEON_E5_2620, K40M, PcieProfile
+from ..config import XEON_E5_2620, K40M
 from ..errors import ConfigError
 from .cpu import CpuSocket
 from .gpu import GPU, CudaDriver
 from .nic import RdmaNic
-from .pcie import PcieFabric, PcieLink
 
 
 class Machine:
@@ -29,12 +30,8 @@ class Machine:
         self.socket = CpuSocket(
             env, cpu_profile, config.cache,
             rng_registry.stream("%s.llc" % self.name), name=self.name)
-        self.fabric = PcieFabric(env)
         self.nic = RdmaNic(env, network, ip, config.rdma,
                            link_rate=nic_rate, name="%s-nic" % self.name)
-        nic_link = PcieLink(env, PcieProfile.gen3_x8(),
-                            name="%s-nic-link" % self.name)
-        self.fabric.attach("nic", nic_link)
         self.driver = CudaDriver(env, name="%s-cuda" % self.name)
         self.gpus = []
         self.devices = {}
@@ -42,14 +39,10 @@ class Machine:
     # -- accelerators ---------------------------------------------------------
 
     def add_gpu(self, profile=K40M, name=None):
-        """Install a GPU on the PCIe fabric; returns it."""
+        """Install a GPU; returns it."""
         index = len(self.gpus)
         gpu_name = name or "%s-gpu%d" % (self.name, index)
-        link = PcieLink(env=self.env, profile=PcieProfile.gen3_x16(),
-                        name="%s-link" % gpu_name)
-        gpu = GPU(self.env, profile, self.driver, pcie_link=link,
-                  name=gpu_name, index=index)
-        self.fabric.attach(gpu_name, link)
+        gpu = GPU(self.env, profile, self.driver, name=gpu_name, index=index)
         self.gpus.append(gpu)
         self.devices[gpu_name] = gpu
         return gpu
@@ -64,9 +57,6 @@ class Machine:
         nic = RdmaNic(self.env, self.network, ip, self.config.rdma,
                       link_rate=nic_rate,
                       name="%s-nic%d" % (self.name, index))
-        link = PcieLink(self.env, PcieProfile.gen3_x8(),
-                        name="%s-nic%d-link" % (self.name, index))
-        self.fabric.attach("nic%d" % index, link)
         self.devices["nic%d" % index] = nic
         return nic
 

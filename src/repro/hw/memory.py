@@ -3,7 +3,7 @@
 A :class:`MemoryRegion` is a named location data can live in (host DRAM,
 GPU device memory, SNIC memory).  Models charge its ``access_latency``
 when they touch it from the owning device; remote access goes through
-PCIe/RDMA models which add their own costs.
+the RDMA model, which adds its own costs.
 """
 
 from ..errors import ConfigError

@@ -9,7 +9,9 @@ Supports SGX enclaves.  Two network paths exist in the paper:
 * the Lynx path — mqueues polled by the node.  The paper could not
   enable RDMA directly into VCA memory (a suspected bug), so mqueues
   live in *host* memory mapped into the VCA; each access from the node
-  pays a PCIe crossing.  We model the same workaround.
+  pays a PCIe crossing.  We model the same workaround; the crossing is
+  a fixed per-traversal latency (``IntelVCA.pcie_crossing``), not a
+  contended hop.
 """
 
 from ..errors import ConfigError

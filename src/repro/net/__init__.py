@@ -7,7 +7,6 @@ from .cluster import ConsistentHashRing, L4LoadBalancer, STEER_POLICIES, \
     extract_key, shard_preload
 from .rdma import RdmaEngine, QueuePair
 from .client import Client, OpenLoopGenerator, ClosedLoopGenerator
-from .arrivals import OnOffBurst, TraceReplay, load_trace_timestamps
 from .population import (
     BModelPopulation,
     ClientPopulation,
@@ -19,6 +18,7 @@ from .population import (
     PopulationArrivals,
     TracePopulation,
     arrival_factory,
+    load_trace_timestamps,
 )
 
 __all__ = [
@@ -41,9 +41,6 @@ __all__ = [
     "Client",
     "OpenLoopGenerator",
     "ClosedLoopGenerator",
-    "OnOffBurst",
-    "TraceReplay",
-    "load_trace_timestamps",
     "ClientPopulation",
     "PopulationArrivals",
     "PoissonPopulation",
@@ -54,4 +51,5 @@ __all__ = [
     "PayloadPool",
     "InFlightTable",
     "arrival_factory",
+    "load_trace_timestamps",
 ]

@@ -288,12 +288,10 @@ class RetryPolicy:
 class OpenLoopGenerator:
     """Poisson (or uniform) arrivals at a fixed offered rate."""
 
-    def __init__(self, env, client, dst, rate_per_us=None, payload_fn=None,
-                 proto=UDP, conn=None, poisson=True, arrivals=None):
-        if arrivals is None and (rate_per_us is None or rate_per_us <= 0):
+    def __init__(self, env, client, dst, rate_per_us, payload_fn,
+                 proto=UDP, conn=None, poisson=True):
+        if rate_per_us <= 0:
             raise NetworkError("open-loop rate must be positive")
-        if payload_fn is None:
-            raise NetworkError("open-loop generator needs a payload_fn")
         self.env = env
         self.client = client
         self.dst = dst
@@ -302,9 +300,6 @@ class OpenLoopGenerator:
         self.proto = proto
         self.conn = conn
         self.poisson = poisson
-        #: optional gap source (``OnOffBurst``, ``TraceReplay``: any
-        #: object with ``next_gap()``) overriding rate/poisson pacing
-        self.arrivals = arrivals
         self.name = "openloop->%s" % (dst,)
         self._stopped = False
         self.offered = 0
@@ -316,8 +311,6 @@ class OpenLoopGenerator:
         self._stopped = True
 
     def _interarrival(self):
-        if self.arrivals is not None:
-            return self.arrivals.next_gap()
         mean = 1.0 / self.rate
         if self.poisson and self.client.rng is not None:
             return self.client.rng.exponential(self.name, mean)

@@ -46,6 +46,11 @@ STEER_POLICIES = ("round_robin", "least_loaded", "p2c")
 VNODES = 64
 #: most messages one steering wakeup drains from the VIP's RX ring
 MAX_BATCH = 64
+#: SmartNIC per-packet steering cost (us): L4 parse + hash +
+#: connection-table lookup on the NIC ARM datapath
+STEER_COST = 0.3
+#: entries in the VIP's bounded RX ring
+RX_RING = 4096
 
 # apps.memcached wire-format prefixes (kept literal here: the fabric
 # layer must not import the application layer)
@@ -177,7 +182,7 @@ class _Backend:
 
 class _SteerOp:
     """The VIP's drain loop: park one get on the RX ring; each wake
-    takes a batch (or a single message in scalar mode), charges the
+    takes a batch of up to :data:`MAX_BATCH` messages, charges the
     SmartNIC steering cost for it, then forwards and re-arms.  Frames
     arriving while the batch is being charged buffer in the bounded RX
     ring — the VIP's own saturation behaviour."""
@@ -198,8 +203,7 @@ class _SteerOp:
     def _on_msg(self, msg):
         lb = self.lb
         batch = [msg]
-        if lb.batched:
-            batch.extend(lb.rx.recv_batch(MAX_BATCH - 1))
+        batch.extend(lb.rx.recv_batch(MAX_BATCH - 1))
         self.batch = batch
         lb.env.defer(lb.steer_cost * len(batch), self._forward)
 
@@ -227,18 +231,10 @@ class L4LoadBalancer:
         each request is steered within its key's *replication*-sized
         replica set.  Without a ring (or for keyless payloads) the
         replica set is every live backend.
-    steer_cost:
-        SmartNIC per-packet steering cost (us): L4 parse + hash +
-        connection-table lookup on the NIC ARM datapath.
-    batched:
-        Drain the RX ring in batches (the production fast path); False
-        forces one wakeup per message (the scalar baseline the A/B
-        benchmark compares against).
     """
 
     def __init__(self, env, network, ip, port=11211, policy="p2c", rng=None,
-                 ring=None, replication=None, steer_cost=0.3, rx_ring=4096,
-                 batched=True):
+                 ring=None, replication=None):
         if policy not in STEER_POLICIES:
             raise ConfigError("unknown steering policy %r (one of %s)"
                               % (policy, ", ".join(STEER_POLICIES)))
@@ -252,11 +248,10 @@ class L4LoadBalancer:
         self.rng = rng
         self.ring = ring
         self.replication = replication
-        self.steer_cost = steer_cost
-        self.batched = batched
+        self.steer_cost = STEER_COST
         self.name = "lb@%s" % ip
         self._stream = "cluster.p2c.%s" % ip
-        self.rx = Channel(env, capacity=rx_ring, name="%s-rx" % self.name)
+        self.rx = Channel(env, capacity=RX_RING, name="%s-rx" % self.name)
         network.attach(ip, self)
         self._backends = {}     # node name (ip) -> _Backend
         self._order = []        # registration order (policy tie-breaks)

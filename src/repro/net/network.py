@@ -152,14 +152,10 @@ class _TorUplinkSink:
     the destination rack's downlink, drop-tail at the oversubscribed
     spine-port queue.
 
-    The class-level ``_push_item`` marker makes ``Channel._land_many``'s
-    bulk probe (``stype._push_item is Store._push_item``) evaluate
-    False, so burst landings take the per-item ``_land`` fallback —
-    every frame is routed (and its drop accounted) individually.
+    Its own ``try_put`` makes ``Channel._land_many`` take the per-item
+    ``_land`` fallback, so every frame is routed (and its drop
+    accounted) individually.
     """
-
-    #: not a Store: force the per-item landing fallback (see above)
-    _push_item = None
 
     __slots__ = ("network", "rack")
 
@@ -187,8 +183,6 @@ class _TorUplinkSink:
 class _TorDownlinkSink:
     """Routing sink behind one ToR's downlink hop: lands each frame on
     the destination endpoint's last-hop wire channel."""
-
-    _push_item = None
 
     __slots__ = ("network", "rack")
 

@@ -34,8 +34,10 @@ arrival time ``t`` reaches the wire channel at
 in ``tests/net/test_population.py`` pins.
 """
 
+import csv
 import itertools
 import math
+import os
 
 import numpy as np
 
@@ -44,7 +46,6 @@ from ..errors import ConfigError
 from ..sim import Channel, RateMeter
 from ..telemetry.instruments import LogHistogram
 from .packet import Address, Message, UDP_HEADER, payload_size
-from .arrivals import load_trace_timestamps
 from .client import LINK_RATE, RECV_COST, SEND_COST
 
 #: target arrivals per pre-generated chunk
@@ -103,8 +104,7 @@ class PoissonPopulation(PopulationArrivals):
 
 class OnOffPopulation(PopulationArrivals):
     """MMPP on/off bursts: ON periods arrive at ``burst_rate``, OFF
-    periods are silent, period lengths are exponential — the vectorized
-    twin of :class:`~repro.net.arrivals.OnOffBurst`."""
+    periods are silent, period lengths are exponential."""
 
     def __init__(self, burst_rate_per_us, on_mean_us, off_mean_us, stream):
         if burst_rate_per_us <= 0 or on_mean_us <= 0 or off_mean_us < 0:
@@ -232,11 +232,46 @@ class BModelPopulation(DiurnalPopulation):
                          envelope=weights * weights.size)
 
 
+def load_trace_timestamps(path):
+    """Load arrival timestamps (us, ascending) from ``.npy`` or CSV.
+
+    ``.npy`` files hold a 1-D float array.  CSV/text files hold one
+    timestamp per row (a header row and extra columns are tolerated:
+    the first field of each row that parses as a float is taken).
+    Shared by :meth:`TracePopulation.from_file` and the CLI's
+    ``--arrivals trace:<path>`` hook.
+    """
+    if not os.path.exists(path):
+        raise ConfigError("trace file not found: %s" % path)
+    if path.endswith(".npy"):
+        stamps = np.load(path)
+        if stamps.ndim != 1:
+            raise ConfigError("trace %s: expected a 1-D array, got shape %r"
+                              % (path, stamps.shape))
+        return [float(t) for t in stamps]
+    stamps = []
+    with open(path, newline="") as fh:
+        for row in csv.reader(fh):
+            if not row:
+                continue
+            try:
+                stamps.append(float(row[0]))
+            except ValueError:
+                if stamps:
+                    raise ConfigError(
+                        "trace %s: unparsable timestamp %r after %d rows"
+                        % (path, row[0], len(stamps)))
+                # else: header row — skip
+    if len(stamps) < 2:
+        raise ConfigError("trace %s: needs at least two timestamps" % path)
+    return stamps
+
+
 class TracePopulation(PopulationArrivals):
-    """Replays recorded arrival timestamps, looping — the vectorized
-    twin of :class:`~repro.net.arrivals.TraceReplay` (same repeating-gap
-    semantics).  ``rate_per_us`` rescales the gaps so the replayed
-    long-run rate matches a target (bisection over trace-shaped load).
+    """Replays recorded arrival timestamps, looping: the first gap
+    elapses before the first arrival, and the trace repeats gap for gap.
+    ``rate_per_us`` rescales the gaps so the replayed long-run rate
+    matches a target (bisection over trace-shaped load).
     """
 
     def __init__(self, timestamps, rate_per_us=None):
@@ -255,8 +290,8 @@ class TracePopulation(PopulationArrivals):
                 raise ConfigError("population rate must be positive")
             gaps = gaps * (native / rate_per_us)
             span = float(gaps.sum())
-        #: arrival offsets within one replay cycle (first gap elapses
-        #: before the first arrival, exactly like TraceReplay.next_gap)
+        #: arrival offsets within one replay cycle (the first gap
+        #: elapses before the first arrival)
         self._cycle = np.cumsum(gaps)
         self._span = span
         self._cycle_start = 0.0
@@ -264,7 +299,7 @@ class TracePopulation(PopulationArrivals):
 
     @classmethod
     def from_file(cls, path, rate_per_us=None):
-        """Load ``.npy`` or CSV timestamps (see ``TraceReplay.from_file``)."""
+        """Load a ``.npy`` or CSV trace (see :func:`load_trace_timestamps`)."""
         return cls(load_trace_timestamps(path), rate_per_us=rate_per_us)
 
     def take(self, start, until):

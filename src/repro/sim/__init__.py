@@ -29,7 +29,7 @@ from .events import (
     NORMAL,
 )
 from .resources import Resource, Request
-from .store import Store, PriorityStore
+from .store import Store
 from .channel import Channel
 from .rng import RngRegistry
 from .stats import LatencyRecorder, RateMeter, TimeWeightedGauge, Counter
@@ -52,7 +52,6 @@ __all__ = [
     "Resource",
     "Request",
     "Store",
-    "PriorityStore",
     "Channel",
     "RngRegistry",
     "LatencyRecorder",

@@ -253,13 +253,11 @@ class Channel(Store):
     def _land_many(self, _event):
         count = self._burst_counts.popleft()
         sink = self._sink
-        stype = type(sink)
-        # Bulk only into an untraced plain FIFO: subclasses overriding
-        # the put path (PriorityStore ordering, traced instances) keep
-        # their per-item semantics via the _land fallback.
+        # Bulk only into an untraced plain Store: routing sinks and
+        # traced instances keep their per-item semantics via the _land
+        # fallback.
         bulk_ok = (self._tracer is None
-                   and stype._push_item is Store._push_item
-                   and stype.try_put is Store.try_put
+                   and type(sink).try_put is Store.try_put
                    and sink.__dict__.get("try_put") is None)
         in_flight = self._in_flight
         land = self._land

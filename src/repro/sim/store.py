@@ -1,9 +1,9 @@
 """Producer/consumer channels.
 
 :class:`Store` is an (optionally bounded) FIFO of arbitrary items with
-event-returning ``put``/``get``; :class:`PriorityStore` pops the smallest
-item first.  These are the building blocks for NIC queues, dispatch
-queues and mailbox-style notification between model components.
+event-returning ``put``/``get``, the building block for NIC queues,
+dispatch queues and mailbox-style notification between model
+components.
 
 Callback state machines consume with :meth:`Store.get_then`, which
 schedules ``callback(item)`` in the slot a :class:`StoreGet` would fire
@@ -11,10 +11,8 @@ in, and produce with :meth:`Store.try_put`, which schedules nothing of
 its own: an accepted item either wakes a parked getter or is queued.
 """
 
-import heapq
 from collections import deque
 from heapq import heappush
-from itertools import count
 
 from ..errors import SimulationError
 from .events import Event, NORMAL, PENDING, _fire
@@ -86,7 +84,7 @@ class Store:
         next item, in the schedule slot the :class:`StoreGet` would fire
         in, without an event object."""
         if self._items:
-            item = self._pop_item()
+            item = self._items.popleft()
             env = self.env
             eid = env._eid
             env._eid = eid + 1
@@ -108,7 +106,7 @@ class Store:
             self._hand_off(item)
             return True
         if len(self._items) < self.capacity:
-            self._push_item(item)
+            self._items.append(item)
             self.total_put += 1
             return True
         return False
@@ -116,7 +114,7 @@ class Store:
     def try_get(self):
         """Non-blocking pop: return an item or None."""
         if self._items:
-            item = self._pop_item()
+            item = self._items.popleft()
             self._wake_putter()
             return item
         return None
@@ -136,12 +134,6 @@ class Store:
         return getters, putters
 
     # -- internals ----------------------------------------------------------
-
-    def _push_item(self, item):
-        self._items.append(item)
-
-    def _pop_item(self):
-        return self._items.popleft()
 
     # The succeed() calls below are inlined: put/get events are created
     # untriggered and only triggered once, right here, so the
@@ -165,7 +157,7 @@ class Store:
         if self._getters:
             self._hand_off(event.item)
         elif len(self._items) < self.capacity:
-            self._push_item(event.item)
+            self._items.append(event.item)
             self.total_put += 1
         else:
             self._putters.append(event)
@@ -180,7 +172,7 @@ class Store:
     def _do_get(self, event):
         if self._items:
             event._ok = True
-            event._value = self._pop_item()
+            event._value = self._items.popleft()
             env = self.env
             eid = env._eid
             env._eid = eid + 1
@@ -192,7 +184,7 @@ class Store:
     def _wake_putter(self):
         if self._putters and len(self._items) < self.capacity:
             put = self._putters.popleft()
-            self._push_item(put.item)
+            self._items.append(put.item)
             self.total_put += 1
             put._ok = True
             put._value = None
@@ -204,21 +196,3 @@ class Store:
     def __repr__(self):
         return "<%s %s depth=%d>" % (type(self).__name__, self.name, len(self._items))
 
-
-class PriorityStore(Store):
-    """A store that yields the smallest item first (heap order)."""
-
-    def __init__(self, env):
-        super().__init__(env)
-        self._items = []
-        self._seq = count()
-
-    @property
-    def items(self):
-        return tuple(item for _, _, item in sorted(self._items))
-
-    def _push_item(self, item):
-        heapq.heappush(self._items, (item, next(self._seq), item))
-
-    def _pop_item(self):
-        return heapq.heappop(self._items)[2]

@@ -290,6 +290,18 @@ class TestSnapshotSignals:
         }
         assert snapshot_signals(snap)["goodput"] == pytest.approx(4e5)
 
+    def test_population_counts_as_a_client_plane(self):
+        latency = telemetry.LogHistogram()
+        latency.record(100.0)
+        snap = {
+            "net.population.10.0.9.1.responses":
+                {"kind": "rate", "count": 200, "elapsed": 1000.0},
+            "net.population.10.0.9.1.latency": latency.snapshot(),
+        }
+        signals = snapshot_signals(snap)
+        assert signals["goodput"] == pytest.approx(2e5)
+        assert signals["p99_us"] == latency.p99()
+
 
 class TestRegistryAndRunners:
     def test_campaigns_register_and_find(self):

@@ -5,7 +5,7 @@ import pytest
 from repro.config import K40M, K80, XEON_E5_2620, GpuProfile
 from repro.errors import AcceleratorError
 from repro.hw.cpu import CorePool
-from repro.hw.gpu import GPU, CudaDriver
+from repro.hw.gpu import GPU, PCIE_LATENCY, CudaDriver
 from repro.sim import Environment
 
 
@@ -82,7 +82,9 @@ class TestMemcpy:
 
         p = env.process(proc(env, 10 * 1024 * 1024))
         env.run()
-        assert p.value >= 10 * 1024 * 1024 / K40M.copy_bandwidth
+        # bandwidth time plus one fixed PCIe traversal
+        assert p.value == pytest.approx(
+            10 * 1024 * 1024 / K40M.copy_bandwidth + PCIE_LATENCY)
 
 
 class TestSmSlots:

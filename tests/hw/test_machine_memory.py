@@ -39,14 +39,14 @@ class TestAddNic:
         nic2 = host.add_nic("10.0.0.11")
         assert nic2.ip == "10.0.0.11"
         assert tb.network.endpoint("10.0.0.11") is nic2
-        assert "nic1" in host.fabric.devices()
+        assert host.devices["nic1"] is nic2
 
     def test_two_extra_nics(self):
         tb = Testbed()
         host = tb.machine("10.0.0.1")
         host.add_nic("10.0.0.11")
         host.add_nic("10.0.0.12")
-        assert "nic2" in host.fabric.devices()
+        assert "nic2" in host.devices
 
     def test_servers_on_separate_nics_coexist(self):
         """The Fig 9 config-B shape: Lynx and memcached on one host."""

@@ -131,7 +131,7 @@ class TestMachine:
                     rng_registry=rng)
         gpu = m.add_gpu(K40M)
         assert m.gpus == [gpu]
-        assert gpu.name in m.fabric.devices()
+        assert m.devices[gpu.name] is gpu
         assert m.socket.profile.cores == 6
 
     def test_requires_rng_registry(self, env, network):

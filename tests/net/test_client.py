@@ -4,6 +4,7 @@ import pytest
 
 from repro import telemetry
 from repro.config import XEON_E5_2620, XEON_VMA
+from repro.errors import NetworkError
 from repro.hw.cpu import CorePool
 from repro.hw.nic import Nic
 from repro.net import (
@@ -83,6 +84,12 @@ class TestOpenLoop:
         env.run(until=20000)
         measured = gen.offered / 20000
         assert measured == pytest.approx(0.05, rel=0.15)
+
+    def test_rate_must_be_positive(self, env, network):
+        client = Client(env, network, "10.0.1.1", rng=RngRegistry(0))
+        with pytest.raises(NetworkError):
+            OpenLoopGenerator(env, client, Address("10.0.0.1", 7777), 0.0,
+                              lambda i: b"p")
 
     def test_stop_halts_generation(self, env, network):
         _EchoServer(env, network, "10.0.0.1", 7777, delay=0.0)

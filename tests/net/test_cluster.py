@@ -143,8 +143,8 @@ def _cluster(env, policy="round_robin", backends=3, rng=None, ring=None,
     """A VIP plus *backends* passive ports on a fresh fabric."""
     net = network if network is not None else Network(env)
     lb = L4LoadBalancer(env, net, VIP, port=PORT, policy=policy, rng=rng,
-                        ring=ring, replication=replication, steer_cost=0.1,
-                        **lb_kw)
+                        ring=ring, replication=replication, **lb_kw)
+    lb.steer_cost = 0.1
     ports = []
     for i in range(backends):
         ip = "10.0.0.%d" % (i + 1)
@@ -307,11 +307,12 @@ class TestHealthChecks:
 
 class TestVipSaturation:
     def test_rx_ring_drop_tail_under_overload(self, env):
-        # Scalar drain + a huge steer cost: the bounded VIP RX ring
-        # overflows and the VIP's wire channel counts the drop-tail.
+        # A huge steer cost: the bounded VIP RX ring overflows and the
+        # VIP's wire channel counts the drop-tail.
         net = Network(env)
-        lb = L4LoadBalancer(env, net, VIP, policy="round_robin",
-                            steer_cost=50.0, rx_ring=2, batched=False)
+        lb = L4LoadBalancer(env, net, VIP, policy="round_robin")
+        lb.steer_cost = 50.0
+        lb.rx.capacity = 2
         port = _Port(env)
         net.attach("10.0.0.1", port)
         lb.add_backend(Address("10.0.0.1", PORT))

@@ -1,9 +1,9 @@
-"""Store / PriorityStore channel behaviour."""
+"""Store channel behaviour."""
 
 import pytest
 
 from repro.errors import SimulationError
-from repro.sim import Channel, Environment, PriorityStore, Store, Tracer
+from repro.sim import Channel, Environment, Store, Tracer
 from repro.sim.trace import clear_enabled_tracers
 
 
@@ -108,34 +108,6 @@ class TestStore:
         store.try_put("a")
         store.try_put("b")
         assert store.items == ("a", "b")
-
-
-class TestPriorityStore:
-    def test_pops_smallest_first(self, env):
-        store = PriorityStore(env)
-        got = []
-
-        def producer(env):
-            for value in [5, 1, 4, 2]:
-                yield store.put(value)
-
-        def consumer(env):
-            yield env.timeout(1)
-            for _ in range(4):
-                got.append((yield store.get()))
-
-        env.process(producer(env))
-        env.process(consumer(env))
-        env.run()
-        assert got == [1, 2, 4, 5]
-
-    def test_ties_broken_by_insertion_order(self, env):
-        store = PriorityStore(env)
-        store.try_put((1, "first"))
-        store.try_put((1, "second"))
-        env.run()
-        assert store.try_get() == (1, "first")
-        assert store.try_get() == (1, "second")
 
 
 def _run_gets(twin, traced):

@@ -22,11 +22,7 @@ machine speed factor (a slow machine under-measures rates just as it
 over-measures times) and the check fails when the normalized rate
 *dropped* more than the threshold.  Sections that record a
 machine-independent ``best_ratio`` (interleaved A/B pairs) need no
-normalization and are gated on the ratio directly; when such a section
-also records a ``ratio_floor``, the *current* ratio must additionally
-clear that absolute floor — a hard acceptance bar (e.g. batched VIP
-steering must stay >= 1.05x the per-message drain) that no amount of
-baseline drift can relax.
+normalization and are gated on the ratio directly.
 
 Sections present on only one side are skipped with a note — a freshly
 added benchmark has no baseline to regress against.
@@ -109,16 +105,6 @@ def compare(baseline, current, threshold):
                   % (name, base_rate, cur_rate, ratio, status))
         if ratio > 1.0 + threshold:
             failures.append((name, base_rate, cur_rate, ratio))
-        floor = cur_section.get("ratio_floor", base_section.get("ratio_floor"))
-        if "best_ratio" in base_section and floor is not None:
-            floor = float(floor)
-            if cur_rate < floor:
-                print("%-32s below absolute floor: %9.2fx < %9.2fx  FAIL"
-                      % (name, cur_rate, floor))
-                failures.append((name, floor, cur_rate, floor / cur_rate))
-            else:
-                print("%-32s absolute floor %9.2fx: current %9.2fx  ok"
-                      % (name, floor, cur_rate))
     return failures
 
 
