@@ -1,43 +1,15 @@
 """Ablation benchmarks: design-choice studies beyond the paper's tables.
 
 Each isolates one Lynx design decision (see
-``repro/experiments/ablations.py``) and checks the direction of its
-effect.
+``repro/experiments/ablations.py``), checks the direction of its
+effect and saves its rows as ``benchmarks/results/ABL-XX.json``.
 """
-
-import json
-import os
 
 from repro.experiments import ablations
 
-FAST = os.environ.get("REPRO_FULL", "") != "1"
-SEED = int(os.environ.get("REPRO_SEED", "42"))
 
-_GOLDEN_PATH = os.path.join(os.path.dirname(__file__), os.pardir, "tests",
-                            "fixtures", "golden_ablation_rows.json")
-with open(_GOLDEN_PATH) as _fh:
-    _GOLDEN = json.load(_fh)
-
-
-def _bench(benchmark, study):
-    result = benchmark.pedantic(lambda: study(fast=FAST, seed=SEED),
-                                rounds=1, iterations=1)
-    print()
-    print(result.render())
-    if FAST and SEED == 42:
-        # Row parity with the hand-written predecessors: the campaign
-        # declarations must reproduce the golden fixed-seed rows (and
-        # notes) bit-identically.
-        rows = json.loads(json.dumps(result.rows))
-        assert rows == _GOLDEN["rows"][result.exp_id], \
-            "%s rows drifted from the golden fixture" % result.exp_id
-        assert list(result.notes) == _GOLDEN["notes"][result.exp_id], \
-            "%s notes drifted from the golden fixture" % result.exp_id
-    return result
-
-
-def test_ablation_gpu_centric(benchmark):
-    result = _bench(benchmark, ablations.gpu_centric_comparison)
+def test_ablation_gpu_centric(run_experiment):
+    result = run_experiment(ablations.gpu_centric_comparison)
     lynx = result.find(design="lynx-on-xeon-6core")
     rows = [r for r in result.rows if r["design"].startswith("gpu-centric")]
     # every I/O threadblock carved out of the app costs throughput
@@ -46,8 +18,8 @@ def test_ablation_gpu_centric(benchmark):
     assert heaviest["relative"] < 0.75
 
 
-def test_ablation_dispatch_policies(benchmark):
-    result = _bench(benchmark, ablations.dispatch_policy_study)
+def test_ablation_dispatch_policies(run_experiment):
+    result = run_experiment(ablations.dispatch_policy_study)
     rr = result.find(policy="round-robin")
     ll = result.find(policy="least-loaded")
     # least-loaded cuts the tail created by the 10x requests
@@ -55,16 +27,16 @@ def test_ablation_dispatch_policies(benchmark):
     assert ll["krps"] >= 0.9 * rr["krps"]
 
 
-def test_ablation_coalescing(benchmark):
-    result = _bench(benchmark, ablations.coalescing_study)
+def test_ablation_coalescing(run_experiment):
+    result = run_experiment(ablations.coalescing_study)
     on = result.find(coalescing="on")
     off = result.find(coalescing="off")
     assert off["rdma_ops_per_msg"] == on["rdma_ops_per_msg"] + 1
     assert on["p50_us"] < off["p50_us"]
 
 
-def test_ablation_ring_size(benchmark):
-    result = _bench(benchmark, ablations.ring_size_study)
+def test_ablation_ring_size(run_experiment):
+    result = run_experiment(ablations.ring_size_study)
     drops = {r["ring_entries"]: r["drop_rate"] for r in result.rows}
     p50 = {r["ring_entries"]: r["p50_us"] for r in result.rows}
     # bigger rings -> fewer drops but more queueing delay
@@ -76,8 +48,8 @@ def test_ablation_ring_size(benchmark):
     assert goodput[256] > goodput[4]
 
 
-def test_ablation_sweep_interval(benchmark):
-    result = _bench(benchmark, ablations.sweep_interval_study)
+def test_ablation_sweep_interval(run_experiment):
+    result = run_experiment(ablations.sweep_interval_study)
     fast_poll = result.find(sweep_interval_us=0.5)
     slow_poll = result.find(sweep_interval_us=16.0)
     # doorbell arming keeps latency flat across poll cadences...
@@ -86,8 +58,8 @@ def test_ablation_sweep_interval(benchmark):
     assert slow_poll["sweeps"] < 0.75 * fast_poll["sweeps"]
 
 
-def test_ablation_connection_scaling(benchmark):
-    result = _bench(benchmark, ablations.connection_scaling_study)
+def test_ablation_connection_scaling(run_experiment):
+    result = run_experiment(ablations.connection_scaling_study)
     rows = result.rows
     # accelerator-side state never grows with the connection count
     assert all(r["accel_rings"] == rows[0]["accel_rings"] for r in rows)
@@ -95,16 +67,16 @@ def test_ablation_connection_scaling(benchmark):
     assert rows[-1]["krps"] >= 0.85 * max(r["krps"] for r in rows)
 
 
-def test_ablation_driver_contention(benchmark):
-    result = _bench(benchmark, ablations.driver_contention_study)
+def test_ablation_driver_contention(run_experiment):
+    result = run_experiment(ablations.driver_contention_study)
     by_cores = {r["cores"]: r["krps"] for r in result.rows}
     # §6.1/§6.4: best at 1-2 cores, then the driver lock wins
     assert max(by_cores, key=by_cores.get) in (1, 2)
     assert by_cores[6] < by_cores[2]
 
 
-def test_ablation_projected_innova(benchmark):
-    result = _bench(benchmark, ablations.projected_innova_study)
+def test_ablation_projected_innova(run_experiment):
+    result = run_experiment(ablations.projected_innova_study)
     innova = result.rows[0]
     bluefield = result.rows[1]
     # the AFU serves rx+tx through one pipeline: full loop ~= half the

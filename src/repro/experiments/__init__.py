@@ -1,8 +1,8 @@
 """Experiment harness: one module per paper table/figure.
 
 Every module exposes ``run(fast=True, seed=42) -> ExperimentResult``.
-The registry below maps experiment ids to modules; ``run_all`` drives
-the whole evaluation (the benchmarks wrap individual entries).
+The registry below maps experiment ids to modules (the benchmarks and
+the ``python -m repro.experiments`` CLI run its entries).
 """
 
 from . import (
@@ -50,16 +50,4 @@ REGISTRY = {
 }
 
 
-def run_all(fast=True, seed=42, report=print):
-    """Run every experiment; returns {exp_id: ExperimentResult}."""
-    results = {}
-    for exp_id in sorted(REGISTRY):
-        result = REGISTRY[exp_id].run(fast=fast, seed=seed)
-        results[exp_id] = result
-        if report is not None:
-            report(result.render())
-            report("")
-    return results
-
-
-__all__ = ["REGISTRY", "run_all", "ExperimentResult", "Testbed"]
+__all__ = ["REGISTRY", "ExperimentResult", "Testbed"]

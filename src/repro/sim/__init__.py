@@ -32,7 +32,7 @@ from .resources import Resource, Request
 from .store import Store
 from .channel import Channel
 from .rng import RngRegistry
-from .stats import LatencyRecorder, RateMeter, TimeWeightedGauge, Counter
+from .stats import LatencyRecorder, RateMeter, TimeWeightedGauge
 from .trace import Tracer, NullTracer
 
 __all__ = [
@@ -57,7 +57,6 @@ __all__ = [
     "LatencyRecorder",
     "RateMeter",
     "TimeWeightedGauge",
-    "Counter",
     "Tracer",
     "NullTracer",
 ]

@@ -108,10 +108,6 @@ class Event:
         self.env.schedule(self, delay=0, priority=priority)
         return self
 
-    def defuse(self):
-        """Mark a failed event as handled so the kernel does not re-raise."""
-        self._defused = True
-
     def __repr__(self):
         state = "processed" if self.processed else (
             "triggered" if self.triggered else "pending")

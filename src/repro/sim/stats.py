@@ -208,7 +208,3 @@ class TimeWeightedGauge(_ti.TimeWeightedGauge):
     def __init__(self, env, initial=0.0):
         self.env = env
         super().__init__(clock=lambda: env.now, initial=initial)
-
-
-class Counter(_ti.LabelledCounter):
-    """A labelled monotonic counter bundle (e.g. per-message-type)."""

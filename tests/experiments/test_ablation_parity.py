@@ -1,49 +1,30 @@
 """Campaign declarations reproduce the hand-written ablation studies.
 
 The eight ``ALL_STUDIES`` used to be hand-rolled modules; they are now
-:class:`~repro.experiments.campaign.Campaign` declarations.  The golden
-fixture (``tests/fixtures/golden_ablation_rows.json``) was captured
-from the pre-refactor code at the fixed seed — the declarations must
-reproduce its rows and notes bit-identically.
+:class:`~repro.experiments.campaign.Campaign` declarations.  Their
+fixed-seed rows and notes, first captured from the pre-refactor code,
+are committed as ``benchmarks/results/ABL-XX.json`` — the declarations
+must reproduce them bit-identically.
 
-Only the cheap studies run here (the full set takes ~50s and is
-covered by ``benchmarks/test_ablations.py``, which asserts parity for
-all eight).
+Only the cheap studies run here; CI's ``rows`` job reruns the full set
+(``benchmarks/test_ablations.py``) and diffs the store.
 """
-
-import json
-import os
 
 import pytest
 
-from repro import telemetry
 from repro.experiments import ablations
 from repro.experiments.campaign import describe
 
-_FIXTURE = os.path.join(os.path.dirname(__file__), os.pardir, "fixtures",
-                        "golden_ablation_rows.json")
-with open(_FIXTURE) as _fh:
-    GOLDEN = json.load(_fh)
+from .test_determinism import committed, fresh
 
-#: studies cheap enough for the tier-1 suite (a few seconds total); the
-#: benchmarks assert parity for the full set
-CHEAP = ("ABL-DP", "ABL-CO", "ABL-RS", "ABL-CS", "ABL-DC")
-
-_BY_ID = {c.exp_id: c for c in ablations.ALL_STUDIES}
+#: studies cheap enough for the tier-1 suite (about 8 s together)
+CHEAP = ("ABL-DP", "ABL-CO", "ABL-RS", "ABL-SW", "ABL-CS", "ABL-DC")
 
 
 class TestGoldenRowParity:
     @pytest.mark.parametrize("exp_id", CHEAP)
     def test_rows_and_notes_bit_identical(self, exp_id):
-        with telemetry.scope():
-            result = _BY_ID[exp_id](fast=GOLDEN["fast"],
-                                    seed=GOLDEN["seed"])
-        rows = json.loads(json.dumps(result.rows))
-        assert rows == GOLDEN["rows"][exp_id]
-        assert list(result.notes) == GOLDEN["notes"][exp_id]
-
-    def test_fixture_covers_all_eight_studies(self):
-        assert set(GOLDEN["rows"]) == set(_BY_ID)
+        assert fresh(exp_id) == committed(exp_id)
 
 
 class TestDocstringRegeneration:

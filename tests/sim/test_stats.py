@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from repro.sim import Counter, Environment, LatencyRecorder, RateMeter, TimeWeightedGauge
+from repro.sim import Environment, LatencyRecorder, RateMeter, TimeWeightedGauge
 
 
 @pytest.fixture
@@ -179,14 +179,3 @@ class TestTimeWeightedGauge:
         snap = gauge.snapshot()
         assert snap["elapsed"] == pytest.approx(8.0)
         assert gauge.mean() == pytest.approx(100.0)
-
-
-class TestCounter:
-    def test_labelled_counts(self):
-        counter = Counter()
-        counter.inc("drops")
-        counter.inc("drops", 2)
-        counter.inc("sends")
-        assert counter.get("drops") == 3
-        assert counter.get("missing") == 0
-        assert counter.as_dict() == {"drops": 3, "sends": 1}

@@ -13,15 +13,12 @@ lint = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(lint)
 
 
-def setup(tmp_path, doc, rows=None, txt=None, exp_id="E01",
-          results="results"):
-    """Write a doc plus one experiment's artifacts; return the paths."""
+def setup(tmp_path, doc, rows=None, exp_id="E01", results="results"):
+    """Write a doc plus one experiment's artifact; return the paths."""
     out = tmp_path / results
     out.mkdir(parents=True, exist_ok=True)
     if rows is not None:
         (out / (exp_id + ".json")).write_text(json.dumps({"rows": rows}))
-    if txt is not None:
-        (out / (exp_id + ".txt")).write_text(txt)
     path = tmp_path / "EXPERIMENTS.md"
     path.write_text(textwrap.dedent(doc))
     return str(path), str(tmp_path / "results")
@@ -62,16 +59,10 @@ class TestCheckDoc:
                          rows=[{"p99": 1.0}])
         assert lint.check_doc(doc, res) == []
 
-    def test_text_artifact_numbers_count(self, tmp_path):
-        doc, res = setup(tmp_path, TABLE.format(cell="12.0"),
-                         txt="config  p99\nlynx    12.0\n")
-        assert lint.check_doc(doc, res) == []
-
     def test_titles_and_notes_do_not_count(self, tmp_path):
         # They quote the paper: a measured cell must not match them.
         doc, res = setup(tmp_path, TABLE.format(cell="21%"),
-                         rows=[{"p99": 1.21}, "paper: 21%"],
-                         txt="[E01] title (21%)\nnote: paper: 21%\n")
+                         rows=[{"p99": 1.21}, "paper: 21%"])
         assert len(lint.check_doc(doc, res)) == 1
 
     def test_label_and_paper_columns_ignored(self, tmp_path):
@@ -169,7 +160,7 @@ README = """\
 
 
 def readme(tmp_path, cell, exp="E01", claim="p99 inflation", rows=None,
-           notes=(), ablations=None):
+           notes=()):
     """Write a README headline table plus E01's artifact; return the
     paths the README check takes."""
     doc, res = setup(tmp_path, "", rows=rows or [{"ratio": 12.04}])
@@ -179,9 +170,7 @@ def readme(tmp_path, cell, exp="E01", claim="p99 inflation", rows=None,
     path = tmp_path / "README.md"
     path.write_text(textwrap.dedent(README.format(claim=claim, exp=exp,
                                                   cell=cell)))
-    golden = tmp_path / "golden.json"
-    golden.write_text(json.dumps({"rows": ablations or {}}))
-    return str(path), res, str(golden)
+    return str(path), res
 
 
 class TestCheckReadme:
@@ -207,13 +196,12 @@ class TestCheckReadme:
         assert len(lint.check_readme(*readme(tmp_path, "9us",
                                              notes=[note]))) == 1
 
-    def test_ablation_rows_come_from_the_golden_file(self, tmp_path):
-        golden = {"ABL-DC": [{"cores": 2, "krps": 30.4}]}
-        args = readme(tmp_path, "yes (30.4K at 2)", exp="ABL-DC",
-                      ablations=golden)
+    def test_ablation_rows_resolve_like_experiments(self, tmp_path):
+        setup(tmp_path, "", rows=[{"cores": 2, "krps": 30.4}],
+              exp_id="ABL-DC")
+        args = readme(tmp_path, "yes (30.4K at 2)", exp="ABL-DC")
         assert lint.check_readme(*args) == []
-        args = readme(tmp_path, "yes (31.0K at 2)", exp="ABL-DC",
-                      ablations=golden)
+        args = readme(tmp_path, "yes (31.0K at 2)", exp="ABL-DC")
         assert len(lint.check_readme(*args)) == 1
 
     def test_row_without_experiment_flagged(self, tmp_path):
@@ -225,14 +213,14 @@ class TestCheckReadme:
         assert any("E02: no committed artifact" in m for _, m in findings)
 
     def test_table_needs_exp_column(self, tmp_path):
-        path, res, golden = readme(tmp_path, "12.0x")
+        path, res = readme(tmp_path, "12.0x")
         text = open(path).read().replace("| Exp ", "| Ref ")
         open(path, "w").write(text)
-        findings = lint.check_readme(path, res, golden)
+        findings = lint.check_readme(path, res)
         assert len(findings) == 1 and "'Exp'" in findings[0][1]
 
     def test_main_checks_the_readme_beside_the_doc(self, tmp_path, capsys):
-        path, res, _ = readme(tmp_path, "13.0x")
+        path, res = readme(tmp_path, "13.0x")
         doc = str(tmp_path / "EXPERIMENTS.md")
         assert lint.main([doc, res]) == 1
         assert "README.md:7:" in capsys.readouterr().out
@@ -240,7 +228,5 @@ class TestCheckReadme:
     def test_repository_readme_matches_committed_results(self):
         findings = lint.check_readme(
             os.path.join(_ROOT, "README.md"),
-            os.path.join(_ROOT, "benchmarks", "results"),
-            os.path.join(_ROOT, "tests", "fixtures",
-                         "golden_ablation_rows.json"))
+            os.path.join(_ROOT, "benchmarks", "results"))
         assert findings == []

@@ -5,9 +5,8 @@ Every ``## EXX`` section of EXPERIMENTS.md restates its experiment's
 fast-preset output in a markdown table.  Prose drifts when the model
 changes and the committed artifacts are regenerated but the doc is not
 (the E06 and E09 rows once quoted numbers no run had printed).  This
-lint checks each *measured* cell against the committed
-artifacts of the same experiment, ``benchmarks/results/EXX.json`` and
-``EXX.txt``.
+lint checks each *measured* cell against the committed artifact of
+the same experiment, ``benchmarks/results/EXX.json``.
 
 Usage::
 
@@ -27,11 +26,10 @@ Rules:
   ``0.16 ms``, ``**1.00**``, ``12.0x``).  Approximations (``~``),
   ranges (``1.05-1.12``) and cells carrying more than one number are
   skipped;
-* a plain cell passes when some numeric value in the JSON artifact, or
-  some number printed in a table row of the text artifact, rounds to
-  the cell's value at the cell's printed precision (``471.9`` matches
-  471.94; ``50`` matches 50.0).  Notes and titles do not count: they
-  quote the paper's numbers;
+* a plain cell passes when some numeric value in the JSON artifact
+  rounds to the cell's value at the cell's printed precision (``471.9``
+  matches 471.94; ``50`` matches 50.0).  Notes and titles do not count:
+  they quote the paper's numbers;
 * a table that documents another committed run instead of the fast
   preset says so on the line above it, e.g.
   ``<!-- results: benchmarks/results-full-sweep -->`` (a path relative
@@ -40,11 +38,9 @@ Rules:
 README.md's "Headline reproductions" table restates one or two numbers
 per experiment in prose cells (``12.0x / 21%``, ``3.51K vs 2.63K``).
 Its ``Exp`` column names the artifacts a row quotes (``E02``,
-``E10, E11``, or an ``ABL-*`` study, whose rows live in
-``tests/fixtures/golden_ablation_rows.json``, the golden file that
-``benchmarks/test_ablations.py`` pins), and *every*
-number in its ``This repo`` column must print, at its own precision,
-from one of them.  A JSON note counts up to where it first names the
+``E10, E11``, ``BRK`` or an ``ABL-*`` study), and *every* number in its
+``This repo`` column must print, at its own precision, from one of
+them.  A JSON note counts up to where it first names the
 paper.  Two suffixes scale: ``30.4K`` also matches 30400, and ``21%``
 matches 0.21 or a 1.21x ratio.
 """
@@ -64,9 +60,6 @@ _RANGE = re.compile(r"\d\s*[-–]\s*\d")
 _SOURCE = re.compile(r"^<!--\s*results:\s*(\S+)\s*-->\s*$")
 _README_HEADING = "## Headline reproductions"
 _NUMBER = re.compile(r"(?<![\w.])(\d+(?:\.(\d+))?)([K%])?")
-_ABLATIONS = os.path.join(os.path.dirname(os.path.abspath(__file__)),
-                          os.pardir, "tests", "fixtures",
-                          "golden_ablation_rows.json")
 
 
 def split_row(line):
@@ -117,31 +110,15 @@ def tables(lines):
 
 
 def artifact_numbers(results_dir, exp_id):
-    """The numeric values of ``EXX.json`` and the numbers printed in
-    ``EXX.txt``'s table rows (floats), or None when neither exists."""
-    numbers = []
-    found = False
+    """The numeric values of ``EXX.json`` (floats), or None when it
+    does not exist."""
     path = os.path.join(results_dir, exp_id + ".json")
-    if os.path.exists(path):
-        found = True
-        with open(path) as fh:
-            _collect(json.load(fh), numbers)
-    path = os.path.join(results_dir, exp_id + ".txt")
-    if os.path.exists(path):
-        found = True
-        with open(path) as fh:
-            for line in fh:
-                if not line.startswith(("[", "note:")):
-                    numbers.extend(_floats(line.split()))
-    return numbers if found else None
-
-
-def _floats(tokens):
-    for tok in tokens:
-        try:
-            yield float(tok)
-        except ValueError:
-            pass
+    if not os.path.exists(path):
+        return None
+    numbers = []
+    with open(path) as fh:
+        _collect(json.load(fh), numbers)
+    return numbers
 
 
 def _collect(node, out):
@@ -185,15 +162,15 @@ def check_doc(doc_path, results_dir):
                     cache[where, exp_id] = artifact_numbers(where, exp_id)
                 numbers = cache[where, exp_id]
                 if numbers is None:
-                    findings.append((lineno, "%s: no %s.json or %s.txt in "
-                                     "%s" % (exp_id, exp_id, exp_id, where)))
+                    findings.append((lineno, "%s: no %s.json in %s"
+                                     % (exp_id, exp_id, where)))
                     continue
                 text, decimals = plain
                 if not matches(text, decimals, numbers):
                     findings.append((lineno, "%s column %r: %r is not in "
                                      "%s" % (exp_id, header[j], cells[j],
                                              os.path.join(where, exp_id)
-                                             + ".{json,txt}")))
+                                             + ".json")))
     return findings
 
 
@@ -206,26 +183,14 @@ def _candidates(value, suffix):
     return (value,)
 
 
-def headline_numbers(results_dir, ablations, exp_id):
+def headline_numbers(results_dir, exp_id):
     """The numbers a README headline row may quote from *exp_id*: the
-    experiment's artifacts plus each JSON note's text before it first
-    names the paper (``remote GPU adds 8.0us latency (paper: ~8us)``),
-    or an ``ABL-*`` study's rows in the *ablations* golden file.  None
+    artifact's values plus each JSON note's text before it first names
+    the paper (``remote GPU adds 8.0us latency (paper: ~8us)``).  None
     when no artifact exists."""
-    if exp_id.startswith("ABL-"):
-        if not os.path.exists(ablations):
-            return None
-        with open(ablations) as fh:
-            rows = json.load(fh)["rows"].get(exp_id)
-        if rows is None:
-            return None
-        numbers = []
-        _collect(rows, numbers)
-        return numbers
     numbers = artifact_numbers(results_dir, exp_id)
-    path = os.path.join(results_dir, exp_id + ".json")
-    if numbers is not None and os.path.exists(path):
-        with open(path) as fh:
+    if numbers is not None:
+        with open(os.path.join(results_dir, exp_id + ".json")) as fh:
             for note in json.load(fh).get("notes", ()):
                 measured = note.split("paper")[0]
                 numbers.extend(float(m.group(1))
@@ -233,7 +198,7 @@ def headline_numbers(results_dir, ablations, exp_id):
     return numbers
 
 
-def check_readme(readme_path, results_dir, ablations):
+def check_readme(readme_path, results_dir):
     """Return ``[(lineno, message)]`` findings for README.md's
     headline table (see the module docstring)."""
     if not os.path.exists(readme_path):
@@ -262,8 +227,7 @@ def check_readme(readme_path, results_dir, ablations):
         numbers = []
         for exp_id in ids:
             if exp_id not in cache:
-                cache[exp_id] = headline_numbers(results_dir, ablations,
-                                                 exp_id)
+                cache[exp_id] = headline_numbers(results_dir, exp_id)
             if cache[exp_id] is None:
                 findings.append((i + 1, "%s: no committed artifact"
                                  % exp_id))
@@ -293,7 +257,7 @@ def main(argv=None):
     findings = [(args.doc, lineno, message)
                 for lineno, message in check_doc(args.doc, args.results)]
     findings += [(readme, lineno, message) for lineno, message
-                 in check_readme(readme, args.results, _ABLATIONS)]
+                 in check_readme(readme, args.results)]
     for path, lineno, message in findings:
         print("%s:%d: %s" % (path, lineno, message))
     if findings:
