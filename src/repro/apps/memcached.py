@@ -164,7 +164,7 @@ class _WorkerOp:
 
     def _executed(self):
         msg = self.msg
-        response = msg.reply(self.result, created_at=self.env.now)
+        response = msg.reply(self.result, self.env.now)
         self.msg = self.result = None
         if response.conn is not None:
             response.meta["tcp_seq"] = response.conn.next_seq(response.src)

@@ -47,7 +47,8 @@ class _CoreLeg:
     order.
     """
 
-    __slots__ = ("pool", "duration", "mi", "ws", "token", "callback")
+    __slots__ = ("pool", "duration", "mi", "ws", "token", "callback",
+                 "granted", "charged")
 
     def __init__(self, pool):
         self.pool = pool
@@ -56,12 +57,15 @@ class _CoreLeg:
         self.ws = 0
         self.token = None
         self.callback = None
+        # Bound once: a pooled leg hands the same two to every occupancy.
+        self.granted = self._granted
+        self.charged = self._charged
 
     def _granted(self, _arg):
         pool = self.pool
         duration, self.token = _llc_leg(pool.llc, self.duration, self.mi,
                                         self.ws)
-        pool.env.defer(duration, self._charged)
+        pool.env.defer(duration, self.charged)
 
     def _charged(self, _arg):
         pool = self.pool
@@ -191,7 +195,7 @@ class CorePool:
         leg.ws = (self.default_working_set if working_set is None
                   else working_set)
         leg.callback = callback
-        self._res.acquire_then(leg._granted, priority)
+        self._res.acquire_then(leg.granted, priority)
 
 
 class CpuSocket:

@@ -82,17 +82,21 @@ class _ClientRxOp:
 
     def _on_msg(self, msg):
         client = self.client
-        created = msg.meta.get("request_created_at")
-        if created is not None and msg.kind == "response":
-            client.latency._samples.append(
-                client.env.now - created + RECV_COST)
-            client.responses.count += 1
-        if msg.kind == "response":
+        meta = msg._meta
+        if meta is None:
+            meta = {}
+        kind = msg.kind
+        if kind == "response":
+            created = meta.get("request_created_at")
+            if created is not None:
+                client.latency._samples.append(
+                    client.env.now - created + RECV_COST)
+                client.responses.count += 1
             # The one place client-plane exchanges complete (feeds the
             # kernel's events-per-request figure).
             client.env.requests_completed += 1
-        waiter = client._waiters.pop(msg.meta.get("in_reply_to"), None)
-        if waiter is None and msg.kind == "tcp-synack":
+        waiter = client._waiters.pop(meta.get("in_reply_to"), None)
+        if waiter is None and kind == "tcp-synack":
             waiter = client._waiters.pop(("synack", msg.conn.conn_id), None)
         if waiter is not None and not waiter.triggered:
             waiter.succeed(msg)
@@ -185,8 +189,7 @@ class Client:
         """One request attempt's message plus the waiter its response
         resolves."""
         src = conn.client if conn is not None else self._source_address()
-        msg = Message(src=src, dst=dst, payload=payload, proto=proto,
-                      created_at=self.env.now, conn=conn)
+        msg = Message(src, dst, payload, proto, self.env.now, None, conn)
         waiter = self.env.event()
         self._waiters[msg.msg_id] = waiter
         return msg, waiter
@@ -327,8 +330,8 @@ class OpenLoopGenerator:
         payload = self.payload_fn(self.offered)
         src = (self.conn.client if self.conn is not None
                else self.client._source_address())
-        msg = Message(src=src, dst=self.dst, payload=payload,
-                      proto=self.proto, created_at=env.now, conn=self.conn)
+        msg = Message(src, self.dst, payload, self.proto, env.now, None,
+                      self.conn)
         self.offered += 1
         # Fire and forget: the arrival process must not be throttled
         # by per-message send cost, or high offered rates would be
@@ -435,10 +438,13 @@ class _ClosedLoopOp:
         # answered entries), so the waiter table stays empty.
         client._waiters.pop(self.msg.msg_id, None)
         self.msg = self.waiter = None
-        delay = gen.policy.retry_delay(client, self.attempt, response)
-        if delay is not None:
-            gen.env.defer(delay, self._attempt)
-            return
+        if (self.attempt > 1 or response is None
+                or response.kind == "error"):
+            # A first-attempt success needs no policy: it is done.
+            delay = gen.policy.retry_delay(client, self.attempt, response)
+            if delay is not None:
+                gen.env.defer(delay, self._attempt)
+                return
         if response is None:
             gen.timeouts += 1
         elif response.kind == "error":

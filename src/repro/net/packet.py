@@ -75,7 +75,10 @@ class Message:
         self.dst = dst
         self.proto = proto
         self.payload = payload
-        self.size = payload_size(payload) if size is None else size
+        if size is None:
+            size = (len(payload) if type(payload) is bytes
+                    else payload_size(payload))
+        self.size = size
         self.created_at = created_at
         self._meta = None
         self.conn = conn
@@ -99,11 +102,10 @@ class Message:
 
     def reply(self, payload, created_at, size=None, kind="response"):
         """Build the response message back to this message's source."""
-        msg = Message(src=self.dst, dst=self.src, payload=payload,
-                      proto=self.proto, created_at=created_at, size=size,
-                      conn=self.conn, kind=kind)
-        msg.meta["in_reply_to"] = self.msg_id
-        msg.meta["request_created_at"] = self.created_at
+        msg = Message(self.dst, self.src, payload, self.proto, created_at,
+                      size, self.conn, kind)
+        msg._meta = {"in_reply_to": self.msg_id,
+                     "request_created_at": self.created_at}
         return msg
 
     def __repr__(self):

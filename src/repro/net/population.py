@@ -45,7 +45,7 @@ from .. import telemetry
 from ..errors import ConfigError
 from ..sim import Channel, RateMeter
 from ..telemetry.instruments import LogHistogram
-from .packet import Address, Message, UDP_HEADER, payload_size
+from .packet import Address, Message, UDP, UDP_HEADER, payload_size
 from .client import LINK_RATE, RECV_COST, SEND_COST
 
 #: target arrivals per pre-generated chunk
@@ -723,9 +723,8 @@ class ClientPopulation:
         while i < end:
             key = keys[i]
             size = sizes[key]
-            frame_append(Message(src=srcs[src_i], dst=dst,
-                                 payload=payloads[key],
-                                 created_at=times[i], size=size))
+            frame_append(Message(srcs[src_i], dst, payloads[key], UDP,
+                                 times[i], size))
             src_i = src_i + 1 if src_i + 1 < nsrc else 0
             nbytes += size + UDP_HEADER
             i += 1

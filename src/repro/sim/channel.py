@@ -23,8 +23,10 @@ a Channel leaves fixed-seed results bit-identical.
 """
 
 from collections import deque
+from heapq import heappush
 
 from ..errors import CapacityError, SimulationError
+from .events import NORMAL
 from .resources import Resource
 from .store import Store
 
@@ -41,9 +43,14 @@ def _msg_id(item):
 
 
 class _TransferLeg:
-    """One :meth:`Channel.transfer_then` hop, pooled on its channel."""
+    """One :meth:`Channel.transfer_then` hop, pooled on its channel.
 
-    __slots__ = ("channel", "nbytes", "occupancy", "latency", "callback")
+    Each step pushes the next one's schedule entry itself: the slot (and
+    eid) ``Environment.defer`` would take, one frame fewer.
+    """
+
+    __slots__ = ("channel", "nbytes", "occupancy", "latency", "callback",
+                 "granted", "occupied", "landed")
 
     def __init__(self, channel):
         self.channel = channel
@@ -51,9 +58,17 @@ class _TransferLeg:
         self.occupancy = 0.0
         self.latency = 0.0
         self.callback = None
+        # Bound once: a pooled leg hands the same three to every hop.
+        self.granted = self._granted
+        self.occupied = self._occupied
+        self.landed = self._landed
 
     def _granted(self, _arg):
-        self.channel.env.defer(self.occupancy, self._occupied)
+        env = self.channel.env
+        eid = env._eid
+        env._eid = eid + 1
+        heappush(env._queue, (env.now + self.occupancy, NORMAL, eid,
+                              self.occupied, None))
 
     def _occupied(self, _arg):
         channel = self.channel
@@ -63,8 +78,13 @@ class _TransferLeg:
         channel.bytes_moved += self.nbytes
         if channel._tracer is not None:
             channel._tracer.emit(channel.name, "xfer", None, self.nbytes)
-        if self.latency:
-            channel.env.defer(self.latency, self._landed)
+        latency = self.latency
+        if latency:
+            env = channel.env
+            eid = env._eid
+            env._eid = eid + 1
+            heappush(env._queue, (env.now + latency, NORMAL, eid,
+                                  self.landed, None))
         else:
             self._landed(None)
 
@@ -105,6 +125,8 @@ class Channel(Store):
                  bandwidth=None, min_occupancy=0.0, serialized=False,
                  sink=None):
         Store.__init__(self, env, capacity, name or "chan")
+        if latency < 0:
+            raise SimulationError("negative latency on %s" % self.name)
         self.latency = latency
         self.bandwidth = bandwidth
         self.min_occupancy = min_occupancy
@@ -193,18 +215,22 @@ class Channel(Store):
         """
         if nbytes < 0:
             raise SimulationError("negative transfer size on %s" % self.name)
+        if occupancy is None:
+            occupancy = self.occupancy(nbytes)
+        latency = self.latency if post_latency is None else post_latency
+        if occupancy < 0 or latency < 0:
+            raise SimulationError("negative transfer time on %s" % self.name)
         legs = self._legs
         leg = legs.pop() if legs else _TransferLeg(self)
         leg.nbytes = nbytes
-        leg.occupancy = (self.occupancy(nbytes) if occupancy is None
-                         else occupancy)
-        leg.latency = self.latency if post_latency is None else post_latency
+        leg.occupancy = occupancy
+        leg.latency = latency
         leg.callback = callback
         issue = self.issue
         if issue is not None:
-            issue.acquire_then(leg._granted)
+            issue.acquire_then(leg.granted)
         else:
-            self.env.defer(leg.occupancy, leg._occupied)
+            leg._granted(None)
 
     def push(self, item, nbytes=0):
         """Fire-and-forget: land *item* in the sink after the hop latency.
@@ -215,7 +241,13 @@ class Channel(Store):
         self.sent += 1
         self.bytes_moved += nbytes
         self._in_flight.append(item)
-        self.env.defer(self.latency, self._land)
+        env = self.env
+        eid = env._eid
+        env._eid = eid + 1
+        # ``self._land`` is looked up per push, never cached: a fault
+        # _WireHook shadows it on the instance while a window is open.
+        heappush(env._queue, (env.now + self.latency, NORMAL, eid,
+                              self._land, None))
 
     def _land(self, _event):
         item = self._in_flight.popleft()

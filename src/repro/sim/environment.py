@@ -107,7 +107,6 @@ class Environment:
         # arg)`` entries straight onto ``_queue``.
         self._queue = []
         self._eid = 0
-        self._active_process = None
         # The one already-succeeded event every _kick hands its callback,
         # so Process._resume reads ``_ok``/``_value`` as usual.
         kicked = Event(self)
@@ -193,11 +192,6 @@ class Environment:
 
     def all_of(self, events):
         return all_of(self, events)
-
-    @property
-    def active_process(self):
-        """The process currently being resumed (or None)."""
-        return self._active_process
 
     # -- scheduling ----------------------------------------------------------
 

@@ -206,7 +206,6 @@ class Process(Event):
         """Advance the generator with the outcome of *event*."""
         env = self.env
         generator = self._generator
-        env._active_process = self
         while True:
             if event._ok:
                 try:
@@ -247,7 +246,6 @@ class Process(Event):
                 break
             # Already processed: feed its outcome straight back in.
             event = target
-        env._active_process = None
 
     def _finish(self, value):
         """The generator returned *value*: fire the termination event."""

@@ -96,18 +96,49 @@ class Resource:
         order and is granted in the schedule slot a :class:`Request`
         would fire in, without an event object.
         """
-        if self._in_use < self.capacity and not self._waiters:
-            self._grant(callback, None)
-        else:
+        in_use = self._in_use
+        if in_use >= self.capacity or self._waiters:
             self._park(priority, None, callback)
+            return
+        # _grant(callback, None), inlined: most legs find a slot free.
+        in_use += 1
+        self._in_use = in_use
+        env = self.env
+        gauge = self.utilization
+        value = in_use / self.capacity
+        if value != gauge._value:
+            now = env.now
+            gauge._area += gauge._value * (now - gauge._last_change)
+            gauge._value = value
+            gauge._last_change = now
+            if value > gauge._max:
+                gauge._max = value
+        eid = env._eid
+        env._eid = eid + 1
+        heappush(env._queue, (env.now, NORMAL, eid, callback, None))
 
     def release_slot(self):
-        """Return a slot taken through :meth:`acquire_then`."""
-        if self._in_use <= 0:
+        """Return a slot taken through :meth:`acquire_then` (or a granted
+        :class:`Request`'s)."""
+        in_use = self._in_use - 1
+        if in_use < 0:
             raise SimulationError("release_slot on idle resource %s"
                                   % self.name)
-        self._in_use -= 1
-        self._regrant()
+        self._in_use = in_use
+        if self._waiters:
+            self._regrant()
+            return
+        # No waiter to grant, and the queue-depth gauge already reads 0:
+        # only the utilization gauge moves.
+        gauge = self.utilization
+        value = in_use / self.capacity
+        if value != gauge._value:
+            now = self.env.now
+            gauge._area += gauge._value * (now - gauge._last_change)
+            gauge._value = value
+            gauge._last_change = now
+            if value > gauge._max:
+                gauge._max = value
 
     # Gauge updates below are inlined (see TimeWeightedGauge.set): the
     # request/grant/release cycle runs millions of times per saturation
@@ -162,8 +193,7 @@ class Resource:
             # slot is never granted to it.
             self._cancel(req)
             return
-        self._in_use -= 1
-        self._regrant()
+        self.release_slot()
 
     def _regrant(self):
         """Hand freed slots to the waiters, then settle both gauges."""

@@ -102,8 +102,20 @@ class Store:
         wakes a parked getter or joins the queue, and the put itself
         consumes no eid.
         """
-        if self._getters:
-            self._hand_off(item)
+        getters = self._getters
+        if getters:
+            # Hand *item* to the oldest parked getter (event or callback).
+            getter = getters.popleft()
+            self.total_put += 1
+            env = self.env
+            eid = env._eid
+            env._eid = eid + 1
+            if type(getter) is StoreGet:
+                getter._ok = True
+                getter._value = item
+                heappush(env._queue, (env.now, NORMAL, eid, _fire, getter))
+            else:
+                heappush(env._queue, (env.now, NORMAL, eid, getter, item))
             return True
         if len(self._items) < self.capacity:
             self._items.append(item)
@@ -139,27 +151,10 @@ class Store:
     # untriggered and only triggered once, right here, so the
     # double-trigger guard would be dead weight on the data plane.
 
-    def _hand_off(self, item):
-        """Give *item* to the oldest parked getter (event or callback)."""
-        getter = self._getters.popleft()
-        self.total_put += 1
-        env = self.env
-        eid = env._eid
-        env._eid = eid + 1
-        if type(getter) is StoreGet:
-            getter._ok = True
-            getter._value = item
-            heappush(env._queue, (env.now, NORMAL, eid, _fire, getter))
-        else:
-            heappush(env._queue, (env.now, NORMAL, eid, getter, item))
-
     def _do_put(self, event):
-        if self._getters:
-            self._hand_off(event.item)
-        elif len(self._items) < self.capacity:
-            self._items.append(event.item)
-            self.total_put += 1
-        else:
+        # The class's try_put, not a traced instance's shadow: the
+        # traced put already emitted its record.
+        if not Store.try_put(self, event.item):
             self._putters.append(event)
             return
         event._ok = True

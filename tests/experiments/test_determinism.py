@@ -20,7 +20,11 @@ import os
 import pytest
 
 from repro import telemetry
+from repro.apps.base import SpinApp
 from repro.experiments import REGISTRY, ablations, breakdown
+from repro.experiments.common import LYNX_BLUEFIELD, deploy
+from repro.faults import FaultInjector, FaultSchedule
+from repro.net import ClosedLoopGenerator
 
 RESULTS = os.path.join(os.path.dirname(__file__), os.pardir, os.pardir,
                        "benchmarks", "results")
@@ -81,16 +85,25 @@ class TestOneStore:
 
 
 class TestUnarmedFaultLayer:
-    """PR 5's zero-overhead guarantee: with the fault-injection layer
-    importable (it always is — E16 pulls it in) but no schedule armed,
-    the rows captured before the layer existed still match."""
+    """The fault layer's zero-overhead guarantee: an injector armed with
+    an empty schedule installs no hook and takes no schedule slot, so a
+    closed-loop Lynx testbed serves the same requests in the same
+    simulated times with it as without it."""
 
-    def test_e01_golden_with_fault_layer_loaded(self):
-        import repro.faults  # noqa: F401 — presence is the point
+    @staticmethod
+    def _closed_loop(armed):
+        with telemetry.scope():
+            dep = deploy(LYNX_BLUEFIELD, app=SpinApp(20.0))
+            if armed:
+                FaultInjector(FaultSchedule()).arm(dep)
+            client = dep.tb.client("10.0.9.1")
+            ClosedLoopGenerator(dep.env, client, dep.address, 4,
+                                payload_fn=lambda i: b"x" * 64)
+            dep.env.run(until=3000.0)
+            return (client.responses.count, tuple(client.latency._samples),
+                    dep.env.events_processed)
 
-        assert fresh("E01") == committed("E01")
-
-    def test_e15_golden_with_fault_layer_loaded(self):
-        import repro.faults  # noqa: F401
-
-        assert fresh("E15") == committed("E15")
+    def test_armed_empty_schedule_changes_nothing(self):
+        plain = self._closed_loop(False)
+        assert plain[0] > 0
+        assert self._closed_loop(True) == plain

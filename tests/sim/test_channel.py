@@ -1,5 +1,7 @@
 """The unified Channel hop (DESIGN.md §4.7)."""
 
+from types import SimpleNamespace
+
 import pytest
 
 from repro.errors import CapacityError, SimulationError
@@ -201,6 +203,30 @@ class TestPush:
         assert wire.dropped == 1
 
 
+class TestPushLandingShadow:
+    """``push`` looks its landing handler up on the instance each time,
+    so a fault hook installed later sees the next landing."""
+
+    def test_wire_hook_installed_after_first_push(self, env):
+        from repro.faults.injector import _WireHook
+
+        sink = Channel(env, name="rx")
+        wire = Channel(env, name="wire", latency=1.0, sink=sink)
+        wire.push("first")
+        env.run()
+        hook = _WireHook(SimpleNamespace(rng=None), wire)
+        hook.begin_stall(buffer_limit=4)
+        wire.push("second")
+        env.run()
+        assert hook.hold == ["second"]
+        assert sink.items == ("first",)
+        del wire._land                  # the class fast path again
+        wire.push("third")
+        env.run()
+        assert sink.items == ("first", "third")
+        assert wire.sent == 3 and wire.delivered == 2
+
+
 class TestPushMany:
     def test_burst_lands_in_order_after_latency(self, env):
         sink = Channel(env, name="rx")
@@ -315,3 +341,32 @@ class TestTracing:
         ch = Channel(env, name="fast")
         assert ch._tracer is None
         assert type(ch).put.__get__(ch) == ch.put
+
+    def test_fast_paths_still_trace(self, env):
+        class Msg:
+            def __init__(self, msg_id):
+                self.msg_id = msg_id
+
+        env.tracer = Tracer(env, enabled=True)
+        try:
+            rx = Channel(env, name="rx")
+            wire = Channel(env, name="wire", latency=1.0, sink=rx)
+            pipe = Channel(env, name="pipe", bandwidth=10.0,
+                           serialized=True, latency=0.5)
+            got = []
+            done = []
+            rx.get_then(got.append)         # parked: push hands off
+            wire.push(Msg(7), nbytes=64)
+            pipe.transfer_then(100, lambda: done.append(env.now))
+            env.run()
+            assert [m.msg_id for m in got] == [7]
+            assert done == [pytest.approx(10.5)]
+            assert [rec[2:] for rec in env.tracer.filter(channel="wire")] \
+                == [("deliver", 7, None)]
+            assert [rec[2:] for rec in env.tracer.filter(channel="rx")] \
+                == [("enq", 7, None), ("deq", 7, None)]
+            assert [(rec[0], rec[2:]) for rec in
+                    env.tracer.filter(channel="pipe")] \
+                == [(10.0, ("xfer", None, 100))]
+        finally:
+            clear_enabled_tracers()

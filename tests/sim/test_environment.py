@@ -122,18 +122,3 @@ class TestPeekStep:
         env.timeout(12)
         env.timeout(5)
         assert env.peek() == 5
-
-
-
-class TestActiveProcess:
-    def test_active_process_visible_inside(self, env):
-        seen = []
-
-        def proc(env):
-            seen.append(env.active_process)
-            yield env.timeout(1)
-
-        p = env.process(proc(env))
-        env.run()
-        assert seen == [p]
-        assert env.active_process is None

@@ -192,3 +192,64 @@ class TestAcquireThenParity:
         res = Resource(env, 1)
         with pytest.raises(SimulationError):
             res.release_slot()
+
+
+def _run_fast_and_slow(twin):
+    """Two slots, claims that find a slot idle (``a``, ``b``, ``f``,
+    ``g``) and claims that park behind them (``c``, ``d``, ``e``).
+
+    With *twin* ``"callback"`` every claim is ``acquire_then`` /
+    ``release_slot`` (the inline idle grant and the waiter-free
+    release); with ``"event"`` every claim is a :class:`Request`.
+    """
+    env = Environment()
+    res = Resource(env, 2)
+    grants = []
+
+    def claim(tag, hold, priority):
+        def granted(_arg, req=None):
+            grants.append((tag, env.now))
+            env.defer(hold, lambda _a: (req.release() if req is not None
+                                        else res.release_slot()))
+
+        if twin == "callback":
+            res.acquire_then(granted, priority)
+        else:
+            req = res.request(priority)
+            req.callbacks.append(lambda evt: granted(evt, req))
+
+    for when, tag, hold, priority in (
+            (0.0, "a", 2.0, 0), (0.0, "b", 1.0, 0), (0.0, "c", 1.0, 0),
+            (0.5, "d", 1.0, -1), (0.5, "e", 1.0, 0), (5.0, "f", 1.0, 0),
+            (7.0, "g", 2.0, 0)):
+        env.defer(when, lambda _a, t=tag, h=hold, p=priority: claim(t, h, p))
+    env.run()
+    stats = env.kernel_stats()
+    del stats["wall_seconds"], stats["events_per_sec"]
+    return (grants, env._eid, res.in_use, res.waiting,
+            res.utilization.mean(), res.utilization.max(),
+            res.queue_depth.mean(), res.queue_depth.max(), stats)
+
+
+class TestUncontendedFastPath:
+    """The inline idle grant and the release that skips the regrant
+    keep what the general path gives: grant order, eids, both gauges
+    and the kernel counters."""
+
+    def test_matches_request_path(self):
+        got = _run_fast_and_slow("callback")
+        assert got == _run_fast_and_slow("event")
+        grants, eid, in_use, waiting, util_mean, util_max, depth_mean, \
+            depth_max, stats = got
+        # d outranks c (priority -1) for b's slot; a's release at 2.0
+        # precedes d's (earlier eid), so c, then e.
+        assert grants == [("a", 0.0), ("b", 0.0), ("d", 1.0), ("c", 2.0),
+                          ("e", 2.0), ("f", 5.0), ("g", 7.0)]
+        assert in_use == 0 and waiting == 0
+        # Both slots busy over 0-3, one over 5-6 and 7-9, of a 9us run.
+        assert util_mean == pytest.approx(4.5 / 9.0) and util_max == 1.0
+        assert depth_max == 3
+        # c waits 0-2, d 0.5-1, e 0.5-2 over a 9us run.
+        assert depth_mean == pytest.approx((2.0 + 0.5 + 1.5) / 9.0)
+        # 7 claim timers, 7 grants, 7 releases; one eid per event.
+        assert stats["events_processed"] == 21 == eid
