@@ -102,13 +102,14 @@ class KeyValueStore:
 class _WorkerOp:
     """One memcached worker core as a callback state machine.
 
-    Consumes exactly the event ids of the per-core generator process it
-    replaced, kept as the parity reference in
-    ``tests/apps/test_memcached.py`` (DESIGN.md §4.6 eid-mirroring
-    rule): the init kick, the RX-ring get, then three
-    :meth:`CorePool.run_then` legs (stack receive, the store op at its
-    calibrated cost, stack transmit at egress priority), and finally
-    ``nic.send`` as one :meth:`Channel.transfer_then` hop.  One op per
+    Takes the steps of the per-core generator process it replaced,
+    kept as the parity reference in ``tests/apps/test_memcached.py``:
+    the init kick, the RX-ring get, then three :meth:`CorePool.run_then`
+    legs (stack receive, the store op at its calibrated cost, stack
+    transmit at egress priority), and finally ``nic.send`` as one
+    :meth:`Channel.transfer_then` hop.  A leg that finds its core or
+    the NIC-TX slot idle is granted inline, without the generator's
+    grant event (DESIGN.md §4.6 relay-collapse rule).  One op per
     worker core lives for the whole simulation, so serving allocates no
     frames and spawns no processes.
     """

@@ -64,11 +64,11 @@ def measure_point(platform, proto, n_gpus, seed=42, measure_us=60000.0):
     return sum(m.per_sec() for m in meters)
 
 
-def knee_from_series(points, rates, per_gpu_rate):
-    """Largest GPU count still within 90% of linear scaling,
-    extrapolated between measured points via the saturation plateau."""
-    plateau = max(rates)
-    return plateau / per_gpu_rate
+def knee_from_series(rates, per_gpu_rate):
+    """The saturation plateau (the highest measured rate) expressed in
+    GPUs: ``max(rates) / per_gpu_rate``, the GPU count one server core
+    keeps busy."""
+    return max(rates) / per_gpu_rate
 
 
 def _grid(fast):
@@ -109,7 +109,7 @@ def run(fast=True, seed=42, measure_us=None, jobs=None):
                        linear_krps=round(PER_GPU_KRPS * n_gpus, 1),
                        knee_estimate=None,
                        paper_knee=None)
-        knee = knee_from_series(gpu_counts, rates, PER_GPU_KRPS * 1000)
+        knee = knee_from_series(rates, PER_GPU_KRPS * 1000)
         result.add(platform=platform, proto=proto, gpus="knee",
                    krps=None, linear_krps=None,
                    knee_estimate=round(knee, 1),

@@ -12,9 +12,10 @@ Two kinds of work run on cores:
 Every occupancy of a pool core is one *leg*: request a core, charge the
 (LLC-adjusted) duration, release.  Generator code runs a leg with
 ``yield from pool.run_calibrated(...)``/``run_compute(...)``; callback
-state machines use :meth:`CorePool.run_then`, which consumes the same
-event ids in the same order.  :func:`_llc_leg` is the one place the
-LLC occupancy and penalty rule lives.
+state machines use :meth:`CorePool.run_then`, which takes the same
+steps in the same order, minus the grant event of an idle core (the
+claim runs its first step inline).  :func:`_llc_leg` is the one place
+the LLC occupancy and penalty rule lives.
 """
 
 from ..errors import ConfigError
@@ -43,8 +44,9 @@ class _CoreLeg:
     """One :meth:`CorePool.run_then` occupancy, pooled on its pool.
 
     acquire a core -> (LLC rule) charge -> release LLC token and core ->
-    callback: the event ids of :meth:`CorePool.run_calibrated`, in its
-    order.
+    callback: the steps of :meth:`CorePool.run_calibrated`, in its
+    order.  A core found idle runs :meth:`_granted` inside
+    ``acquire_then``; a contended one runs it from the grant entry.
     """
 
     __slots__ = ("pool", "duration", "mi", "ws", "token", "callback",
@@ -179,9 +181,10 @@ class CorePool:
         """Callback twin of :meth:`run_calibrated`: ``callback()`` runs
         once the core is released.
 
-        Same arguments, defaults and event ids as the generator, so a
-        state machine built on it schedules exactly what ``yield from
-        pool.run_calibrated(...)`` would.  For compute work pass
+        Same arguments, defaults and schedule as the generator, except
+        that a core found idle is taken without a grant event: the LLC
+        rule and the charge entry follow at once, one event fewer than
+        ``yield from pool.run_calibrated(...)``.  For compute work pass
         ``duration / profile.speed_factor`` with explicit zero cache
         arguments (what :meth:`run_compute` does with its defaults).
         """

@@ -20,7 +20,7 @@ Two types (§4.3):
   destination (e.g. a memcached backend) and receive its responses.
 """
 
-from ..errors import ConfigError
+from ..errors import CapacityError, ConfigError
 from ..sim import Channel
 from .. import telemetry
 
@@ -158,7 +158,10 @@ class MQueue:
         if self.tx_doorbell is None:
             raise ConfigError("mqueue %s is not registered with an RMQ manager"
                               % self.name)
-        self.tx_doorbell.put(self)
+        # Nothing waits on the doorbell write itself, so it schedules no
+        # completion; the doorbell store is unbounded.
+        if not self.tx_doorbell.try_put(self):
+            raise CapacityError("doorbell overflow on %s" % self.name)
 
     # -- fault recovery -----------------------------------------------------------
 

@@ -25,11 +25,11 @@ Each delivery runs as a small callback state machine
 (:class:`_DeliveryOp`) whose op records are pooled on the manager.
 A *single* blocking worker coroutine would serialize QP arbitration
 and kill the op-level pipelining the RDMA engine models, so the state
-machine keeps the exact event sequence of the old per-message
-processes — one URGENT kick, then one ``Channel.transfer_then`` hop
-(request → occupancy → release → latency) per RDMA op — which keeps
-results bit-identical under a fixed seed while spawning zero processes
-per message.
+machine keeps the steps of the old per-message processes — one
+``Channel.transfer_then`` hop (request → occupancy → release →
+latency) per RDMA op, in order — while spawning zero processes per
+message.  The process's URGENT start kick only relayed to the first
+hop, so the op starts it at once (DESIGN.md §4.6 relay-collapse rule).
 """
 
 from ..errors import ConfigError
@@ -41,10 +41,11 @@ from .mqueue import METADATA_BYTES, MQueueEntry
 class _DeliveryOp:
     """One in-flight ingress delivery on the manager's QP.
 
-    Mirrors the retired ``_rdma_deliver`` generator step for step: one
-    URGENT kick, then the plan's RDMA ops as :meth:`RemoteMQManager._post`
-    legs.  The record itself is recycled onto ``manager._op_pool`` after
-    the final op.
+    Mirrors the retired ``_rdma_deliver`` generator step for step: the
+    plan's RDMA ops as :meth:`RemoteMQManager._post` legs, the first
+    posted from :meth:`start` (the generator's start kick only relayed
+    to it).  The record itself is recycled onto ``manager._op_pool``
+    after the final op.
     """
 
     __slots__ = ("manager", "mq", "msg", "entry", "plan", "index")
@@ -58,15 +59,9 @@ class _DeliveryOp:
         self.index = 0
 
     def start(self, mq, msg):
+        manager = self.manager
         self.mq = mq
         self.msg = msg
-        # URGENT kick at the current time: the exact schedule slot the
-        # per-message Process's init event used to occupy.
-        self.manager.env._kick(self._begin)
-
-    def _begin(self, _event):
-        manager = self.manager
-        msg = self.msg
         self.entry = MQueueEntry(payload=msg.payload, size=msg.size,
                                  request_msg=msg)
         self.plan = manager._plan_ops(msg.size)

@@ -14,10 +14,12 @@ doorbell -> forward -> stack -> wire on egress) used to run as generator
 coroutines; at saturation the generator frames and ``Process``/``Task``
 resumptions dominated simulator wall-clock.  Both paths now run as
 callback state machines (:class:`_RxOp`, :class:`_TxOp`) built from
-``CorePool.run_then`` and ``Channel.transfer_then`` legs, which consume
-the event ids of the generators they mirror in the same order — so
-simulated results are bit-identical under a fixed seed while the hot
-path allocates no frames and spawns no processes per message.
+``CorePool.run_then`` and ``Channel.transfer_then`` legs, which take
+the steps of the generators they mirror at the same times and in the
+same order, minus the entries that only relayed to the next step
+(DESIGN.md §4.6 relay-collapse rule) — so simulated results are
+unchanged under a fixed seed while the hot path allocates no frames
+and spawns no processes per message.
 """
 
 from ..errors import ConfigError, NetworkError
@@ -188,7 +190,9 @@ class _TxOp:
     Mirrors the retired ``_handle_tx`` detached task step for step:
     forward cost at egress priority, response build, stack tx cost,
     then ``nic.send`` as one NIC-TX :meth:`Channel.transfer_then` hop.
-    Op records are pooled on the server (``_tx_op_pool``).
+    The task's start kick only relayed to the forward leg, so
+    :meth:`start` claims it at once.  Op records are pooled on the
+    server (``_tx_op_pool``).
     """
 
     __slots__ = ("server", "env", "pool", "mq", "entry", "response")
@@ -204,10 +208,6 @@ class _TxOp:
     def start(self, mq, entry):
         self.mq = mq
         self.entry = entry
-        # URGENT kick at now: the slot the detached task's kick consumed.
-        self.env._kick(self._begin)
-
-    def _begin(self, _event):
         # Egress runs at higher core priority than ingress: the real
         # forwarder round-robins and is never starved by a request flood.
         pool = self.pool

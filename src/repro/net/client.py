@@ -31,9 +31,11 @@ RECV_COST = 2.0
 class _SendOp:
     """One in-flight fire-and-forget send (callback twin of Client.send).
 
-    Mirrors ``env.detached(client.send(msg))`` event for event: the
-    detached task's URGENT kick, then the serialization charge, then
-    delivery.  Records are pooled on the client.
+    Takes the steps of ``env.detached(client.send(msg))``: the
+    serialization charge, then delivery.  The detached task's URGENT
+    start kick only relayed to the charge, so :meth:`start` schedules
+    the charge at once (DESIGN.md §4.6 relay-collapse rule).  Records
+    are pooled on the client.
     """
 
     __slots__ = ("client", "msg")
@@ -44,11 +46,8 @@ class _SendOp:
 
     def start(self, msg):
         self.msg = msg
-        self.client.env._kick(self._begin)
-
-    def _begin(self, _event):
         client = self.client
-        client.env.defer(client._send_delay(self.msg), self._sent)
+        client.env.defer(client._send_delay(msg), self._sent)
 
     def _sent(self, _arg):
         client = self.client
@@ -64,7 +63,11 @@ class _ClientRxOp:
     """The client's response loop as a callback state machine.
 
     Mirrors the retired ``_rx_loop`` generator process: one RX-store get
-    per message, latency accounting, waiter wake-up, re-arm.
+    per message, latency accounting, waiter wake-up, re-arm.  A
+    closed-loop request with no deadline registers its
+    :class:`_ClosedLoopOp` as the waiter; the op is answered directly,
+    after the re-arm, instead of through a per-request event that only
+    relayed to it (DESIGN.md §4.6 relay-collapse rule).
     """
 
     __slots__ = ("client",)
@@ -98,6 +101,12 @@ class _ClientRxOp:
         waiter = client._waiters.pop(meta.get("in_reply_to"), None)
         if waiter is None and kind == "tcp-synack":
             waiter = client._waiters.pop(("synack", msg.conn.conn_id), None)
+        if type(waiter) is _ClosedLoopOp:
+            # Re-arm first: the answer's own entries then follow the
+            # next get's, as they followed the waiter event's.
+            self._arm()
+            waiter._settle(msg)
+            return
         if waiter is not None and not waiter.triggered:
             waiter.succeed(msg)
         self._arm()
@@ -185,12 +194,14 @@ class Client:
             raise NetworkError("TCP handshake failed to %s" % (dst,))
         return conn
 
-    def _open_request(self, payload, dst, proto, conn):
+    def _open_request(self, payload, dst, proto, conn, waiter=None):
         """One request attempt's message plus the waiter its response
-        resolves."""
+        resolves: *waiter* if given (a :class:`_ClosedLoopOp` answered
+        directly), else a fresh event."""
         src = conn.client if conn is not None else self._source_address()
         msg = Message(src, dst, payload, proto, self.env.now, None, conn)
-        waiter = self.env.event()
+        if waiter is None:
+            waiter = self.env.event()
         self._waiters[msg.msg_id] = waiter
         return msg, waiter
 
@@ -343,15 +354,17 @@ class OpenLoopGenerator:
 class _ClosedLoopOp:
     """One closed-loop worker as a callback state machine.
 
-    Consumes exactly the event ids of the worker generator process it
-    replaced, kept as the parity reference in ``tests/net/test_client.py``
-    (DESIGN.md §4.6 eid-mirroring rule): the init kick, the optional TCP
-    connect (SYN send charge, synack waiter), then per request
-    :meth:`Client.request`'s slots — send charge, the response waiter
-    (raced against an ``env.timeout`` deadline in an ``env.any_of`` when
-    the policy has one), the backoff timeout of each retry — and the
-    think-time charge.  Stopping schedules the event a finished Process
-    would.
+    Takes the steps of the worker generator process it replaced, kept
+    as the parity reference in ``tests/net/test_client.py``: the init
+    kick, the optional TCP connect (SYN send charge, synack waiter),
+    then per request :meth:`Client.request`'s slots — send charge, the
+    response waiter (raced against an ``env.timeout`` deadline in an
+    ``env.any_of`` when the policy has one), the backoff timeout of each
+    retry.  With no deadline the op itself is the waiter, and the RX op
+    answers it without the waiter event that only relayed the response
+    (DESIGN.md §4.6 relay-collapse rule): one event fewer per request
+    than the generator.  Stopping schedules the event a finished
+    Process would.
     """
 
     __slots__ = ("gen", "index", "conn", "seq", "payload", "attempt",
@@ -406,8 +419,9 @@ class _ClosedLoopOp:
         gen = self.gen
         client = gen.client
         self.attempt += 1
-        msg, waiter = client._open_request(self.payload, gen.dst,
-                                           gen.proto, self.conn)
+        msg, waiter = client._open_request(
+            self.payload, gen.dst, gen.proto, self.conn,
+            self if gen.policy.timeout is None else None)
         self.msg = msg
         self.waiter = waiter
         gen.env.defer(client._send_delay(msg), self._sent)
@@ -416,15 +430,11 @@ class _ClosedLoopOp:
         gen = self.gen
         gen.client._wire(self.msg)
         timeout = gen.policy.timeout
-        if timeout is None:
-            self.waiter.callbacks.append(self._answered)
-        else:
+        # With no deadline the RX op answers through _settle directly.
+        if timeout is not None:
             env = gen.env
             expiry = env.timeout(timeout)
             env.any_of([self.waiter, expiry]).callbacks.append(self._raced)
-
-    def _answered(self, waiter):
-        self._settle(waiter._value)
 
     def _raced(self, race):
         result = race._value

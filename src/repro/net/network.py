@@ -19,8 +19,6 @@ to *and* from it drop, counted), which is what the cluster failover
 experiment (E18) recovers from.
 """
 
-from collections import deque
-
 from ..errors import NetworkError
 from ..sim import Channel
 from .. import telemetry
@@ -74,9 +72,6 @@ class Network:
         self._endpoints = {}
         #: per-destination wire channels (created at attach time)
         self._channels = {}
-        #: frames handed to deliver() whose routing kick is pending;
-        #: kicks drain FIFO at one timestamp, so order is preserved
-        self._routing = deque()
         self.dropped_no_route = 0
         self.counters = _FabricCounters(self)
         # Telemetry (DESIGN.md §4.9): registered as a pull counter so
@@ -123,7 +118,7 @@ class Network:
 
     def inject_channel(self, src_ip, dst_ip):
         """The Channel a flyweight source at *src_ip* injects into when
-        targeting *dst_ip* (bypassing :meth:`deliver`'s routing kick).
+        targeting *dst_ip* (bypassing :meth:`deliver`'s route lookup).
 
         On the single-switch fabric this is the destination's wire
         channel — the same object, so injection stays bit-identical
@@ -134,12 +129,10 @@ class Network:
         return self.wire_channel(dst_ip)
 
     def deliver(self, msg):
-        """Fire-and-forget delivery of *msg* to its destination port."""
-        self._routing.append(msg)
-        self.env._kick(self._route)
+        """Fire-and-forget delivery of *msg* to its destination port.
 
-    def _route(self, _event):
-        msg = self._routing.popleft()
+        Routed at send time: the frame enters its first hop at once.
+        """
         channel = self._channels.get(msg.dst.ip)
         if channel is None:
             self.dropped_no_route += 1
@@ -298,8 +291,7 @@ class MultiRackNetwork(Network):
             return wire
         return self._uplinks[self.rack_of(src_ip)]
 
-    def _route(self, _event):
-        msg = self._routing.popleft()
+    def deliver(self, msg):
         channel = self._channels.get(msg.dst.ip)
         if channel is None:
             self.dropped_no_route += 1

@@ -624,11 +624,11 @@ class ClientPopulation:
         self.rx = Channel(env, name="%s-rx" % self.name)
         network.attach(ip, self)
         # Resolved now (the server must already be attached): injection
-        # bypasses Network.deliver's routing kick and pushes straight
-        # onto the fabric — the destination's wire channel on the
-        # single-switch fabric (same channel, same latency, one event
-        # less per request), or this ToR's uplink when the destination
-        # lives in another rack (DESIGN.md §4.15).
+        # skips Network.deliver's per-frame route lookup and pushes
+        # straight onto the fabric — the destination's wire channel on
+        # the single-switch fabric (same channel, same latency), or this
+        # ToR's uplink when the destination lives in another rack
+        # (DESIGN.md §4.15).
         self._wire = network.inject_channel(ip, dst.ip)
         self._src = [Address(ip, 40001 + i) for i in range(SRC_ADDRS)]
         self._src_i = 0

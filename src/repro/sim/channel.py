@@ -16,10 +16,13 @@ are shadowed by traced variants **on the instance**, which keeps the
 tracing branch out of the default path entirely.  Trace emission never
 schedules events, so enabling tracing cannot perturb simulated results.
 
-Determinism contract: every cost helper consumes exactly the schedule
-slots of the open-coded sequences it replaced (issue request → charge
-occupancy → release → charge latency), so refactoring a component onto
-a Channel leaves fixed-seed results bit-identical.
+Determinism contract: every cost helper takes the steps of the
+open-coded sequences it replaced (issue request → charge occupancy →
+release → charge latency) at the same times and in the same order.
+The one entry it drops is the grant of an idle issue slot, which only
+relayed to the occupancy charge (DESIGN.md §4.6 relay-collapse rule),
+so refactoring a component onto a Channel leaves fixed-seed results
+unchanged.
 """
 
 from collections import deque
@@ -46,7 +49,8 @@ class _TransferLeg:
     """One :meth:`Channel.transfer_then` hop, pooled on its channel.
 
     Each step pushes the next one's schedule entry itself: the slot (and
-    eid) ``Environment.defer`` would take, one frame fewer.
+    eid) ``Environment.defer`` would take, one frame fewer.  An idle
+    issue slot runs :meth:`_granted` inside ``acquire_then``.
     """
 
     __slots__ = ("channel", "nbytes", "occupancy", "latency", "callback",
@@ -210,8 +214,9 @@ class Channel(Store):
         The same steps in the same order — issue slot, occupancy,
         release, ``sent``/``bytes_moved``, the ``xfer`` trace record,
         latency — on one pooled leg record, so a state machine built on
-        it consumes the event ids ``yield from transfer(...)`` would.
-        A zero latency calls *callback* synchronously after the release.
+        it schedules what ``yield from transfer(...)`` would, minus the
+        grant event of an idle issue slot (taken inline).  A zero
+        latency calls *callback* synchronously after the release.
         """
         if nbytes < 0:
             raise SimulationError("negative transfer size on %s" % self.name)
@@ -342,18 +347,18 @@ class Channel(Store):
     def complete_claim(self, item):
         """Finish a claimed in-flight transfer: *item* becomes visible.
 
-        The put cannot block — claim accounting guarantees space.
+        A non-blocking put, since nothing waits on its completion:
+        claim accounting guarantees space, and a full buffer despite
+        the claim raises :class:`CapacityError`.
         """
         if self._claimed <= 0:
             raise CapacityError("completing an unclaimed slot on %s"
                                 % self.name)
         self.delivered += 1
-        put = Store.put(self, item)
-        if not put.triggered:
+        if not Store.try_put(self, item):
             raise CapacityError("overflow on %s despite claim" % self.name)
         if self._tracer is not None:
             self._tracer.emit(self.name, "enq", _msg_id(item))
-        return put
 
     # -- batch dequeue -----------------------------------------------------
 

@@ -25,9 +25,11 @@ The loop is therefore written for CPython throughput:
 
 Determinism note: eids are only ever compared, so each scheduled entry
 keeps its relative ``(time, priority, eid)`` order whether it carries an
-event or a bare callback.  An eid may be skipped for an event nothing
-listens to (``Store.try_put`` schedules no completion), never added or
-reordered, so every simulated result is unchanged for a fixed seed.
+event or a bare callback.  An entry may be left out when nothing listens
+to it (``Store.try_put`` schedules no completion) or when it only
+relays to its successor (DESIGN.md §4.6 relay-collapse rule); the
+entries that remain keep their relative order, so every simulated
+result is unchanged for a fixed seed.
 """
 
 import gc
@@ -162,9 +164,10 @@ class Environment:
     def _kick(self, callback):
         """Schedule *callback* URGENTly at the current time.
 
-        The start of every process, task and callback op: same
-        timestamp, same URGENT priority, one sequence number.  The
-        callback receives the shared already-succeeded ``_kicked`` event.
+        The start of every process and task, and of the long-lived
+        callback ops (RX loops, pollers): same timestamp, same URGENT
+        priority, one sequence number.  The callback receives the shared
+        already-succeeded ``_kicked`` event.
         """
         eid = self._eid
         self._eid = eid + 1

@@ -10,9 +10,10 @@ request object doubles as a context manager::
         yield env.timeout(cost)
 
 Callback state machines use :meth:`Resource.acquire_then` and
-:meth:`Resource.release_slot` instead: the grant schedules the callback
-itself, in the slot (and eid) a :class:`Request` grant would take, and
-the waiter heap serves both kinds in one priority/FIFO order.
+:meth:`Resource.release_slot` instead: a claim that finds a slot free
+and no waiter parked runs its callback at once, a parked one is granted
+in the slot (and eid) a :class:`Request` grant would take, and the
+waiter heap serves both kinds in one priority/FIFO order.
 """
 
 import heapq
@@ -92,30 +93,30 @@ class Resource:
         """Callback twin of :meth:`request`: ``callback(None)`` runs
         holding a slot, which the owner returns with :meth:`release_slot`.
 
-        Queues behind waiting requests by the same (priority, FIFO)
-        order and is granted in the schedule slot a :class:`Request`
-        would fire in, without an event object.
+        A claim that finds a slot free and no waiter parked takes it and
+        runs *callback* before returning: the grant entry a
+        :class:`Request` would schedule only relays to the callback, so
+        none is scheduled (DESIGN.md §4.6 relay-collapse rule).  Any
+        other claim queues behind the waiters by the same (priority,
+        FIFO) order and is granted in the schedule slot a
+        :class:`Request` would fire in, without an event object.
         """
         in_use = self._in_use
         if in_use >= self.capacity or self._waiters:
             self._park(priority, None, callback)
             return
-        # _grant(callback, None), inlined: most legs find a slot free.
         in_use += 1
         self._in_use = in_use
-        env = self.env
         gauge = self.utilization
         value = in_use / self.capacity
         if value != gauge._value:
-            now = env.now
+            now = self.env.now
             gauge._area += gauge._value * (now - gauge._last_change)
             gauge._value = value
             gauge._last_change = now
             if value > gauge._max:
                 gauge._max = value
-        eid = env._eid
-        env._eid = eid + 1
-        heappush(env._queue, (env.now, NORMAL, eid, callback, None))
+        callback(None)
 
     def release_slot(self):
         """Return a slot taken through :meth:`acquire_then` (or a granted

@@ -16,6 +16,7 @@ from repro.config import DEFAULT_CONFIG, XEON_VMA
 from repro.errors import ConfigError
 from repro.net import Address, ClosedLoopGenerator
 from repro.net.packet import TCP, UDP
+from repro.sim import Resource
 
 
 class TestKeyValueStore:
@@ -154,9 +155,20 @@ def _serve(monkeypatch, reference, proto=UDP, trace=False,
            stray=False, llc=None, **server_kw):
     """Drive a two-core memcached with two closed-loop clients; return
     everything observable: response timestamps, counters, the trace and
-    the kernel's event-id sequence.  *llc* overrides the module's
-    ``(WORKING_SET, MEMORY_INTENSITY)``."""
+    the kernel's event-id sequence, plus the number of claims that
+    found a core or the NIC-TX slot idle through ``acquire_then`` (each
+    runs inline, without the grant event a ``Request`` schedules).
+    *llc* overrides the module's ``(WORKING_SET, MEMORY_INTENSITY)``."""
+    idle_grants = []
+    acquire_then = Resource.acquire_then
+
+    def counting(res, callback, priority=0):
+        if res.in_use < res.capacity and not res.waiting:
+            idle_grants.append(res.name)
+        acquire_then(res, callback, priority)
+
     with telemetry.scope(), monkeypatch.context() as patch:
+        patch.setattr(Resource, "acquire_then", counting)
         if llc is not None:
             patch.setattr(memcached, "WORKING_SET", llc[0])
             patch.setattr(memcached, "MEMORY_INTENSITY", llc[1])
@@ -188,12 +200,14 @@ def _serve(monkeypatch, reference, proto=UDP, trace=False,
             [tuple(c.latency._samples) for c in clients],
             server.ops.count, server.store.hits, server.store.misses,
             host.nic.tx.sent, host.nic.tx.bytes_moved,
-            server.stack.closed_port_drops, records)
+            server.stack.closed_port_drops, records), len(idle_grants)
 
 
 class TestWorkerParity:
-    """The ``_WorkerOp`` state machine consumes exactly the event ids of
-    the generator it replaced, on the paths no benchmark workload runs."""
+    """The ``_WorkerOp`` state machine takes the steps of the generator
+    it replaced, on the paths no benchmark workload runs; each of its
+    idle-core or idle-NIC claims is granted inline, one event id fewer
+    than the generator's ``Request`` grant."""
 
     @pytest.mark.parametrize("case", [
         dict(proto=TCP),
@@ -203,9 +217,13 @@ class TestWorkerParity:
         dict(trace=True),
     ], ids=["tcp", "working-set", "op-cost-fn", "closed-port", "traced"])
     def test_matches_reference_generator(self, monkeypatch, case):
-        got = _serve(monkeypatch, reference=False, **case)
-        want = _serve(monkeypatch, reference=True, **case)
-        assert got == want
+        got, idle_op = _serve(monkeypatch, reference=False, **case)
+        want, idle_ref = _serve(monkeypatch, reference=True, **case)
+        collapsed = idle_op - idle_ref
+        assert idle_ref == 0 and collapsed > 0
+        assert got[0] == want[0] - collapsed
+        assert got[1] == want[1] - collapsed
+        assert got[2:] == want[2:]
         assert got[3] > 50                      # it really served
         if case.get("stray"):
             assert got[8] == 1

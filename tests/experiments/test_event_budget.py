@@ -1,0 +1,65 @@
+"""Exact event budgets of two small serving scenarios.
+
+The serving path schedules no zero-delay relay entries (DESIGN.md §4.6
+relay-collapse rule): an idle core or channel slot is granted inline,
+``Network.deliver`` routes at send time, the send, delivery and egress
+ops start their first step at once, a deadline-free closed-loop request
+is answered without a waiter event, and nothing schedules a
+listener-less ``StorePut``.  These tests pin ``events_processed``
+exactly, so a relay that comes back — or any other change to the event
+sequence — fails them.  A change that moves the count on purpose
+updates the pin and says why in CHANGES.md.
+
+With every relay in place the same two runs scheduled 6,344 and 16,757
+events, for the same responses.
+"""
+
+from repro import Testbed, telemetry
+from repro.apps.base import SpinApp
+from repro.apps.memcached import MemcachedServer, encode_get
+from repro.config import XEON_VMA
+from repro.experiments.common import LYNX_BLUEFIELD, deploy
+from repro.net import ClosedLoopGenerator, OpenLoopGenerator
+from repro.net.packet import UDP, Address
+
+
+def _lynx_ingress():
+    """Lynx on the Bluefield in front of a GPU spin service, driven by
+    four deadline-free closed-loop workers and a slow open-loop
+    client (whose sends ride the pooled send op) for 3 ms."""
+    with telemetry.scope():
+        dep = deploy(LYNX_BLUEFIELD, app=SpinApp(20.0))
+        closed = dep.tb.client("10.0.9.1")
+        gen = ClosedLoopGenerator(dep.env, closed, dep.address, 4,
+                                  payload_fn=lambda i: b"x" * 64)
+        opened = dep.tb.client("10.0.9.2")
+        OpenLoopGenerator(dep.env, opened, dep.address, 0.02,
+                          payload_fn=lambda i: b"y" * 64)
+        dep.env.run(until=3000.0)
+        return (dep.env.events_processed, gen.completed,
+                opened.responses.count)
+
+
+def _memcached_closed_loop():
+    """A two-core host memcached serving four deadline-free UDP
+    closed-loop workers for 2 ms."""
+    with telemetry.scope():
+        tb = Testbed(seed=1)
+        env = tb.env
+        host = tb.machine("10.0.0.2")
+        client = tb.client("10.0.1.1")
+        server = MemcachedServer(env, host.nic,
+                                 host.pool(count=2, name="mc"), XEON_VMA)
+        gen = ClosedLoopGenerator(
+            env, client, Address("10.0.0.2", 11211), concurrency=4,
+            payload_fn=lambda i: encode_get(b"k%d" % (i % 5)), proto=UDP)
+        env.run(until=2000.0)
+        return env.events_processed, gen.completed, server.ops.count
+
+
+class TestEventBudget:
+    def test_lynx_ingress(self):
+        assert _lynx_ingress() == (3805, 79, 51)
+
+    def test_memcached_closed_loop(self):
+        assert _memcached_closed_loop() == (9784, 1046, 1046)

@@ -128,7 +128,9 @@ def _run_legs(twin, working_set, aggressor_bytes):
 
     Both twins start each leg from the same pooled kick (``detached``
     and ``_kick`` consume one URGENT id each), so any difference in
-    finish times or ``env._eid`` comes from the legs themselves.
+    finish times or ``env._eid`` comes from the legs themselves.  Also
+    returns how many callback-twin legs found a core idle: each is
+    granted inline, without the grant event a ``Request`` schedules.
     """
     env = Environment()
     llc = LLCModel(env, 100, DEFAULT_CACHE, RngRegistry(7).stream("llc"))
@@ -137,6 +139,7 @@ def _run_legs(twin, working_set, aggressor_bytes):
     pool.default_memory_intensity = 0.5
     pool.default_working_set = working_set
     done = []
+    idle_grants = []
 
     def start(tag, duration, priority):
         def finish():
@@ -148,25 +151,32 @@ def _run_legs(twin, working_set, aggressor_bytes):
                 finish()
             env.detached(leg())
         else:
-            env._kick(lambda _e: pool.run_then(duration, finish,
-                                               priority=priority))
+            def begin(_e):
+                if pool.in_use < pool.count and not pool.queue_depth:
+                    idle_grants.append(tag)
+                pool.run_then(duration, finish, priority=priority)
+            env._kick(begin)
 
     start("a", 10.0, 0)
     start("b", 5.0, 0)
     env.defer(1.0, lambda _e: start("egress", 2.0, -1))
     env.run()
-    return done, env._eid, llc.total_working_set
+    return (done, env._eid, llc.total_working_set), len(idle_grants)
 
 
 class TestRunThenParity:
-    """``run_then`` consumes the event ids of ``run_calibrated``."""
+    """``run_then`` takes the steps of ``run_calibrated``; an idle core's
+    grant runs inline, one event id fewer per such leg."""
 
     @pytest.mark.parametrize("working_set", [0, 50])
     @pytest.mark.parametrize("aggressor_bytes", [0, 80])
     def test_matches_generator(self, working_set, aggressor_bytes):
-        got = _run_legs("callback", working_set, aggressor_bytes)
-        want = _run_legs("generator", working_set, aggressor_bytes)
-        assert got == want
+        got, collapsed = _run_legs("callback", working_set, aggressor_bytes)
+        want, _ = _run_legs("generator", working_set, aggressor_bytes)
+        # Only a, at t=0, finds the core free; b and egress queue.
+        assert collapsed == 1
+        assert got[1] == want[1] - collapsed
+        assert (got[0], got[2]) == (want[0], want[2])
         done, _, resident = got
         assert [tag for tag, _, _ in done] == ["a", "egress", "b"]
         # Each leg's working set is resident only while it runs.

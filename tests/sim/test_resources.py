@@ -201,10 +201,13 @@ def _run_fast_and_slow(twin):
     With *twin* ``"callback"`` every claim is ``acquire_then`` /
     ``release_slot`` (the inline idle grant and the waiter-free
     release); with ``"event"`` every claim is a :class:`Request`.
+    Also returns how many callback claims found a slot idle: each runs
+    its callback inline, without the grant event a Request schedules.
     """
     env = Environment()
     res = Resource(env, 2)
     grants = []
+    idle_grants = []
 
     def claim(tag, hold, priority):
         def granted(_arg, req=None):
@@ -213,6 +216,8 @@ def _run_fast_and_slow(twin):
                                         else res.release_slot()))
 
         if twin == "callback":
+            if res.in_use < res.capacity and not res.waiting:
+                idle_grants.append(tag)
             res.acquire_then(granted, priority)
         else:
             req = res.request(priority)
@@ -228,19 +233,28 @@ def _run_fast_and_slow(twin):
     del stats["wall_seconds"], stats["events_per_sec"]
     return (grants, env._eid, res.in_use, res.waiting,
             res.utilization.mean(), res.utilization.max(),
-            res.queue_depth.mean(), res.queue_depth.max(), stats)
+            res.queue_depth.mean(), res.queue_depth.max(),
+            stats), len(idle_grants)
 
 
 class TestUncontendedFastPath:
     """The inline idle grant and the release that skips the regrant
-    keep what the general path gives: grant order, eids, both gauges
-    and the kernel counters."""
+    keep what the general path gives: grant order and times, both
+    gauges and the kernel counters, minus one event per idle grant."""
 
     def test_matches_request_path(self):
-        got = _run_fast_and_slow("callback")
-        assert got == _run_fast_and_slow("event")
-        grants, eid, in_use, waiting, util_mean, util_max, depth_mean, \
-            depth_max, stats = got
+        got, collapsed = _run_fast_and_slow("callback")
+        want, _ = _run_fast_and_slow("event")
+        # a, b, f and g find a slot free; c, d and e park.
+        assert collapsed == 4
+        assert got[1] == want[1] - collapsed
+        got_stats, want_stats = dict(got[8]), dict(want[8])
+        assert got_stats.pop("events_processed") == (
+            want_stats.pop("events_processed") - collapsed)
+        assert got_stats == want_stats
+        assert got[:1] + got[2:8] == want[:1] + want[2:8]
+        grants, _, in_use, waiting, util_mean, util_max, depth_mean, \
+            depth_max, stats = want
         # d outranks c (priority -1) for b's slot; a's release at 2.0
         # precedes d's (earlier eid), so c, then e.
         assert grants == [("a", 0.0), ("b", 0.0), ("d", 1.0), ("c", 2.0),
@@ -251,5 +265,23 @@ class TestUncontendedFastPath:
         assert depth_max == 3
         # c waits 0-2, d 0.5-1, e 0.5-2 over a 9us run.
         assert depth_mean == pytest.approx((2.0 + 0.5 + 1.5) / 9.0)
-        # 7 claim timers, 7 grants, 7 releases; one eid per event.
-        assert stats["events_processed"] == 21 == eid
+        # Request path: 7 claim timers, 7 grants, 7 releases; one eid
+        # per event.
+        assert stats["events_processed"] == 21 == want[1]
+
+    def test_idle_claim_runs_inline(self, env):
+        res = Resource(env, 1)
+        seen = []
+        res.acquire_then(lambda arg: seen.append((arg, res.in_use)))
+        assert seen == [(None, 1)]
+        assert env._queue == [] and env._eid == 0
+
+    def test_claim_queues_behind_a_parked_waiter(self, env):
+        """A free slot with a waiter parked: the new claim parks behind
+        it instead of overtaking it.  The resource never leaves a slot
+        free while a waiter is parked, so the state is built directly."""
+        res = Resource(env, 2)
+        seen = []
+        res._park(0, None, lambda _a: seen.append("parked"))
+        res.acquire_then(lambda _a: seen.append("late"))
+        assert seen == [] and res.in_use == 0 and res.waiting == 2

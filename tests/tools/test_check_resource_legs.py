@@ -80,6 +80,21 @@ class TestCheckModule:
             """)
         assert lint.check_module(path) == []
 
+    def test_discarded_put_flagged(self, tmp_path):
+        path = write(tmp_path, "mod.py", """\
+            self.tx_doorbell.put(self)
+            rings[0].put(entry)
+            yield ring.put(item)
+            return self.tx_ring.put(entry)
+            put = ring.put(item)
+            ring.try_put(item)
+            self.put = self._traced_put
+            """)
+        findings = lint.check_module(path)
+        assert [lineno for lineno, _ in findings] == [1, 2]
+        assert "'self.tx_doorbell.put('" in findings[0][1]
+        assert "try_put" in findings[0][1]
+
     def test_collector_control_flagged(self, tmp_path):
         path = write(tmp_path, "mod.py", """\
             gc.collect()
@@ -117,6 +132,12 @@ class TestTreeWalk:
         write(tmp_path, "lynx/runtime.py", push)
         assert flagged(tmp_path) == [os.path.join("hw", "cpu.py"),
                                      os.path.join("lynx", "runtime.py")]
+
+    def test_only_sim_may_discard_a_put(self, tmp_path):
+        put = "ring.put(item)\n"
+        write(tmp_path, "sim/channel.py", put)
+        write(tmp_path, "lynx/mqueue.py", put)
+        assert flagged(tmp_path) == [os.path.join("lynx", "mqueue.py")]
 
     def test_only_sim_and_the_sweep_own_the_collector(self, tmp_path):
         pause = "gc.disable()\n"

@@ -16,6 +16,11 @@ callback state machine steps with ``Environment.defer`` and
 by pushing a heap entry or reading the event-id counter, and never by
 hanging its callback on a fresh ``get()`` or ``timeout()`` event.
 
+A blocking ``Store.put`` returns an event that fires once the item is
+accepted.  Called as a bare statement, nobody waits on that event, so
+its schedule entry is a completion no one listens to (DESIGN.md §4.6):
+``try_put`` accepts the item without one.
+
 The cyclic collector belongs to ``repro/sim/`` and the sweep's point and
 trial boundaries (``experiments/sweep.py``, DESIGN.md §4.8): any other
 collection in the middle of a point would promote the live testbed out
@@ -31,6 +36,7 @@ Flags, under ``SRC_DIR`` (default ``src/repro``) outside ``sim/``:
 * ``._res.request(`` / ``.issue.request(`` (``hw/cpu.py`` exempt);
 * ``heappush(`` onto a ``._queue`` and any ``._eid`` use;
 * ``.get().callbacks.append(`` and ``.timeout(...).callbacks.append(``;
+* a ``.put(...)`` call that is a whole statement (its event discarded);
 * ``gc.collect(`` / ``gc.disable(`` / ``gc.enable(`` / ``gc.freeze(``
   (``experiments/sweep.py`` exempt).
 
@@ -57,6 +63,9 @@ RULES = (
                 r"|\.timeout\(.*\)\.callbacks\.append\("),
      "event-borne callback %r: use Store.get_then or Environment.defer",
      ()),
+    (re.compile(r"^\s*[\w.\[\]]+\.put\("),
+     "discarded put event %r: use try_put, which schedules no completion",
+     ()),
     (re.compile(r"\bgc\.(?:collect|disable|enable|freeze)\("),
      "collector control %r: the sweep's point boundary owns the collector",
      (os.path.join("experiments", "sweep.py"),)),
@@ -79,7 +88,8 @@ def check_module(path, relpath=None):
             for pattern, advice in rules:
                 match = pattern.search(line)
                 if match:
-                    findings.append((lineno, advice % match.group(0)))
+                    findings.append((lineno,
+                                     advice % match.group(0).strip()))
     return findings
 
 
