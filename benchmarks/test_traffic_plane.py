@@ -12,10 +12,12 @@ rate into a mute (non-responding) sink, so the measurement isolates the
   frame, struct-of-arrays in-flight tracking).
 
 Rounds interleave the two planes (A/B/A/B...) so machine-speed drift
-lands on both sides; the gate is the *best* vector:scalar
-arrivals-per-wall-second ratio across rounds, which is
-machine-independent and must stay >= ``RATIO_FLOOR`` (dev machine
-measures 5.3-6.0x steady-state).
+lands on both sides, and the *best* vector:scalar arrivals-per-wall-
+second ratio across rounds is recorded with every round.  Nothing is
+asserted on it: a wall-clock ratio moves whenever either plane gets
+faster.  What the population plane's speed rests on, frame coalescing,
+is pinned by count instead: ``tests/experiments/test_event_budget.py``
+runs this scenario and pins its 10,005 events for 79,988 arrivals.
 """
 
 import json
@@ -44,9 +46,6 @@ HORIZON_US = 10000.0
 COALESCE_US = 2.0
 SCALAR_CLIENTS = 4
 ROUNDS = 4
-#: the acceptance bar; dev machine measures 5.3-6.0x steady-state
-#: (the first round runs cold, which is what best-of-rounds absorbs)
-RATIO_FLOOR = 5.0
 
 
 def _save(section, payload):
@@ -99,7 +98,7 @@ def _vector_round(seed):
     return pop.offered, wall
 
 
-def test_vectorized_plane_beats_scalar():
+def test_population_vs_scalar_rounds():
     rounds = []
     best = None
     for i in range(ROUNDS):
@@ -129,8 +128,3 @@ def test_vectorized_plane_beats_scalar():
         "best_vector_arrivals_per_sec": best["vector_arrivals_per_sec"],
         "rounds": rounds,
     })
-    assert best["ratio"] >= RATIO_FLOOR, (
-        "population plane only %.2fx the scalar plane (floor %.1fx): "
-        "%s arrivals/s vs %s arrivals/s"
-        % (best["ratio"], RATIO_FLOOR, best["vector_arrivals_per_sec"],
-           best["scalar_arrivals_per_sec"]))

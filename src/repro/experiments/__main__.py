@@ -75,9 +75,6 @@ def campaign_main(argv):
     parser.add_argument("--jobs", type=int, default=None, metavar="N",
                         help="fan grid points across N worker processes "
                              "(bit-identical to a serial run)")
-    parser.add_argument("--pairwise", action="store_true",
-                        help="also run two-knob-off interaction points "
-                             "(multi-knob campaigns only)")
     parser.add_argument("--out", metavar="PATH", default=None,
                         help="write the %s JSON document (rows, run ids, "
                              "importance) for the report scorecard"
@@ -110,8 +107,7 @@ def campaign_main(argv):
             start = time.time()
             with telemetry.scope() as reg:
                 outcome = CAMPAIGNS[exp_id].run(
-                    fast=not args.full, seed=args.seed, jobs=jobs,
-                    pairwise=args.pairwise)
+                    fast=not args.full, seed=args.seed, jobs=jobs)
                 snap = reg.snapshot()
             telemetry.registry().merge(snap)
             outcome.result.attach_metrics(snap)
@@ -137,9 +133,9 @@ def campaign_main(argv):
 def slo_main(argv):
     """The ``slo`` subcommand: one sustainable-load bisection.
 
-    Bisects offered λ for a (workload, design) pair under any arrival
-    shape the population plane speaks — including recorded traces via
-    ``--arrivals trace:<path>`` — and prints every probe plus the knee.
+    Bisects offered λ for a (workload, design) pair under Poisson
+    population arrivals, as E17 does, and prints every probe plus the
+    knee.
     """
     from . import e17_slo_frontier as e17
 
@@ -152,12 +148,6 @@ def slo_main(argv):
                         default="memcached")
     parser.add_argument("--design", choices=e17.DESIGNS,
                         default="lynx-bluefield")
-    parser.add_argument("--arrivals", default="poisson", metavar="SPEC",
-                        help="arrival shape: poisson | onoff[:on_us,off_us] "
-                             "| diurnal[:period_us] | bmodel[:b,levels] "
-                             "| trace:<path> "
-                             "(.npy or CSV timestamps; the trace's shape "
-                             "is rescaled to each probed rate)")
     parser.add_argument("--slo-us", type=float, default=None, metavar="US",
                         help="p99 target (default: the workload's E17 "
                              "target)")
@@ -188,13 +178,12 @@ def slo_main(argv):
         point = sweep.Point(
             ("slo", args.workload, args.design), e17.measure_frontier,
             dict(workload=args.workload, design=args.design, warmup=warmup,
-                 measure=measure, iters=args.iters, arrivals=args.arrivals,
-                 slo_us=args.slo_us, lo=args.lo, hi=args.hi),
+                 measure=measure, iters=args.iters, slo_us=args.slo_us,
+                 lo=args.lo, hi=args.hi),
             seed=args.seed)
         outcome, = sweep.run_points([point], jobs=1)
-        print("SLO frontier: %s on %s, arrivals=%s, p99 <= %gus"
-              % (args.workload, args.design, args.arrivals,
-                 outcome["slo_us"]))
+        print("SLO frontier: %s on %s, arrivals=poisson, p99 <= %gus"
+              % (args.workload, args.design, outcome["slo_us"]))
         print("%10s  %10s  %11s  %8s  %8s  %s"
               % ("rate/us", "offered/s", "delivered/s", "p99 us",
                  "goodput", "ok"))

@@ -32,8 +32,7 @@ Grid shape: a single-knob campaign enumerates the knob's values in
 declared order (the baseline is one of them), which keeps fixed-seed
 rows bit-identical with the hand-written predecessors the eight
 ``ablations`` studies replaced.  A multi-knob campaign produces the
-canonical baseline + one-knob-off grid, plus opt-in pairwise points
-(``pairwise=True``) for interaction hunting.
+canonical baseline + one-knob-off grid.
 
 Importance: for each knob, every one-off variant is compared against
 the baseline on the campaign's primary metric and on the standard
@@ -236,13 +235,8 @@ class Campaign:
     def knobs(self):
         return tuple(k for comp in self.components for k in comp.knobs)
 
-    def variants(self, fast=True, pairwise=False):
-        """The generated grid, in deterministic declaration order.
-
-        *pairwise* adds two-knob-off interaction points (multi-knob
-        campaigns only); they ride in rows but stay out of the
-        per-component importance means.
-        """
+    def variants(self, fast=True):
+        """The generated grid, in deterministic declaration order."""
         knobs = self.knobs()
         baseline = {k.name: k.baseline(fast) for k in knobs}
         if len(knobs) == 1:
@@ -261,19 +255,6 @@ class Campaign:
                 out.append(Variant("%s=%s" % (knob.name, value),
                                    dict(baseline, **{knob.name: value}),
                                    [knob.name]))
-        if pairwise:
-            for i, a in enumerate(knobs):
-                va = _first_off(a, baseline, fast)
-                if va is None:
-                    continue
-                for b in knobs[i + 1:]:
-                    vb = _first_off(b, baseline, fast)
-                    if vb is None:
-                        continue
-                    token = "%s=%s+%s=%s" % (a.name, va, b.name, vb)
-                    out.append(Variant(
-                        token, dict(baseline, **{a.name: va, b.name: vb}),
-                        [a.name, b.name]))
         return out
 
     def scenario_kwargs(self, fast, variant):
@@ -295,9 +276,9 @@ class Campaign:
 
     # -- execution ---------------------------------------------------------
 
-    def run(self, fast=True, seed=42, jobs=None, pairwise=False):
+    def run(self, fast=True, seed=42, jobs=None):
         """Run the campaign; returns a :class:`CampaignOutcome`."""
-        variants = self.variants(fast, pairwise=pairwise)
+        variants = self.variants(fast)
         points = []
         for variant in variants:
             variant.run_id = run_id_for(self.exp_id, variant.assignment, seed)
@@ -550,8 +531,7 @@ def find_campaign(exp_id, module=None):
     return campaign
 
 
-def run_campaigns(exp_ids=None, fast=True, seed=42, jobs=None,
-                  pairwise=False):
+def run_campaigns(exp_ids=None, fast=True, seed=42, jobs=None):
     """Run declared campaigns; returns their outcomes in order.
 
     *exp_ids* of ``None`` runs every registered campaign in declaration
@@ -566,7 +546,7 @@ def run_campaigns(exp_ids=None, fast=True, seed=42, jobs=None,
                               % (", ".join(unknown),
                                  ", ".join(CAMPAIGNS) or "none"))
         campaigns = [CAMPAIGNS[e] for e in exp_ids]
-    return [campaign.run(fast=fast, seed=seed, jobs=jobs, pairwise=pairwise)
+    return [campaign.run(fast=fast, seed=seed, jobs=jobs)
             for campaign in campaigns]
 
 
@@ -639,10 +619,3 @@ def _config_with(config, path, value):
         return config.with_(**{head: new})
     return replace(config, **{head: new})
 
-
-def _first_off(knob, baseline, fast):
-    """The knob's first non-baseline value (for pairwise points)."""
-    for value in knob.values(fast):
-        if value != baseline[knob.name]:
-            return value
-    return None

@@ -34,7 +34,7 @@ from ..apps.lenet import LeNetApp, MnistStream
 from ..apps.memcached import MemcachedServer, encode_get, encode_set
 from ..config import XEON_VMA
 from ..errors import ConfigError
-from ..net import Address, ClientPopulation, PayloadPool, arrival_factory
+from ..net import Address, ClientPopulation, PayloadPool, PoissonPopulation
 from .base import ExperimentResult
 from .common import HOST_CENTRIC, LYNX_BLUEFIELD, deploy
 from .slo import find_sustainable_load
@@ -80,7 +80,7 @@ def _drive(pop, tb, warmup, measure):
     }
 
 
-def _memcached_trial(design, arrivals, rate, seed, warmup, measure):
+def _memcached_trial(design, rate, seed, warmup, measure):
     """One memcached probe: GET traffic with Zipf-hot keys."""
     tb = Testbed(seed=seed)
     env = tb.env
@@ -102,13 +102,13 @@ def _memcached_trial(design, arrivals, rate, seed, warmup, measure):
     gets = [encode_get(b"key-%d" % i) for i in range(MC_KEYS)]
     pool = PayloadPool.zipf(gets, tb.rng.stream("population.keys"),
                             skew=MC_ZIPF_SKEW)
-    source = arrival_factory(arrivals)(rate, tb.rng.stream("population"))
+    source = PoissonPopulation(rate, tb.rng.stream("population"))
     pop = ClientPopulation(env, tb.network, "10.0.9.1", address,
                            source, pool, timeout=TIMEOUT_US["memcached"])
     return _drive(pop, tb, warmup, measure)
 
 
-def _lenet_trial(design, arrivals, rate, seed, warmup, measure):
+def _lenet_trial(design, rate, seed, warmup, measure):
     """One LeNet probe: MNIST tensors through the GPU service."""
     dep = deploy(design, app=LeNetApp(compute_for_real=False), n_mqueues=1,
                  seed=seed)
@@ -116,7 +116,7 @@ def _lenet_trial(design, arrivals, rate, seed, warmup, measure):
     mnist = MnistStream(seed=seed)
     images = [mnist.sample(i)[0] for i in range(LENET_IMAGES)]
     pool = PayloadPool.uniform(images, tb.rng.stream("population.keys"))
-    source = arrival_factory(arrivals)(rate, tb.rng.stream("population"))
+    source = PoissonPopulation(rate, tb.rng.stream("population"))
     pop = ClientPopulation(dep.env, tb.network, "10.0.9.1", dep.address,
                            source, pool, timeout=TIMEOUT_US["lenet"])
     return _drive(pop, tb, warmup, measure)
@@ -126,7 +126,7 @@ TRIALS = {"memcached": _memcached_trial, "lenet": _lenet_trial}
 
 
 def measure_frontier(workload, design, seed, warmup, measure, iters,
-                     arrivals="poisson", slo_us=None, lo=None, hi=None):
+                     slo_us=None, lo=None, hi=None):
     """One sweep point: the full bisection for (workload, design)."""
     trial_fn = TRIALS[workload]
     if slo_us is None:
@@ -136,7 +136,7 @@ def measure_frontier(workload, design, seed, warmup, measure, iters,
     hi = bhi if hi is None else hi
 
     def trial(rate, trial_seed):
-        return trial_fn(design, arrivals, rate, trial_seed, warmup, measure)
+        return trial_fn(design, rate, trial_seed, warmup, measure)
 
     found = find_sustainable_load(trial, lo, hi, slo_us,
                                   goodput_floor=GOODPUT_FLOOR, iters=iters,
@@ -162,8 +162,7 @@ def measure_frontier(workload, design, seed, warmup, measure, iters,
     }
 
 
-def sweep_points(fast=True, seed=42, measure=None, iters=None,
-                 arrivals="poisson"):
+def sweep_points(fast=True, seed=42, measure=None, iters=None):
     """One point per (workload, design) — a point is a whole bisection.
 
     ``measure``, when given, overrides every workload's measure window
@@ -182,19 +181,17 @@ def sweep_points(fast=True, seed=42, measure=None, iters=None,
             points.append(Point(
                 ("E17", workload, design), measure_frontier,
                 dict(workload=workload, design=design, warmup=warmup,
-                     measure=meas, iters=iters, arrivals=arrivals),
+                     measure=meas, iters=iters),
                 root_seed=seed))
     return points
 
 
-def run(fast=True, seed=42, measure=None, iters=None, arrivals="poisson",
-        jobs=None):
+def run(fast=True, seed=42, measure=None, iters=None, jobs=None):
     """Run this experiment; see the module docstring for the context."""
     result = ExperimentResult(
         "E17", "SLO frontier: sustainable throughput at a p99 target",
         "extension (population traffic plane)")
-    points = sweep_points(fast, seed, measure=measure, iters=iters,
-                          arrivals=arrivals)
+    points = sweep_points(fast, seed, measure=measure, iters=iters)
     values = dict(zip((p.key for p in points), run_points(points, jobs=jobs)))
     for workload in WORKLOADS:
         for design in DESIGNS:
@@ -209,7 +206,7 @@ def run(fast=True, seed=42, measure=None, iters=None, arrivals="poisson",
                                        if knee_p99 is not None else None),
                        goodput_at_knee=(round(goodput, 3)
                                         if goodput is not None else None),
-                       arrivals=arrivals,
+                       arrivals="poisson",
                        trials=len(v["trials"]))
     result.note("sustainable = highest offered rate with p99 <= SLO and "
                 "delivered/offered >= %.2f (drop-tail RX rings keep p99 "

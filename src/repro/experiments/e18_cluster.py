@@ -42,7 +42,7 @@ from ..apps.memcached import MemcachedServer, encode_get
 from ..config import XEON_VMA
 from ..faults import FaultInjector, FaultSchedule, RackFailure
 from ..net import Address, ClientPopulation, ConsistentHashRing, \
-    L4LoadBalancer, PayloadPool, arrival_factory, shard_preload
+    L4LoadBalancer, PayloadPool, PoissonPopulation, shard_preload
 from ..telemetry.instruments import LogHistogram
 from .base import krps
 from .campaign import Campaign, Component, Knob
@@ -187,7 +187,7 @@ def cluster_scenario(policy, nodes, failover, warmup, measure, seed=42,
         pool = PayloadPool.zipf(
             gets, tb.rng.stream("population.keys.r%d" % rack),
             skew=ZIPF_SKEW)
-        source = arrival_factory("poisson")(
+        source = PoissonPopulation(
             rate / RACKS, tb.rng.stream("population.r%d" % rack))
         pops.append(ClientPopulation(env, net, ip, vip_addr, source, pool,
                                      timeout=TIMEOUT_US))

@@ -7,22 +7,14 @@ happens until a :class:`~repro.faults.injector.FaultInjector` arms one
 onto a deployment — so the same schedule can drive Lynx and the
 host-centric baseline side by side (experiment E16).
 
-The grammar (DESIGN.md §4.10) has two equivalent surfaces:
+Schedules are composed from the spec classes below (DESIGN.md
+§4.10)::
 
-* the spec classes below, composed programmatically::
-
-      FaultSchedule([
-          LinkLoss("10.0.0.100", start=25000, duration=5000,
-                   probability=0.2),
-          AcceleratorOutage(start=40000, duration=6000, mode="crash"),
-      ])
-
-* a JSON-able list of dicts, one per window, via
-  :meth:`FaultSchedule.from_dicts`::
-
-      [{"fault": "link_loss", "ip": "10.0.0.100", "at": 25000,
-        "for": 5000, "probability": 0.2},
-       {"fault": "accel_crash", "at": 40000, "for": 6000}]
+    FaultSchedule([
+        LinkLoss("10.0.0.100", start=25000, duration=5000,
+                 probability=0.2),
+        AcceleratorOutage(start=40000, duration=6000, mode="crash"),
+    ])
 
 Validation happens at construction time and raises
 :class:`~repro.errors.FaultError`, so a bad schedule fails before any
@@ -31,7 +23,7 @@ simulation runs.
 
 from ..errors import FaultError
 
-#: fault kinds (the ``"fault"`` field of the dict grammar)
+#: fault kinds (what the injector dispatches on)
 LINK_LOSS = "link_loss"
 LINK_CORRUPTION = "corruption"
 RX_STALL = "rx_stall"
@@ -62,10 +54,8 @@ class FaultSpec:
 
     __slots__ = ("start", "duration")
 
-    #: grammar tag; concrete subclasses override
+    #: fault kind; concrete subclasses override
     kind = None
-    #: dict-grammar fields beyond at/for (subclasses override)
-    extra_fields = ()
 
     def __init__(self, start, duration):
         _check_window(self.kind, start, duration)
@@ -76,12 +66,6 @@ class FaultSpec:
     def end(self):
         return self.start + self.duration
 
-    def to_dict(self):
-        out = {"fault": self.kind, "at": self.start, "for": self.duration}
-        for field in self.extra_fields:
-            out[field] = getattr(self, field)
-        return out
-
     def __repr__(self):
         return "<%s %r [%g, %g)>" % (type(self).__name__, self.kind,
                                      self.start, self.end)
@@ -91,7 +75,6 @@ class _WireFault(FaultSpec):
     """Base for faults targeting one endpoint's wire channel."""
 
     __slots__ = ("ip",)
-    extra_fields = ("ip",)
 
     def __init__(self, ip, start, duration):
         super().__init__(start, duration)
@@ -105,7 +88,6 @@ class LinkLoss(_WireFault):
 
     __slots__ = ("probability",)
     kind = LINK_LOSS
-    extra_fields = ("ip", "probability")
 
     def __init__(self, ip, start, duration, probability):
         super().__init__(ip, start, duration)
@@ -133,16 +115,10 @@ class RxRingStall(_WireFault):
     whose head pointer stopped moving.
     """
 
-    __slots__ = ("buffer_limit",)
+    __slots__ = ()
     kind = RX_STALL
-    extra_fields = ("ip", "buffer_limit")
-
-    def __init__(self, ip, start, duration, buffer_limit=1024):
-        super().__init__(ip, start, duration)
-        if not isinstance(buffer_limit, int) or buffer_limit < 0:
-            raise FaultError("rx_stall: buffer_limit must be >= 0, got %r"
-                             % (buffer_limit,))
-        self.buffer_limit = buffer_limit
+    #: frames the stall buffer holds before it drops
+    buffer_limit = 1024
 
 
 class SnicPause(FaultSpec):
@@ -170,7 +146,6 @@ class RackFailure(FaultSpec):
 
     __slots__ = ("rack",)
     kind = RACK_FAILURE
-    extra_fields = ("rack",)
 
     def __init__(self, rack, start, duration):
         super().__init__(start, duration)
@@ -189,7 +164,6 @@ class AcceleratorOutage(FaultSpec):
     """
 
     __slots__ = ("mode",)
-    extra_fields = ("mode",)
 
     def __init__(self, start, duration, mode="crash"):
         if mode not in ("crash", "hang"):
@@ -201,41 +175,6 @@ class AcceleratorOutage(FaultSpec):
     @property
     def kind(self):
         return ACCEL_CRASH if self.mode == "crash" else ACCEL_HANG
-
-
-#: dict-grammar dispatch: kind -> spec builder taking the entry dict
-def _wire_args(entry):
-    return {"ip": entry.get("ip"), "start": entry.get("at"),
-            "duration": entry.get("for")}
-
-
-_BUILDERS = {
-    LINK_LOSS: lambda e: LinkLoss(probability=e.get("probability"),
-                                  **_wire_args(e)),
-    LINK_CORRUPTION: lambda e: LinkCorruption(
-        probability=e.get("probability"), **_wire_args(e)),
-    RX_STALL: lambda e: RxRingStall(buffer_limit=e.get("buffer_limit", 1024),
-                                    **_wire_args(e)),
-    SNIC_PAUSE: lambda e: SnicPause(start=e.get("at"),
-                                    duration=e.get("for")),
-    SNIC_RESTART: lambda e: SnicRestart(start=e.get("at"),
-                                        duration=e.get("for")),
-    ACCEL_CRASH: lambda e: AcceleratorOutage(start=e.get("at"),
-                                             duration=e.get("for"),
-                                             mode="crash"),
-    ACCEL_HANG: lambda e: AcceleratorOutage(start=e.get("at"),
-                                            duration=e.get("for"),
-                                            mode="hang"),
-    RACK_FAILURE: lambda e: RackFailure(rack=e.get("rack"),
-                                        start=e.get("at"),
-                                        duration=e.get("for")),
-}
-
-# "mode" is redundant with the accel_crash/accel_hang kind tag but
-# appears in to_dict() output, so the round trip must accept it.
-_KNOWN_KEYS = frozenset(
-    ("fault", "at", "for", "ip", "probability", "buffer_limit", "mode",
-     "rack"))
 
 
 class FaultSchedule:
@@ -255,30 +194,6 @@ class FaultSchedule:
                              "got %r" % (spec,))
         self.specs.append(spec)
         return self
-
-    @classmethod
-    def from_dicts(cls, entries):
-        """Build a schedule from the dict grammar (see module docstring)."""
-        schedule = cls()
-        for entry in entries:
-            if not isinstance(entry, dict):
-                raise FaultError("schedule entries are dicts, got %r"
-                                 % (entry,))
-            unknown = set(entry) - _KNOWN_KEYS
-            if unknown:
-                raise FaultError("unknown schedule fields %s in %r"
-                                 % (sorted(unknown), entry))
-            kind = entry.get("fault")
-            builder = _BUILDERS.get(kind)
-            if builder is None:
-                raise FaultError("unknown fault kind %r (known: %s)"
-                                 % (kind, ", ".join(sorted(_BUILDERS))))
-            schedule.add(builder(entry))
-        return schedule
-
-    def to_dicts(self):
-        """The schedule in the dict grammar (JSON-able round trip)."""
-        return [spec.to_dict() for spec in self.specs]
 
     @property
     def horizon(self):

@@ -13,8 +13,6 @@ memory-intensive work picks up a multiplicative slowdown with a
 heavy-tailed (lognormal) jitter.
 """
 
-import math
-
 from ..errors import ConfigError
 
 
@@ -92,8 +90,3 @@ class LLCModel:
         """Mean penalty (no jitter draw) — used by analytic tests."""
         return 1.0 + memory_intensity * (self.profile.mean_slowdown - 1.0) * self.pressure
 
-
-def lognormal_p99_over_mean(sigma):
-    """p99/mean ratio of a unit-mean lognormal (helper for calibration)."""
-    z99 = 2.3263478740408408
-    return math.exp(z99 * sigma - sigma * sigma / 2.0) / 1.0

@@ -60,13 +60,6 @@ class Machine:
         self.devices["nic%d" % index] = nic
         return nic
 
-    def add_device(self, name, device):
-        """Register a non-GPU accelerator (e.g. the Intel VCA)."""
-        if name in self.devices:
-            raise ConfigError("device %r already present" % name)
-        self.devices[name] = device
-        return device
-
     def pool(self, count=None, name=None):
         """A worker pool over this machine's cores (shares the LLC)."""
         return self.socket.pool(count=count, name=name)

@@ -23,10 +23,6 @@ class MemoryRegion:
         #: Lynx requires this of accelerators (§4.4, requirement 1)
         self.exposed_on_pcie = exposed_on_pcie
 
-    def local_access(self):
-        """Generator charging one local access from the owning device."""
-        yield self.env.timeout(self.access_latency)
-
     def __repr__(self):
         return "<MemoryRegion %s %.2fus%s>" % (
             self.name, self.access_latency,

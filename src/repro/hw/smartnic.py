@@ -57,8 +57,8 @@ class InnovaSNIC:
         # Channel: messages are accepted at the AFU rate (the channel's
         # issue gap) and then flow through with a fixed cut-through
         # latency, overlapping each other.
-        self._gap = 1.0 / profile.afu_rate_pps
-        self.pipe = Channel(env, serialized=True, min_occupancy=self._gap,
+        self.pipe = Channel(env, serialized=True,
+                            min_occupancy=1.0 / profile.afu_rate_pps,
                             latency=profile.pipeline_latency,
                             name="%s-afu" % self.name)
         self.processed = RateMeter(env, name="%s-pps" % self.name)
@@ -66,14 +66,6 @@ class InnovaSNIC:
     @property
     def rdma(self):
         return self.nic.rdma
-
-    def afu_process(self, msg):
-        """Generator: pass one message through the AFU UDP pipeline."""
-        # Admission (issue gap) through the pipe; the rate meter ticks
-        # at acceptance time, before the cut-through latency elapses.
-        yield from self.pipe.transfer(msg.wire_size, post_latency=0.0)
-        self.processed.tick()
-        yield self.env.timeout(self.profile.pipeline_latency)
 
     def check_tx_supported(self):
         """The paper's Innova prototype implements only the receive path."""

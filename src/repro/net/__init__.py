@@ -8,17 +8,12 @@ from .cluster import ConsistentHashRing, L4LoadBalancer, STEER_POLICIES, \
 from .rdma import RdmaEngine, QueuePair
 from .client import Client, OpenLoopGenerator, ClosedLoopGenerator
 from .population import (
-    BModelPopulation,
     ClientPopulation,
-    DiurnalPopulation,
     InFlightTable,
     OnOffPopulation,
     PayloadPool,
     PoissonPopulation,
     PopulationArrivals,
-    TracePopulation,
-    arrival_factory,
-    load_trace_timestamps,
 )
 
 __all__ = [
@@ -45,11 +40,6 @@ __all__ = [
     "PopulationArrivals",
     "PoissonPopulation",
     "OnOffPopulation",
-    "DiurnalPopulation",
-    "BModelPopulation",
-    "TracePopulation",
     "PayloadPool",
     "InFlightTable",
-    "arrival_factory",
-    "load_trace_timestamps",
 ]

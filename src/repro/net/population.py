@@ -10,9 +10,8 @@ every per-request quantity in struct-of-arrays numpy columns:
   conditional-uniform property of the Poisson process (within a
   constant-rate segment of duration ``D``, the count is
   ``Poisson(rate*D)`` and the times are sorted uniforms — exact, and
-  fully vectorized).  Plain Poisson, MMPP on/off bursts, a diurnal
-  phase envelope, and trace replay are all piecewise-constant-rate
-  segment generators under this one scheme;
+  fully vectorized).  Plain Poisson and MMPP on/off bursts are both
+  piecewise-constant-rate segment generators under this one scheme;
 * request payloads come from a pre-built :class:`PayloadPool`
   (Zipf-sampled keys for memcached, pre-rendered tensors for the
   accelerator apps), sampled per chunk with one ``searchsorted``;
@@ -34,10 +33,8 @@ arrival time ``t`` reaches the wire channel at
 in ``tests/net/test_population.py`` pins.
 """
 
-import csv
 import itertools
 import math
-import os
 
 import numpy as np
 
@@ -141,220 +138,6 @@ class OnOffPopulation(PopulationArrivals):
         if not parts:
             return _EMPTY
         return parts[0] if len(parts) == 1 else np.concatenate(parts)
-
-
-class DiurnalPopulation(PopulationArrivals):
-    """Poisson arrivals whose instantaneous rate follows a repeating
-    piecewise-constant phase envelope (a day compressed to
-    ``period_us``).  The envelope is normalized to mean 1.0, so
-    ``mean_rate`` is the long-run average regardless of its shape."""
-
-    #: default envelope: a trough-to-evening-peak "day" in 8 phases
-    ENVELOPE = (0.35, 0.55, 0.9, 1.3, 1.5, 1.45, 1.0, 0.95)
-
-    def __init__(self, mean_rate_per_us, period_us, stream, envelope=None):
-        if mean_rate_per_us <= 0 or period_us <= 0:
-            raise ConfigError("invalid diurnal parameters")
-        envelope = tuple(envelope if envelope is not None else self.ENVELOPE)
-        if not envelope or any(e < 0 for e in envelope):
-            raise ConfigError("envelope phases must be non-negative")
-        scale = len(envelope) / sum(envelope)
-        self.envelope = tuple(e * scale for e in envelope)
-        self.mean_rate = float(mean_rate_per_us)
-        self.period = float(period_us)
-        self._stream = stream
-        self._phase_len = self.period / len(self.envelope)
-
-    def phase_multiplier(self, t):
-        """The envelope multiplier in effect at absolute time *t*."""
-        idx = int(t / self._phase_len) % len(self.envelope)
-        return self.envelope[idx]
-
-    def take(self, start, until):
-        parts = []
-        t = start
-        plen = self._phase_len
-        while t < until:
-            # the phase boundary at or after t
-            edge = (math.floor(t / plen) + 1) * plen
-            seg_end = min(edge, until)
-            rate = self.mean_rate * self.phase_multiplier(t)
-            if rate > 0 and seg_end > t:
-                times = _segment_times(self._stream, t, seg_end - t, rate)
-                if times.size:
-                    parts.append(times)
-            t = seg_end
-        if not parts:
-            return _EMPTY
-        return parts[0] if len(parts) == 1 else np.concatenate(parts)
-
-
-class BModelPopulation(DiurnalPopulation):
-    """Self-similar (b-model) arrivals: bursty at every timescale.
-
-    Wang et al.'s b-model generates the canonical self-similar traffic
-    profile by recursively splitting each interval's mass ``(b, 1-b)``
-    between its halves, with the heavy side chosen by a fair coin per
-    split (the randomized binomial-multiplicative cascade).  After
-    ``levels`` splits one period decomposes into ``2**levels`` equal
-    phases whose weights sum to 1 — bursts nest inside bursts, with
-    Hurst parameter ``H ~ 1 - log2(b^2 + (1-b)^2)/2``.  ``b = 0.5``
-    degenerates to plain Poisson; ``b -> 1`` concentrates the whole
-    period's load into one slot.
-
-    The resulting weight profile is a piecewise-constant rate envelope,
-    so segment generation rides :class:`DiurnalPopulation`'s exact
-    conditional-uniform machinery unchanged; the profile draws from
-    *stream* at construction, making a (seed, b, levels) triple fully
-    deterministic — what the golden tests pin.
-    """
-
-    def __init__(self, mean_rate_per_us, period_us, stream, b=0.7,
-                 levels=7):
-        if not 0.5 <= b < 1.0:
-            raise ConfigError("b-model bias must be in [0.5, 1.0)")
-        if not 1 <= levels <= 20:
-            raise ConfigError("b-model levels must be in [1, 20]")
-        weights = np.ones(1, dtype=float)
-        for _ in range(int(levels)):
-            heavy_left = stream.random(weights.size) < 0.5
-            left = np.where(heavy_left, b, 1.0 - b)
-            split = np.empty(weights.size * 2, dtype=float)
-            split[0::2] = weights * left
-            split[1::2] = weights * (1.0 - left)
-            weights = split
-        self.b = float(b)
-        self.levels = int(levels)
-        # weights sum to 1 by construction; scaling by the phase count
-        # gives a mean-1.0 envelope (DiurnalPopulation re-normalizes,
-        # which is a no-op here but keeps float round-off consistent).
-        super().__init__(mean_rate_per_us, period_us, stream,
-                         envelope=weights * weights.size)
-
-
-def load_trace_timestamps(path):
-    """Load arrival timestamps (us, ascending) from ``.npy`` or CSV.
-
-    ``.npy`` files hold a 1-D float array.  CSV/text files hold one
-    timestamp per row (a header row and extra columns are tolerated:
-    the first field of each row that parses as a float is taken).
-    Shared by :meth:`TracePopulation.from_file` and the CLI's
-    ``--arrivals trace:<path>`` hook.
-    """
-    if not os.path.exists(path):
-        raise ConfigError("trace file not found: %s" % path)
-    if path.endswith(".npy"):
-        stamps = np.load(path)
-        if stamps.ndim != 1:
-            raise ConfigError("trace %s: expected a 1-D array, got shape %r"
-                              % (path, stamps.shape))
-        return [float(t) for t in stamps]
-    stamps = []
-    with open(path, newline="") as fh:
-        for row in csv.reader(fh):
-            if not row:
-                continue
-            try:
-                stamps.append(float(row[0]))
-            except ValueError:
-                if stamps:
-                    raise ConfigError(
-                        "trace %s: unparsable timestamp %r after %d rows"
-                        % (path, row[0], len(stamps)))
-                # else: header row — skip
-    if len(stamps) < 2:
-        raise ConfigError("trace %s: needs at least two timestamps" % path)
-    return stamps
-
-
-class TracePopulation(PopulationArrivals):
-    """Replays recorded arrival timestamps, looping: the first gap
-    elapses before the first arrival, and the trace repeats gap for gap.
-    ``rate_per_us`` rescales the gaps so the replayed long-run rate
-    matches a target (bisection over trace-shaped load).
-    """
-
-    def __init__(self, timestamps, rate_per_us=None):
-        stamps = np.asarray(list(timestamps), dtype=float)
-        if stamps.size < 2:
-            raise ConfigError("a trace needs at least two timestamps")
-        gaps = np.diff(stamps)
-        if (gaps < 0).any():
-            raise ConfigError("trace timestamps must be non-decreasing")
-        span = float(gaps.sum())
-        if span <= 0:
-            raise ConfigError("trace spans zero time")
-        native = gaps.size / span
-        if rate_per_us is not None:
-            if rate_per_us <= 0:
-                raise ConfigError("population rate must be positive")
-            gaps = gaps * (native / rate_per_us)
-            span = float(gaps.sum())
-        #: arrival offsets within one replay cycle (the first gap
-        #: elapses before the first arrival)
-        self._cycle = np.cumsum(gaps)
-        self._span = span
-        self._cycle_start = 0.0
-        self.mean_rate = gaps.size / span
-
-    @classmethod
-    def from_file(cls, path, rate_per_us=None):
-        """Load a ``.npy`` or CSV trace (see :func:`load_trace_timestamps`)."""
-        return cls(load_trace_timestamps(path), rate_per_us=rate_per_us)
-
-    def take(self, start, until):
-        parts = []
-        while self._cycle_start < until:
-            times = self._cycle + self._cycle_start
-            lo = np.searchsorted(times, start, side="left")
-            hi = np.searchsorted(times, until, side="left")
-            if hi > lo:
-                parts.append(times[lo:hi])
-            if times[-1] < until:
-                self._cycle_start += self._span
-            else:
-                break
-        if not parts:
-            return _EMPTY
-        return parts[0] if len(parts) == 1 else np.concatenate(parts)
-
-
-def arrival_factory(spec):
-    """Parse an ``--arrivals`` spec into a ``make(rate, stream)`` factory.
-
-    Specs: ``poisson`` | ``onoff[:on_us,off_us]`` | ``diurnal[:period_us]``
-    | ``bmodel[:b[,levels]]`` | ``trace:<path>`` — each yields a factory
-    producing a :class:`PopulationArrivals` whose long-run mean is the
-    given rate, so one spec serves every trial of a sustainable-load
-    bisection.
-    """
-    if spec.startswith("trace:"):
-        path = spec[len("trace:"):]
-        if not path:
-            raise ConfigError("trace spec needs a path: trace:<path>")
-        stamps = load_trace_timestamps(path)
-        return lambda rate, stream: TracePopulation(stamps, rate_per_us=rate)
-    kind, _, args = spec.partition(":")
-    if kind == "poisson":
-        return lambda rate, stream: PoissonPopulation(rate, stream)
-    if kind == "onoff":
-        on_us, off_us = (float(x) for x in args.split(",")) if args \
-            else (200.0, 600.0)
-        duty = on_us / (on_us + off_us)
-        return lambda rate, stream: OnOffPopulation(
-            rate / duty, on_us, off_us, stream)
-    if kind == "diurnal":
-        period = float(args) if args else 100000.0
-        return lambda rate, stream: DiurnalPopulation(rate, period, stream)
-    if kind == "bmodel":
-        parts = args.split(",") if args else []
-        b = float(parts[0]) if parts else 0.7
-        levels = int(parts[1]) if len(parts) > 1 else 7
-        return lambda rate, stream: BModelPopulation(
-            rate, 100000.0, stream, b=b, levels=levels)
-    raise ConfigError("unknown arrivals spec %r (poisson | onoff[:on,off] | "
-                      "diurnal[:period] | bmodel[:b,levels] | trace:<path>)"
-                      % (spec,))
 
 
 class PayloadPool:

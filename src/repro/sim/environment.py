@@ -204,10 +204,6 @@ class Environment:
         self._eid = eid + 1
         heappush(self._queue, (self.now + delay, priority, eid, _fire, event))
 
-    def peek(self):
-        """Time of the next scheduled event, or ``inf`` if none."""
-        return self._queue[0][0] if self._queue else float("inf")
-
     def run(self, until=None):
         """Run the simulation.
 

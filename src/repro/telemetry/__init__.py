@@ -6,7 +6,7 @@ tracer drop counts, hand-built experiment rows).  This package replaces
 them with a single observer contract:
 
 * :mod:`~repro.telemetry.instruments` — typed instruments (monotonic
-  counter, labelled counter, time-weighted gauge, mergeable log-bucketed
+  counter, peak gauge, time-weighted gauge, mergeable log-bucketed
   histogram, pull counters) sharing ``kind``/``snapshot``/``merge``/
   ``reset(at_time)``;
 * :mod:`~repro.telemetry.registry` — the hierarchical name → instrument
@@ -32,7 +32,6 @@ See DESIGN.md §4.9 for the full contract.
 from .instruments import (
     Counter,
     DerivedRatio,
-    LabelledCounter,
     LogHistogram,
     PeakGauge,
     PullCounter,
@@ -62,22 +61,18 @@ from .export import (
     load_campaign,
     load_metrics,
 )
-from .diff import (
-    diff_snapshots,
-    relative_delta,
-    scalar_of,
-)
+from .diff import relative_delta, scalar_of
 
 __all__ = [
-    "Counter", "DerivedRatio", "LabelledCounter", "LogHistogram",
-    "PeakGauge", "PullCounter", "PullPeak", "RateStat", "RatioHolder",
-    "TimeWeightedGauge", "materialize",
+    "Counter", "DerivedRatio", "LogHistogram", "PeakGauge", "PullCounter",
+    "PullPeak", "RateStat", "RatioHolder", "TimeWeightedGauge",
+    "materialize",
     "MetricsRegistry", "registry", "push_scope", "pop_scope", "scope",
     "reset_scopes",
     "SCHEMA", "CAMPAIGN_SCHEMA", "dump_metrics", "dumps_metrics",
     "format_kernel_stats", "format_snapshot", "load_metrics",
     "dump_campaign", "dumps_campaign", "load_campaign",
-    "diff_snapshots", "relative_delta", "scalar_of",
+    "relative_delta", "scalar_of",
 ]
 
 

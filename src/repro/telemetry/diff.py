@@ -13,13 +13,11 @@ Every instrument kind maps to one canonical scalar:
 kind                  scalar
 ====================  =====================================================
 ``counter``/``peak``  the value
-``labelled``          sum over labels
 ``rate``              the event count (window lengths are host-independent
                       only in simulated time, so the count is the robust
                       scalar; use :func:`materialize` for rates)
 ``gauge``             the time-weighted mean (``area / elapsed``)
-``histogram``         p99 (the tail is what ablations move; count and p50
-                      ride along in :func:`diff_snapshots` entries)
+``histogram``         p99 (the tail is what ablations move)
 ====================  =====================================================
 """
 
@@ -27,7 +25,7 @@ import math
 
 from .instruments import materialize
 
-__all__ = ["scalar_of", "diff_snapshots", "relative_delta"]
+__all__ = ["scalar_of", "relative_delta"]
 
 
 def scalar_of(snap):
@@ -36,8 +34,6 @@ def scalar_of(snap):
     kind = snap.get("kind")
     if kind in ("counter", "peak"):
         return snap["value"]
-    if kind == "labelled":
-        return sum(snap["values"].values())
     if kind == "rate":
         return snap["count"]
     if kind == "gauge":
@@ -65,49 +61,3 @@ def relative_delta(base, other):
     if base == 0 or math.isnan(base) or math.isnan(other):
         return None
     return (other - base) / abs(base)
-
-
-def diff_snapshots(base, other, prefix=""):
-    """Compare two registry snapshots name by name.
-
-    Returns ``{name: entry}`` over the union of names (optionally
-    filtered by dotted *prefix*), where each entry carries::
-
-        {"kind": ..., "base": scalar, "other": scalar,
-         "delta": other - base, "rel": relative_delta or None}
-
-    Histogram entries additionally carry ``p50``/``p99``/``count``
-    deltas.  A name present on only one side diffs against the empty
-    instrument (scalar 0 / empty histogram), so appearing and
-    disappearing instruments show up as plain deltas instead of being
-    silently dropped.  Kind clashes (same name, different family on the
-    two sides) raise ``ValueError`` — that is a schema bug upstream.
-    """
-    names = list(base)
-    seen = set(base)
-    names.extend(n for n in other if n not in seen)
-    out = {}
-    for name in names:
-        if prefix and not (name == prefix or name.startswith(prefix + ".")):
-            continue
-        a = base.get(name)
-        b = other.get(name)
-        if a is not None and b is not None and a["kind"] != b["kind"]:
-            raise ValueError("kind clash for %r: %r vs %r"
-                             % (name, a["kind"], b["kind"]))
-        kind = (a or b)["kind"]
-        sa = scalar_of(a) if a is not None else 0
-        sb = scalar_of(b) if b is not None else 0
-        entry = {"kind": kind, "base": sa, "other": sb, "delta": sb - sa,
-                 "rel": relative_delta(sa, sb)}
-        if kind == "histogram":
-            ha = materialize(a) if a is not None and a["count"] else None
-            hb = materialize(b) if b is not None and b["count"] else None
-            entry["count"] = ((hb.count if hb else 0)
-                              - (ha.count if ha else 0))
-            entry["p50"] = ((hb.p50() if hb else 0.0)
-                            - (ha.p50() if ha else 0.0))
-            entry["p99"] = ((hb.p99() if hb else 0.0)
-                            - (ha.p99() if ha else 0.0))
-        out[name] = entry
-    return out

@@ -52,10 +52,6 @@ def _describe(snap):
     kind = snap["kind"]
     if kind in ("counter", "peak"):
         return _fmt_num(snap["value"])
-    if kind == "labelled":
-        values = snap["values"]
-        return ", ".join("%s=%s" % (k, _fmt_num(values[k]))
-                         for k in sorted(values)) or "-"
     if kind == "rate":
         acc = materialize(snap)
         return "%s events, %s/s" % (_fmt_num(snap["count"]),

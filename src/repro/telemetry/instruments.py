@@ -29,7 +29,7 @@ layers import *us*.
 import math
 
 __all__ = [
-    "Counter", "LabelledCounter", "PeakGauge", "PullCounter", "PullPeak",
+    "Counter", "PeakGauge", "PullCounter", "PullPeak",
     "TimeWeightedGauge", "RateStat", "LogHistogram", "materialize",
 ]
 
@@ -78,36 +78,6 @@ class PeakGauge:
 
     def reset(self, at_time=None):
         self.value = 0
-
-
-class LabelledCounter:
-    """A bundle of monotonic counters keyed by label."""
-
-    kind = "labelled"
-    __slots__ = ("_counts",)
-
-    def __init__(self):
-        self._counts = {}
-
-    def inc(self, label, n=1):
-        self._counts[label] = self._counts.get(label, 0) + n
-
-    def get(self, label):
-        return self._counts.get(label, 0)
-
-    def as_dict(self):
-        return dict(self._counts)
-
-    def snapshot(self):
-        return {"kind": "labelled", "values": dict(self._counts)}
-
-    def merge(self, snap):
-        counts = self._counts
-        for label, n in snap["values"].items():
-            counts[label] = counts.get(label, 0) + n
-
-    def reset(self, at_time=None):
-        self._counts.clear()
 
 
 class PullCounter:
@@ -532,7 +502,6 @@ class LogHistogram:
 _ACCUMULATORS = {
     "counter": Counter,
     "peak": PeakGauge,
-    "labelled": LabelledCounter,
     "gauge": TimeWeightedGauge,
     "rate": RateStat,
     "histogram": LogHistogram,

@@ -23,7 +23,6 @@ names, and device indices, which are unique by construction).
 from .instruments import (
     Counter,
     DerivedRatio,
-    LabelledCounter,
     LogHistogram,
     PeakGauge,
     PullCounter,
@@ -49,9 +48,6 @@ class MetricsRegistry:
         self._instruments[name] = instrument
         return instrument
 
-    def unregister(self, name):
-        self._instruments.pop(name, None)
-
     def _get_or_create(self, name, cls, *args):
         inst = self._instruments.get(name)
         if isinstance(inst, cls):
@@ -65,10 +61,6 @@ class MetricsRegistry:
     def peak(self, name):
         """Get-or-create a :class:`PeakGauge` under *name*."""
         return self._get_or_create(name, PeakGauge)
-
-    def labelled(self, name):
-        """Get-or-create a :class:`LabelledCounter` under *name*."""
-        return self._get_or_create(name, LabelledCounter)
 
     def histogram(self, name):
         """Get-or-create a :class:`LogHistogram` under *name*."""

@@ -37,7 +37,3 @@ def per_sec(rate):
     """Convert an events-per-second rate to events/us."""
     return rate / SEC
 
-
-def to_krps(per_us):
-    """Convert an events/us rate to thousands of requests per second."""
-    return per_us * SEC / 1e3

@@ -106,22 +106,6 @@ class TestGrid:
         assert variants[0].is_baseline
         assert variants[1].changed == ("boost",)
 
-    def test_pairwise_opt_in(self):
-        camp = Campaign(
-            "TOY-GRID3", "toy", "test", scenario=_toy_scenario,
-            components=[
-                Component("a", [Knob("boost", values=(True, False),
-                                     kwarg="boost")]),
-                Component("b", [Knob("extra", values=(0.0, 1.0),
-                                     kwarg="extra")]),
-            ])
-        plain = camp.variants(fast=True)
-        paired = camp.variants(fast=True, pairwise=True)
-        assert len(paired) == len(plain) + 1
-        inter = paired[-1]
-        assert inter.token == "boost=False+extra=1.0"
-        assert inter.changed == ("boost", "extra")
-
     def test_duplicate_knob_names_rejected(self):
         with pytest.raises(ConfigError):
             Campaign(
@@ -246,23 +230,6 @@ class TestImportance:
         assert signals["kernel_events"] < 0
         assert signals["p99_us"] > 0
         assert signals["core_burn"] is None  # toy has no gauges
-
-    def test_pairwise_variants_excluded_from_importance(self):
-        camp = Campaign(
-            "TOY-IMP5", "toy", "test", scenario=_toy_scenario,
-            components=[
-                Component("a", [Knob("boost", values=(True, False),
-                                     kwarg="boost")]),
-                Component("b", [Knob("extra", values=(0.0, 1.0),
-                                     kwarg="extra")]),
-            ],
-            row=lambda ctx, v, value: {"value": value},
-            metric="value")
-        with telemetry.scope():
-            outcome = camp.run(fast=True, seed=42, pairwise=True)
-        for entry in outcome.importance:
-            assert len(entry["variants"]) == 1  # one-offs only
-
 
 class TestSnapshotSignals:
     def test_empty_snapshot_all_none(self):

@@ -118,7 +118,7 @@ class TestBracketWidening:
     """E17's response to a saturated bracket: re-search [hi, 4*hi] once."""
 
     def _pin_trial(self, monkeypatch, knee):
-        def fake(design, arrivals, rate, seed, warmup, measure):
+        def fake(design, rate, seed, warmup, measure):
             return _step_trial(knee)(rate, seed)
 
         monkeypatch.setitem(e17.TRIALS, "memcached", fake)

@@ -8,7 +8,7 @@ import pytest
 from repro import telemetry
 from repro.errors import FaultError
 from repro.experiments import e18_cluster as e18
-from repro.faults import FaultSchedule, RackFailure
+from repro.faults import RackFailure
 
 
 @pytest.fixture(scope="module")
@@ -75,14 +75,6 @@ class TestFailover:
         assert out["rack_down_drops"] == 0
         assert out["timeouts"] == 0
         assert len(out["timeline_krps"]) == e18.TIMELINE_BUCKETS
-
-    def test_rack_failure_spec_round_trips(self):
-        schedule = FaultSchedule([RackFailure(rack=1, start=100.0,
-                                              duration=50.0)])
-        clone = FaultSchedule.from_dicts(schedule.to_dicts())
-        (spec,) = list(clone)
-        assert isinstance(spec, RackFailure)
-        assert (spec.rack, spec.start, spec.duration) == (1, 100.0, 50.0)
 
     def test_rack_failure_validates_the_rack(self):
         with pytest.raises(FaultError):

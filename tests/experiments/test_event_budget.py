@@ -1,4 +1,4 @@
-"""Exact event budgets of two small serving scenarios.
+"""Exact event budgets of three small scenarios.
 
 The serving path schedules no zero-delay relay entries (DESIGN.md §4.6
 relay-collapse rule): an idle core or channel slot is granted inline,
@@ -12,6 +12,14 @@ updates the pin and says why in CHANGES.md.
 
 With every relay in place the same two runs scheduled 6,344 and 16,757
 events, for the same responses.
+
+The third run is the traffic-plane benchmark's population scenario
+(``benchmarks/test_traffic_plane.py``): Poisson arrivals at 8/us into a
+mute sink with 2 us frames.  Frame coalescing (DESIGN.md §4.13) lands
+each frame with one wake and one ``push_many`` landing, about 0.125
+events per arrival; landing one frame per arrival (``coalesce_us=0``)
+schedules 159,974 events for the same 79,988 arrivals, and the scalar
+``OpenLoopGenerator`` plane needs about 3 per arrival.
 """
 
 from repro import Testbed, telemetry
@@ -19,8 +27,15 @@ from repro.apps.base import SpinApp
 from repro.apps.memcached import MemcachedServer, encode_get
 from repro.config import XEON_VMA
 from repro.experiments.common import LYNX_BLUEFIELD, deploy
-from repro.net import ClosedLoopGenerator, OpenLoopGenerator
+from repro.net import (
+    ClientPopulation,
+    ClosedLoopGenerator,
+    OpenLoopGenerator,
+    PayloadPool,
+    PoissonPopulation,
+)
 from repro.net.packet import UDP, Address
+from repro.sim import Channel
 
 
 def _lynx_ingress():
@@ -57,9 +72,30 @@ def _memcached_closed_loop():
         return env.events_processed, gen.completed, server.ops.count
 
 
+def _population_into_mute_sink():
+    """One population offering Poisson load at 8/us, in 2 us frames, to
+    a sink that never answers, for 10 ms."""
+    with telemetry.scope():
+        tb = Testbed(seed=42)
+
+        class MuteSink:
+            rx = Channel(tb.env, name="mute-rx")
+
+        tb.network.attach("10.0.0.9", MuteSink())
+        pop = ClientPopulation(tb.env, tb.network, "10.0.9.1",
+                               Address("10.0.0.9", 7777),
+                               PoissonPopulation(8.0, tb.rng.stream("bench")),
+                               PayloadPool.single(b"x" * 64), coalesce_us=2.0)
+        tb.run(until=10000.0)
+        return tb.env.events_processed, pop.offered
+
+
 class TestEventBudget:
     def test_lynx_ingress(self):
         assert _lynx_ingress() == (3805, 79, 51)
 
     def test_memcached_closed_loop(self):
         assert _memcached_closed_loop() == (9784, 1046, 1046)
+
+    def test_population_frames_coalesce(self):
+        assert _population_into_mute_sink() == (10005, 79988)

@@ -1,6 +1,10 @@
 """Fault injector mechanics: wire hooks, windows, determinism, and the
 zero-overhead guarantee when no schedule is armed."""
 
+import inspect
+import os
+import sys
+
 import pytest
 
 from repro import telemetry
@@ -121,10 +125,11 @@ class TestRxStall:
         assert injector.counts("recovered")["rx_stall"] > 0
         assert network.wire_channel(SERVER_IP).dropped == 0
 
-    def test_stall_overflow_drops_beyond_buffer_limit(self):
+    def test_stall_overflow_drops_beyond_buffer_limit(self, monkeypatch):
+        monkeypatch.setattr(RxRingStall, "buffer_limit", 1)
         env, network, rng, server, client = _rig()
         injector = FaultInjector(FaultSchedule([
-            RxRingStall(SERVER_IP, start=500, duration=1000, buffer_limit=1),
+            RxRingStall(SERVER_IP, start=500, duration=1000),
         ])).arm(env=env, network=network, rng=rng)
         _drive(env, client, concurrency=4, timeout=200, until=3000)
         assert injector.counts("dropped")["rx_stall"] > 0
@@ -164,6 +169,35 @@ class TestUnarmedIsFree:
         # (or armed with zero windows) consumes no schedule slots and
         # perturbs nothing.
         assert self._workload(False) == self._workload(True)
+
+    def test_armed_empty_schedule_runs_no_fault_code(self):
+        # Bit-identity cannot see a hook that runs without scheduling
+        # anything; a profile hook over env.run() can.
+        from repro.apps.base import SpinApp
+        from repro.experiments.common import LYNX_BLUEFIELD, deploy
+
+        faults_dir = os.path.dirname(inspect.getfile(FaultInjector)) + os.sep
+        called = set()
+
+        def profile(frame, event, _arg):
+            if event == "call" and \
+                    frame.f_code.co_filename.startswith(faults_dir):
+                called.add(frame.f_code.co_name)
+
+        with telemetry.scope():
+            dep = deploy(LYNX_BLUEFIELD, app=SpinApp(20.0))
+            FaultInjector(FaultSchedule()).arm(dep)
+            client = dep.tb.client("10.0.9.1")
+            ClosedLoopGenerator(dep.env, client, dep.address, 4,
+                                payload_fn=lambda i: b"x" * 64)
+            previous = sys.getprofile()
+            sys.setprofile(profile)
+            try:
+                dep.env.run(until=3000.0)
+            finally:
+                sys.setprofile(previous)
+        assert client.responses.count > 0
+        assert called == set()
 
     def test_no_instance_shadow_without_wire_faults(self):
         env, network, rng, server, client = _rig()

@@ -5,7 +5,7 @@ import pytest
 
 from repro.config import CacheProfile, DEFAULT_CACHE
 from repro.errors import ConfigError
-from repro.hw.cache import LLCModel, lognormal_p99_over_mean
+from repro.hw.cache import LLCModel
 from repro.sim import Environment, RngRegistry
 
 
@@ -72,11 +72,3 @@ class TestPenalty:
 
     def test_aggressor_unaffected_without_pressure(self, llc):
         assert llc.aggressor_penalty() == 1.0
-
-
-class TestCalibrationHelper:
-    def test_p99_over_mean_increases_then_decreases(self):
-        # The unit-mean lognormal tail ratio peaks near sigma = z99.
-        r1 = lognormal_p99_over_mean(0.5)
-        r2 = lognormal_p99_over_mean(2.3)
-        assert r2 > r1 > 1.0

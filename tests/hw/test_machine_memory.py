@@ -9,18 +9,6 @@ from repro.sim import Environment
 
 
 class TestMemoryRegion:
-    def test_local_access_charges_latency(self):
-        env = Environment()
-        region = MemoryRegion(env, "m", access_latency=0.35)
-
-        def proc(env):
-            yield from region.local_access()
-            return env.now
-
-        p = env.process(proc(env))
-        env.run()
-        assert p.value == 0.35
-
     def test_negative_latency_rejected(self):
         with pytest.raises(ConfigError):
             MemoryRegion(Environment(), "m", access_latency=-1)

@@ -79,22 +79,6 @@ class TestBluefield:
 
 
 class TestInnova:
-    def test_afu_rate_limits_throughput(self, env, network):
-        snic = InnovaSNIC(env, network, "10.0.0.101", InnovaProfile())
-        done = []
-
-        def proc(env):
-            msg = Message(Address("c", 1), Address("10.0.0.101", 2), b"x" * 64)
-            yield from snic.afu_process(msg)
-            done.append(env.now)
-
-        n = 100
-        for _ in range(n):
-            env.process(proc(env))
-        env.run()
-        measured_rate = n / env.now
-        assert measured_rate <= InnovaProfile().afu_rate_pps * 1.01
-
     def test_tx_unsupported(self, env, network):
         snic = InnovaSNIC(env, network, "10.0.0.101", InnovaProfile())
         with pytest.raises(ConfigError):
@@ -137,10 +121,3 @@ class TestMachine:
     def test_requires_rng_registry(self, env, network):
         with pytest.raises(ConfigError):
             Machine(env, network, "10.0.0.1", DEFAULT_CONFIG)
-
-    def test_duplicate_device_name_rejected(self, env, network, rng):
-        m = Machine(env, network, "10.0.0.1", DEFAULT_CONFIG,
-                    rng_registry=rng)
-        m.add_device("vca", object())
-        with pytest.raises(ConfigError):
-            m.add_device("vca", object())

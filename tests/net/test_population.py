@@ -7,16 +7,12 @@ import pytest
 
 from repro.errors import ConfigError
 from repro.net import (
-    BModelPopulation,
     ClientPopulation,
-    DiurnalPopulation,
     InFlightTable,
     OnOffPopulation,
     PayloadPool,
     PoissonPopulation,
     PopulationArrivals,
-    TracePopulation,
-    arrival_factory,
 )
 from repro.net import population
 from repro.sim import RngRegistry
@@ -77,138 +73,6 @@ class TestOnOffPopulation:
     def test_validates_parameters(self):
         with pytest.raises(ConfigError):
             OnOffPopulation(0.0, 1.0, 1.0, RngRegistry(0).stream("b"))
-
-
-class TestDiurnalPopulation:
-    def test_envelope_normalized_to_mean_rate(self):
-        src = DiurnalPopulation(0.3, 10000.0, RngRegistry(4).stream("d"))
-        assert sum(src.envelope) / len(src.envelope) == pytest.approx(1.0)
-        times = _take_all(src, 200000.0)  # 20 whole periods
-        assert times.size == pytest.approx(60000, rel=0.05)
-
-    def test_rate_follows_the_phases(self):
-        env_shape = (0.2, 1.8)
-        src = DiurnalPopulation(0.5, 2000.0, RngRegistry(5).stream("d"),
-                                envelope=env_shape)
-        times = _take_all(src, 100000.0)
-        # First phase of each period is the trough, second the peak.
-        phase = (times % 2000.0) < 1000.0
-        trough, peak = int(phase.sum()), int((~phase).sum())
-        assert peak > 5 * trough
-
-    def test_validates_envelope(self):
-        with pytest.raises(ConfigError):
-            DiurnalPopulation(0.5, 1000.0, RngRegistry(0).stream("d"),
-                              envelope=(1.0, -0.5))
-
-
-class TestBModelPopulation:
-    def test_profile_is_a_conserving_cascade(self):
-        src = BModelPopulation(0.4, 8000.0, RngRegistry(8).stream("b"),
-                               b=0.7, levels=5)
-        assert len(src.envelope) == 32
-        assert sum(src.envelope) / len(src.envelope) == pytest.approx(1.0)
-        # every phase weight is 2^levels times a product of five
-        # factors, each 0.7 or 0.3 (the cascade conserves mass).
-        legal = {32 * 0.7 ** k * 0.3 ** (5 - k) for k in range(6)}
-        for w in src.envelope:
-            assert any(w == pytest.approx(v) for v in legal)
-
-    def test_half_bias_degenerates_to_uniform(self):
-        src = BModelPopulation(0.4, 8000.0, RngRegistry(9).stream("b"),
-                               b=0.5, levels=6)
-        assert len(src.envelope) == 64
-        assert all(w == pytest.approx(1.0) for w in src.envelope)
-
-    def test_burstier_than_poisson(self):
-        burst = BModelPopulation(0.5, 50000.0, RngRegistry(10).stream("b"),
-                                 b=0.85, levels=9)
-        pois = PoissonPopulation(0.5, RngRegistry(10).stream("p"))
-        edges = np.arange(0.0, 200000.0 + 1, 500.0)
-        bc = np.histogram(_take_all(burst, 200000.0), bins=edges)[0]
-        pc = np.histogram(_take_all(pois, 200000.0), bins=edges)[0]
-        # index of dispersion: ~1 for Poisson, >> 1 for the cascade
-        assert bc.var() / bc.mean() > 5 * (pc.var() / pc.mean())
-
-    def test_golden_seed(self):
-        # Pins the (seed, b, levels) -> arrivals mapping bit-exactly:
-        # both the cascade's coin flips and the conditional-uniform
-        # draws come from the named stream, so these floats are part
-        # of the reproducibility contract.
-        src = BModelPopulation(0.5, 4096.0, RngRegistry(11).stream("b"),
-                               b=0.75, levels=4)
-        assert list(src.envelope[:4]) == [0.5625, 0.1875, 0.1875, 0.0625]
-        times = src.take(0.0, 4096.0)
-        assert times.size == 1989
-        assert list(times[:3]) == [3.8965489205741335, 6.467513872941964,
-                                   19.458469267634797]
-        assert times[-1] == 4095.822677496598
-
-    def test_validates_parameters(self):
-        with pytest.raises(ConfigError):
-            BModelPopulation(0.5, 1000.0, RngRegistry(0).stream("b"), b=1.0)
-        with pytest.raises(ConfigError):
-            BModelPopulation(0.5, 1000.0, RngRegistry(0).stream("b"), b=0.3)
-        with pytest.raises(ConfigError):
-            BModelPopulation(0.5, 1000.0, RngRegistry(0).stream("b"),
-                             levels=0)
-
-
-class TestTracePopulation:
-    def test_matches_scalar_trace_replay(self):
-        # gaps 5, 2, 13 replayed in a loop (the first gap elapses before
-        # the first arrival), consumed in windows that split cycles
-        stamps = [0.0, 5.0, 7.0, 20.0]
-        expected = [5.0, 7.0, 20.0, 25.0, 27.0, 40.0, 45.0, 47.0, 60.0]
-        vector = TracePopulation(stamps)
-        times = _take_all(vector, expected[-1] + 1.0, step=7.0)
-        assert list(times[:9]) == expected
-
-    def test_rescales_to_target_rate(self):
-        src = TracePopulation([0.0, 5.0, 7.0, 20.0], rate_per_us=0.5)
-        assert src.mean_rate == pytest.approx(0.5)
-        times = _take_all(src, 20000.0)
-        assert times.size == pytest.approx(10000, rel=0.05)
-
-    def test_validation(self):
-        with pytest.raises(ConfigError):
-            TracePopulation([1.0])
-        with pytest.raises(ConfigError):
-            TracePopulation([5.0, 1.0])
-        with pytest.raises(ConfigError):
-            TracePopulation([2.0, 2.0])  # zero span
-
-
-class TestArrivalFactory:
-    def test_specs(self):
-        stream = RngRegistry(0).stream("s")
-        assert isinstance(arrival_factory("poisson")(0.5, stream),
-                          PoissonPopulation)
-        onoff = arrival_factory("onoff:100,300")(0.5, stream)
-        assert isinstance(onoff, OnOffPopulation)
-        assert onoff.mean_rate == pytest.approx(0.5)
-        diurnal = arrival_factory("diurnal:5000")(0.5, stream)
-        assert isinstance(diurnal, DiurnalPopulation)
-        assert diurnal.period == 5000.0
-        bmodel = arrival_factory("bmodel:0.8,5")(0.5, stream)
-        assert isinstance(bmodel, BModelPopulation)
-        assert (bmodel.b, bmodel.levels) == (0.8, 5)
-        default = arrival_factory("bmodel")(0.5, stream)
-        assert (default.b, default.levels) == (0.7, 7)
-        assert default.mean_rate == pytest.approx(0.5)
-
-    def test_trace_spec(self, tmp_path):
-        path = tmp_path / "t.csv"
-        path.write_text("0.0\n5.0\n7.0\n")
-        src = arrival_factory("trace:%s" % path)(0.25, RngRegistry(0))
-        assert isinstance(src, TracePopulation)
-        assert src.mean_rate == pytest.approx(0.25)
-
-    def test_unknown_spec(self):
-        with pytest.raises(ConfigError):
-            arrival_factory("fractal")
-        with pytest.raises(ConfigError):
-            arrival_factory("trace:")
 
 
 class TestPayloadPool:

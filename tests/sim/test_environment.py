@@ -112,13 +112,3 @@ class TestRun:
             env.process(proc(env, delay))
         env.run()
         assert observed == sorted(observed)
-
-
-class TestPeekStep:
-    def test_peek_empty_schedule(self, env):
-        assert env.peek() == float("inf")
-
-    def test_peek_shows_next_event_time(self, env):
-        env.timeout(12)
-        env.timeout(5)
-        assert env.peek() == 5

@@ -100,6 +100,3 @@ class TestUnits:
 
     def test_mpps(self):
         assert units.mpps(1) == pytest.approx(1.0)
-
-    def test_round_trip_rate_helpers(self):
-        assert units.to_krps(units.per_sec(250000)) == pytest.approx(250.0)

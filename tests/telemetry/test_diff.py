@@ -2,8 +2,7 @@
 
 import pytest
 
-from repro.telemetry import LogHistogram, diff_snapshots, relative_delta, \
-    scalar_of
+from repro.telemetry import LogHistogram, relative_delta, scalar_of
 
 
 def _hist_snap(values):
@@ -17,10 +16,6 @@ class TestScalarOf:
     def test_counter_and_peak(self):
         assert scalar_of({"kind": "counter", "value": 7}) == 7
         assert scalar_of({"kind": "peak", "value": 3}) == 3
-
-    def test_labelled_sums_values(self):
-        snap = {"kind": "labelled", "values": {"a": 2, "b": 5}}
-        assert scalar_of(snap) == 7
 
     def test_rate_uses_count(self):
         assert scalar_of({"kind": "rate", "count": 9,
@@ -58,48 +53,3 @@ class TestRelativeDelta:
         assert relative_delta(5, float("nan")) is None
         assert relative_delta(None, 5) is None
         assert relative_delta("x", 5) is None
-
-
-class TestDiffSnapshots:
-    def test_common_name_diffed(self):
-        base = {"a": {"kind": "counter", "value": 10}}
-        other = {"a": {"kind": "counter", "value": 15}}
-        diff = diff_snapshots(base, other)
-        entry = diff["a"]
-        assert entry["base"] == 10 and entry["other"] == 15
-        assert entry["delta"] == 5
-        assert entry["rel"] == pytest.approx(0.5)
-
-    def test_one_sided_names_diff_against_zero(self):
-        base = {"only.base": {"kind": "counter", "value": 4}}
-        other = {"only.other": {"kind": "counter", "value": 6}}
-        diff = diff_snapshots(base, other)
-        assert diff["only.base"]["delta"] == -4
-        assert diff["only.other"]["delta"] == 6
-        assert diff["only.other"]["rel"] is None  # zero baseline
-
-    def test_prefix_filter(self):
-        base = {"net.a": {"kind": "counter", "value": 1},
-                "sim.b": {"kind": "counter", "value": 2}}
-        diff = diff_snapshots(base, base, prefix="net")
-        assert set(diff) == {"net.a"}
-
-    def test_kind_clash_rejected(self):
-        base = {"a": {"kind": "counter", "value": 1}}
-        other = {"a": {"kind": "rate", "count": 1, "elapsed": 1.0}}
-        with pytest.raises(ValueError):
-            diff_snapshots(base, other)
-
-    def test_histogram_extras(self):
-        base = {"lat": _hist_snap([10.0] * 10)}
-        other = {"lat": _hist_snap([10.0] * 10 + [500.0] * 2)}
-        entry = diff_snapshots(base, other)["lat"]
-        assert entry["count"] == 2
-        assert entry["p99"] > 0
-        assert "p50" in entry
-
-    def test_first_seen_order_preserved(self):
-        base = {"z": {"kind": "counter", "value": 1},
-                "a": {"kind": "counter", "value": 1}}
-        other = {"m": {"kind": "counter", "value": 1}}
-        assert list(diff_snapshots(base, other)) == ["z", "a", "m"]

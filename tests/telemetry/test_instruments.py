@@ -7,7 +7,6 @@ import pytest
 from repro.telemetry import (
     Counter,
     DerivedRatio,
-    LabelledCounter,
     LogHistogram,
     PeakGauge,
     PullCounter,
@@ -56,22 +55,6 @@ class TestPeakGauge:
         assert p.value == 7
         p.merge({"kind": "peak", "value": 11})
         assert p.value == 11
-
-
-class TestLabelledCounter:
-    def test_labels_independent(self):
-        c = LabelledCounter()
-        c.inc("drops")
-        c.inc("drops", 2)
-        c.inc("sends")
-        assert c.get("drops") == 3
-        assert c.as_dict() == {"drops": 3, "sends": 1}
-
-    def test_merge_unions_labels(self):
-        c = LabelledCounter()
-        c.inc("a")
-        c.merge({"kind": "labelled", "values": {"a": 2, "b": 5}})
-        assert c.as_dict() == {"a": 3, "b": 5}
 
 
 class TestPullInstruments:

@@ -96,18 +96,16 @@ class TestSnapshotMergeReset:
 
 class TestScopes:
     def test_scope_isolates_and_merges(self):
-        root = telemetry.registry()
-        before = root.get("scoped.n").value if "scoped.n" in root else 0
-        with telemetry.scope() as reg:
-            assert telemetry.registry() is reg
-            reg.counter("scoped.n").inc(5)
-            snap = reg.snapshot()
-        assert telemetry.registry() is root
-        root.merge(snap)
-        try:
-            assert root.get("scoped.n").value == before + 5
-        finally:
-            root.unregister("scoped.n")
+        with telemetry.scope() as outer:
+            outer.counter("scoped.n").inc(2)
+            with telemetry.scope() as reg:
+                assert telemetry.registry() is reg
+                assert "scoped.n" not in reg
+                reg.counter("scoped.n").inc(5)
+                snap = reg.snapshot()
+            assert telemetry.registry() is outer
+            outer.merge(snap)
+            assert outer.get("scoped.n").value == 7
 
     def test_scope_exit_removes_leaked_pushes(self):
         depth = len(_stack)
