@@ -170,7 +170,12 @@ class _WorkerOp:
         if response.conn is not None:
             response.meta["tcp_seq"] = response.conn.next_seq(response.src)
         self.response = response
-        self.pool.run_then(self.server.stack.tx_cost(response), self._replied,
+        # stack.process_tx: trace, then the transmit cost on the pool.
+        stack = self.server.stack
+        if stack._tracer is not None:
+            stack._tracer.emit(stack.name, "tx", response.msg_id,
+                               response.proto)
+        self.pool.run_then(stack.tx_cost(response), self._replied,
                            priority=-1)
 
     def _replied(self):

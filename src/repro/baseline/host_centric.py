@@ -129,9 +129,13 @@ class _HostRxOp:
             server.dropped += 1
             self._arm()
             return
-        # stack.process_rx: run_calibrated(rx_cost) on the serving pool.
+        # stack.process_rx: trace, then run_calibrated(rx_cost) on the
+        # serving pool.
         self.msg = msg
-        self.pool.run_then(server.stack.rx_cost(msg), self._received)
+        stack = server.stack
+        if stack._tracer is not None:
+            stack._tracer.emit(stack.name, "rx", msg.msg_id, msg.proto)
+        self.pool.run_then(stack.rx_cost(msg), self._received)
 
     def _received(self):
         server = self.server
@@ -243,7 +247,11 @@ class HostCentricServer:
         response = msg.reply(result, created_at=self.env.now)
         if response.conn is not None:
             response.meta["tcp_seq"] = response.conn.next_seq(response.src)
-        yield from self.pool.run_calibrated(self.stack.tx_cost(response),
+        stack = self.stack
+        if stack._tracer is not None:
+            stack._tracer.emit(stack.name, "tx", response.msg_id,
+                               response.proto)
+        yield from self.pool.run_calibrated(stack.tx_cost(response),
                                             priority=-1)
         self.responses.tick()
         yield from self.nic.send(response)

@@ -87,12 +87,16 @@ def active_jobs():
     if _active_jobs is not None:
         return _active_jobs
     raw = os.environ.get("REPRO_JOBS", "").strip()
-    if raw:
-        try:
-            return max(1, int(raw))
-        except ValueError:
-            pass
-    return 1
+    if not raw:
+        return 1
+    try:
+        jobs = int(raw)
+    except ValueError:
+        jobs = 0
+    if jobs < 1:
+        raise ConfigError("REPRO_JOBS must be an integer >= 1, got %r"
+                          % (raw,))
+    return jobs
 
 
 def usable_cores():

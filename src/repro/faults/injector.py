@@ -135,7 +135,8 @@ class FaultInjector:
 
     def __init__(self, schedule):
         if not isinstance(schedule, FaultSchedule):
-            schedule = FaultSchedule(schedule)
+            raise FaultError("FaultInjector needs a FaultSchedule, got %r"
+                             % (schedule,))
         self.schedule = schedule
         self.env = None
         self.rng = None

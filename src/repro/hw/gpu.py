@@ -75,7 +75,7 @@ class GPU:
         self.driver = driver
         self.index = index
         self.name = name or "%s-%d" % (profile.name, index)
-        self.memory = MemoryRegion(env, "%s-mem" % self.name,
+        self.memory = MemoryRegion("%s-mem" % self.name,
                                    access_latency=GPU_GDDR_LATENCY)
         self.sm_slots = Resource(env, profile.max_threadblocks,
                                  name="%s-sm" % self.name)

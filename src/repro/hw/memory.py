@@ -12,10 +12,9 @@ from ..errors import ConfigError
 class MemoryRegion:
     """A region of physical memory owned by one device."""
 
-    def __init__(self, env, name, access_latency=0.1, exposed_on_pcie=True):
+    def __init__(self, name, access_latency=0.1, exposed_on_pcie=True):
         if access_latency < 0:
             raise ConfigError("negative access latency")
-        self.env = env
         self.name = name
         #: latency of a local load/store round trip from the owning device
         self.access_latency = access_latency

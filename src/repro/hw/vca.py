@@ -106,6 +106,6 @@ class IntelVCA:
         self.name = name
         #: where mqueues actually live (host DRAM, per the workaround)
         self.mqueue_memory = MemoryRegion(
-            env, "%s-mqueue-mem" % name, access_latency=HOST_DRAM_LATENCY)
+            "%s-mqueue-mem" % name, access_latency=HOST_DRAM_LATENCY)
         self.nodes = [VcaNode(env, self, i, cache_profile, rng)
                       for i in range(profile.nodes)]

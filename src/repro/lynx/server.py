@@ -98,9 +98,13 @@ class _RxOp:
         if server.stack.handle_control(msg, server.nic):
             self._arm()
             return
-        # stack.process_rx: calibrated rx cost on the worker pool.
+        # stack.process_rx: trace, then the calibrated rx cost on the
+        # worker pool.
         self.msg = msg
-        self.pool.run_then(server.stack.rx_cost(msg), self._rx_done)
+        stack = server.stack
+        if stack._tracer is not None:
+            stack._tracer.emit(stack.name, "rx", msg.msg_id, msg.proto)
+        self.pool.run_then(stack.rx_cost(msg), self._rx_done)
 
     def _rx_done(self):
         server = self.server
@@ -230,7 +234,11 @@ class _TxOp:
                 k: v for k, v in stamps.items() if k.startswith("t_")}
         if response.proto == TCP and response.conn is not None:
             response.meta["tcp_seq"] = response.conn.next_seq(response.src)
-        self.pool.run_then(server.stack.tx_cost(response), self._stack_done,
+        stack = server.stack
+        if stack._tracer is not None:
+            stack._tracer.emit(stack.name, "tx", response.msg_id,
+                               response.proto)
+        self.pool.run_then(stack.tx_cost(response), self._stack_done,
                            priority=-1)
 
     def _stack_done(self):

@@ -376,19 +376,19 @@ class ClientPopulation:
     one :class:`PayloadPool`.  Send and receive costs and the line rate
     are :class:`~repro.net.client.Client`'s.  ``timeout`` (us)
     bounds each request's deadline column (``None`` disables expiry).
-    ``coalesce_us`` frames injection wakeups: arrivals whose wire entry
-    falls in the same frame are injected back-to-back at the frame's
-    last entry time (0 = exact per-arrival wakeups).  Coalescing delay
-    is *included* in recorded latency — the frame is part of the load
-    generator's send machinery, exactly like NIC interrupt moderation.
     """
 
+    #: injection frame width (us): arrivals whose wire entry falls in
+    #: the same frame are injected back-to-back at the frame's last
+    #: entry time (0 = exact per-arrival wakeups).  Coalescing delay is
+    #: *included* in recorded latency — the frame is part of the load
+    #: generator's send machinery, exactly like NIC interrupt moderation.
+    coalesce_us = 1.0
+
     def __init__(self, env, network, ip, dst, arrivals, payloads,
-                 timeout=None, coalesce_us=1.0):
+                 timeout=None):
         if arrivals.mean_rate <= 0:
             raise ConfigError("population mean rate must be positive")
-        if coalesce_us < 0:
-            raise ConfigError("coalesce_us must be >= 0")
         self.env = env
         self.network = network
         self.ip = ip
@@ -396,7 +396,6 @@ class ClientPopulation:
         self.arrivals = arrivals
         self.payloads = payloads
         self.timeout = timeout
-        self.coalesce_us = coalesce_us
         self.name = "population-%s" % ip
         self.mean_rate = arrivals.mean_rate
         #: chunk window width: ~CHUNK arrivals per refill

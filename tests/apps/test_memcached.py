@@ -132,7 +132,12 @@ def _reference_worker(server):
         response = msg.reply(result, created_at=server.env.now)
         if response.conn is not None:
             response.meta["tcp_seq"] = response.conn.next_seq(response.src)
-        yield from server.pool.run_calibrated(server.stack.tx_cost(response),
+        # process_tx's trace record, with the cost at egress priority
+        stack = server.stack
+        if stack._tracer is not None:
+            stack._tracer.emit(stack.name, "tx", response.msg_id,
+                               response.proto)
+        yield from server.pool.run_calibrated(stack.tx_cost(response),
                                               priority=-1)
         server.ops.tick()
         yield from server.nic.send(response)

@@ -38,11 +38,6 @@ ROW_SETS = {**REGISTRY, "BRK": breakdown,
 CHEAP = ("E02", "E03", "E05", "E06", "E07", "E08", "E09", "E10", "E13",
          "E14", "E16", "E18", "BRK")
 
-#: the benchmark files beside the row sets: wall-clock records
-_NOT_ROW_SETS = ("fault_overhead", "kernel_throughput", "parallel_sweep",
-                 "traffic_plane")
-
-
 def committed(exp_id):
     """The committed artifact of *exp_id*."""
     with open(os.path.join(RESULTS, exp_id + ".json")) as fh:
@@ -80,8 +75,7 @@ class TestOneStore:
     def test_every_row_set_has_one_artifact(self):
         names = [os.path.splitext(name)[0] for name in os.listdir(RESULTS)
                  if name.endswith(".json")]
-        row_sets = [name for name in names if name not in _NOT_ROW_SETS]
-        assert sorted(row_sets) == sorted(ROW_SETS)
+        assert sorted(names) == sorted(ROW_SETS)
 
 
 class TestUnarmedFaultLayer:

@@ -13,14 +13,17 @@ updates the pin and says why in CHANGES.md.
 With every relay in place the same two runs scheduled 6,344 and 16,757
 events, for the same responses.
 
-The third run is the traffic-plane benchmark's population scenario
-(``benchmarks/test_traffic_plane.py``): Poisson arrivals at 8/us into a
-mute sink with 2 us frames.  Frame coalescing (DESIGN.md §4.13) lands
-each frame with one wake and one ``push_many`` landing, about 0.125
-events per arrival; landing one frame per arrival (``coalesce_us=0``)
-schedules 159,974 events for the same 79,988 arrivals, and the scalar
-``OpenLoopGenerator`` plane needs about 3 per arrival.
+The third run drives one ``ClientPopulation``: Poisson arrivals at
+8/us, for 10 ms, into a mute sink that never answers, with 2 us
+frames, so the count measures the generation path alone.  Frame
+coalescing (DESIGN.md §4.13) lands each frame with one wake and one
+``push_many`` landing, about 0.125 events per arrival; landing one
+frame per arrival (``coalesce_us`` 0) schedules 159,974 events for the
+same 79,988 arrivals, and the scalar ``OpenLoopGenerator`` plane needs
+about 3 per arrival.
 """
+
+import pytest
 
 from repro import Testbed, telemetry
 from repro.apps.base import SpinApp
@@ -75,7 +78,8 @@ def _memcached_closed_loop():
 def _population_into_mute_sink():
     """One population offering Poisson load at 8/us, in 2 us frames, to
     a sink that never answers, for 10 ms."""
-    with telemetry.scope():
+    with telemetry.scope(), pytest.MonkeyPatch.context() as patch:
+        patch.setattr(ClientPopulation, "coalesce_us", 2.0)
         tb = Testbed(seed=42)
 
         class MuteSink:
@@ -85,7 +89,7 @@ def _population_into_mute_sink():
         pop = ClientPopulation(tb.env, tb.network, "10.0.9.1",
                                Address("10.0.0.9", 7777),
                                PoissonPopulation(8.0, tb.rng.stream("bench")),
-                               PayloadPool.single(b"x" * 64), coalesce_us=2.0)
+                               PayloadPool.single(b"x" * 64))
         tb.run(until=10000.0)
         return tb.env.events_processed, pop.offered
 

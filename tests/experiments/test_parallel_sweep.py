@@ -164,6 +164,13 @@ class TestJobsResolution:
         with pytest.raises(ConfigError):
             sweep.run_points([], jobs=0)
 
+    @pytest.mark.parametrize("raw", ["abc", "0"])
+    def test_bad_env_value_rejected(self, monkeypatch, raw):
+        monkeypatch.setenv("REPRO_JOBS", raw)
+        sweep.configure(None)
+        with pytest.raises(ConfigError, match="REPRO_JOBS"):
+            sweep.active_jobs()
+
 
 class TestWorkerHygiene:
     def test_reset_clears_tracers_and_totals(self):

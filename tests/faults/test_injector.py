@@ -278,6 +278,10 @@ class TestArming:
         with pytest.raises(FaultError, match="environment"):
             FaultInjector(FaultSchedule()).arm()
 
+    def test_needs_a_schedule(self):
+        with pytest.raises(FaultError, match="FaultSchedule"):
+            FaultInjector([LinkLoss(SERVER_IP, 0, 1, probability=0.5)])
+
     def test_disarm_restores_channel_fast_path(self):
         env, network, rng, server, client = _rig()
         injector = FaultInjector(FaultSchedule([

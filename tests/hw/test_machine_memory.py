@@ -5,17 +5,15 @@ import pytest
 from repro import Testbed
 from repro.errors import ConfigError
 from repro.hw.memory import MemoryRegion
-from repro.sim import Environment
 
 
 class TestMemoryRegion:
     def test_negative_latency_rejected(self):
         with pytest.raises(ConfigError):
-            MemoryRegion(Environment(), "m", access_latency=-1)
+            MemoryRegion("m", access_latency=-1)
 
     def test_bar_exposure_flag(self):
-        env = Environment()
-        hidden = MemoryRegion(env, "h", exposed_on_pcie=False)
+        hidden = MemoryRegion("h", exposed_on_pcie=False)
         assert not hidden.exposed_on_pcie
         assert "not BAR-exposed" in repr(hidden)
 

@@ -13,7 +13,7 @@ from repro.sim import Environment
 @pytest.fixture
 def mqueues():
     env = Environment()
-    memory = MemoryRegion(env, "m")
+    memory = MemoryRegion("m")
     return [MQueue(env, memory, 8, name="mq%d" % i) for i in range(4)]
 
 

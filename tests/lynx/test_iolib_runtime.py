@@ -19,7 +19,7 @@ class TestAcceleratorIO:
 
     def test_recv_charges_local_latency(self):
         env = Environment()
-        memory = MemoryRegion(env, "m")
+        memory = MemoryRegion("m")
         mq = MQueue(env, memory, 8)
         io = AcceleratorIO(env, local_latency=0.7)
         mq.claim_rx_slot()
@@ -36,7 +36,7 @@ class TestAcceleratorIO:
 
     def test_send_rings_doorbell(self):
         env = Environment()
-        memory = MemoryRegion(env, "m")
+        memory = MemoryRegion("m")
         mq = MQueue(env, memory, 8)
         mq.tx_doorbell = Store(env)
         io = AcceleratorIO(env, local_latency=0.5)
@@ -52,7 +52,7 @@ class TestAcceleratorIO:
 
     def test_send_propagates_reply_routing(self):
         env = Environment()
-        memory = MemoryRegion(env, "m")
+        memory = MemoryRegion("m")
         mq = MQueue(env, memory, 8)
         mq.tx_doorbell = Store(env)
         io = AcceleratorIO(env, local_latency=0.1)
@@ -87,7 +87,7 @@ class TestRuntimeValidation:
 
     def test_hidden_memory_rejected(self):
         tb, host, gpu, runtime, server = self._runtime()
-        hidden = MemoryRegion(tb.env, "hidden", exposed_on_pcie=False)
+        hidden = MemoryRegion("hidden", exposed_on_pcie=False)
         with pytest.raises(ConfigError, match="BAR-exposed"):
             runtime.attach_accelerator(object(), memory=hidden)
 
@@ -136,7 +136,7 @@ class TestThreadblockDelays:
 
         env = Environment()
         gpu = GPU(env, K40M, CudaDriver(env))
-        mq = MQueue(env, MemoryRegion(env, "m"), 8)
+        mq = MQueue(env, MemoryRegion("m"), 8)
         mq.tx_doorbell = Store(env)
         io = AcceleratorIO(env, gpu.poll_latency)
         app = SpinApp(self.KERNEL_US)

@@ -15,8 +15,8 @@ def env():
 
 
 @pytest.fixture
-def memory(env):
-    return MemoryRegion(env, "accel-mem")
+def memory():
+    return MemoryRegion("accel-mem")
 
 
 def make_entry(payload=b"x"):

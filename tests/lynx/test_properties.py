@@ -15,7 +15,7 @@ def test_mqueue_rx_conservation(ops, entries):
     """Under any legal claim/complete/pop/abort sequence:
     0 <= occupancy <= entries, and delivered == popped + ring depth."""
     env = Environment()
-    mq = MQueue(env, MemoryRegion(env, "m"), entries)
+    mq = MQueue(env, MemoryRegion("m"), entries)
     claimed_not_completed = 0
     completed_not_popped = 0
     popped = 0

@@ -19,7 +19,7 @@ from repro.sim import Environment
 class _Accel:
     def __init__(self, env):
         self.name = "accel"
-        self.memory = MemoryRegion(env, "accel-mem")
+        self.memory = MemoryRegion("accel-mem")
 
 
 @pytest.fixture

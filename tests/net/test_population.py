@@ -164,12 +164,11 @@ def _spin_deployment(seed=42):
     return deploy(LYNX_BLUEFIELD, app=SpinApp(50.0), n_mqueues=4, seed=seed)
 
 
-def _population_for(dep, rate, coalesce_us=1.0, timeout=None, seed_tag="pop"):
+def _population_for(dep, rate, timeout=None, seed_tag="pop"):
     tb = dep.tb
     return ClientPopulation(dep.env, tb.network, "10.0.9.1", dep.address,
                             PoissonPopulation(rate, tb.rng.stream(seed_tag)),
-                            PayloadPool.single(b"x" * 64),
-                            coalesce_us=coalesce_us, timeout=timeout)
+                            PayloadPool.single(b"x" * 64), timeout=timeout)
 
 
 class TestClientPopulation:
@@ -255,7 +254,7 @@ class TestGoldenParity:
     bucket error plus tail sampling noise at ~3k samples).
     """
 
-    def test_population_matches_scalar_clients(self):
+    def test_population_matches_scalar_clients(self, monkeypatch):
         from repro.net import OpenLoopGenerator
 
         rate = 0.05
@@ -273,7 +272,8 @@ class TestGoldenParity:
         samples = np.concatenate([c.latency.samples for c in clients])
 
         dep_v = _spin_deployment(seed=42)
-        pop = _population_for(dep_v, rate, coalesce_us=0.0)
+        monkeypatch.setattr(ClientPopulation, "coalesce_us", 0.0)
+        pop = _population_for(dep_v, rate)
         dep_v.tb.warmup_then_measure([pop], 20000.0, 60000.0)
         summary = pop.latency_summary()
 

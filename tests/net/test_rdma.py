@@ -20,8 +20,8 @@ def engine(env):
 
 
 @pytest.fixture
-def memory(env):
-    return MemoryRegion(env, "gpu-mem")
+def memory():
+    return MemoryRegion("gpu-mem")
 
 
 class TestQueuePairs:
@@ -30,7 +30,7 @@ class TestQueuePairs:
         assert qp.target is memory and not qp.remote
 
     def test_remote_requires_bar_exposed_memory(self, env, engine):
-        hidden = MemoryRegion(env, "hidden", exposed_on_pcie=False)
+        hidden = MemoryRegion("hidden", exposed_on_pcie=False)
         with pytest.raises(NetworkError):
             engine.connect(hidden, remote=True)
 
@@ -66,7 +66,7 @@ class TestOperations:
         env.run()
         env2 = Environment()
         engine2 = RdmaEngine(env2, DEFAULT_RDMA)
-        qp2 = engine2.connect(MemoryRegion(env2, "m"))
+        qp2 = engine2.connect(MemoryRegion("m"))
 
         def proc2(env):
             yield from engine2.read(qp2, 64)
@@ -89,7 +89,7 @@ class TestOperations:
         env.run()
         env_r = Environment()
         engine_r = RdmaEngine(env_r, DEFAULT_RDMA)
-        mem_r = MemoryRegion(env_r, "m")
+        mem_r = MemoryRegion("m")
         qp_r = engine_r.connect(mem_r, remote=True)
 
         def proc_r(env):

@@ -2,10 +2,21 @@
 
 import pytest
 
-from repro.config import ARM_KERNEL, ARM_VMA, XEON_KERNEL, XEON_VMA
+from repro import Testbed, telemetry
+from repro.apps.base import SpinApp
+from repro.apps.memcached import MemcachedServer, encode_get
+from repro.config import (
+    ARM_KERNEL,
+    ARM_VMA,
+    DEFAULT_CONFIG,
+    XEON_KERNEL,
+    XEON_VMA,
+)
 from repro.errors import NetworkError
+from repro.experiments.common import HOST_CENTRIC, LYNX_BLUEFIELD, deploy
 from repro.hw.cpu import CorePool
 from repro.config import XEON_E5_2620
+from repro.net import ClosedLoopGenerator
 from repro.net.packet import Address, Message, TCP, UDP
 from repro.net.stack import NetworkStack, TcpConnection
 from repro.sim import Environment
@@ -140,3 +151,47 @@ class TestControlHandling:
         env.run(until=100)
         assert stack.closed_port_drops == 0
         assert conn.established
+
+
+def _served_traced(design, trace):
+    """Four deadline-free closed-loop workers against *design* for 3 ms,
+    then a drain; returns (served, stack rx records, stack tx records,
+    events processed)."""
+    config = DEFAULT_CONFIG.with_(trace=trace)
+    with telemetry.scope():
+        if design == "memcached":
+            tb = Testbed(config=config, seed=42)
+            host = tb.machine("10.0.0.2")
+            server = MemcachedServer(tb.env, host.nic,
+                                     host.pool(count=2, name="mc"), XEON_VMA)
+            address = Address("10.0.0.2", 11211)
+            payload = encode_get(b"k1")
+        else:
+            dep = deploy(design, app=SpinApp(20.0), config=config)
+            tb, server, address = dep.tb, dep.server, dep.address
+            payload = b"x" * 64
+        gen = ClosedLoopGenerator(tb.env, tb.client("10.0.9.1"), address, 4,
+                                  payload_fn=lambda i: payload, proto=UDP)
+        tb.env.run(until=3000.0)
+        gen.stop()
+        tb.env.run(until=13000.0)            # drain every in-flight request
+    served = (server.ops if design == "memcached" else server.responses).count
+    assert served == gen.completed
+    name = server.stack.name
+    rx = [r for r in tb.tracer.records if r[1] == name and r[2] == "rx"]
+    tx = [r for r in tb.tracer.records if r[1] == name and r[2] == "tx"]
+    return served, len(rx), len(tx), tb.env.events_processed
+
+
+class TestServingPathTrace:
+    """Every serving path emits the records ``process_rx``/``process_tx``
+    emit: one stack ``rx`` and one stack ``tx`` per served request, and
+    tracing moves no event."""
+
+    @pytest.mark.parametrize("design", [LYNX_BLUEFIELD, HOST_CENTRIC,
+                                        "memcached"])
+    def test_one_rx_and_one_tx_per_served_request(self, design):
+        served, rx, tx, events = _served_traced(design, trace=True)
+        assert served > 20
+        assert rx == tx == served
+        assert _served_traced(design, trace=False) == (served, 0, 0, events)
