@@ -3,7 +3,10 @@
 
 An SGX enclave on a VCA node serves AES-encrypted multiply requests.
 The Lynx I/O library is small enough to be statically linked *into the
-enclave*, so the node just polls an mqueue; the baseline tunnels every
+enclave*, so the node just polls an mqueue: the enclave app is an
+ordinary ``ServerApp`` brought up by ``LynxRuntime.start_gpu_service``
+on a ``VcaNodeAccelerator`` (§5.4), as a GPU service is.  The baseline
+tunnels every
 message through the host's IP-over-PCIe network bridge.  The example
 round-trips real AES-128 ciphertexts through both paths and compares
 latency (paper: 56us p90 via Lynx, ~4.3x better).
@@ -12,25 +15,20 @@ Run:  python examples/sgx_enclave.py
 """
 
 from repro import Testbed
-from repro.apps.sgx_echo import SgxEchoApp, VcaBridgeBaseline, VcaLynxService
-from repro.lynx.mqueue import MQueue
+from repro.apps.sgx_echo import SgxEchoApp, VcaBridgeBaseline
+from repro.hw import VcaNodeAccelerator
 from repro.net import Address, OpenLoopGenerator
 from repro.net.packet import UDP
 
 
 def lynx_path(app, seed=21):
     tb = Testbed(seed=seed)
-    env = tb.env
     tb.machine("10.0.0.1")
     vca = tb.vca()
     snic = tb.bluefield("10.0.0.100")
-    runtime, server = tb.lynx_on_bluefield(snic)
-    manager = runtime.attach_accelerator(vca.nodes[0],
-                                         memory=vca.mqueue_memory)
-    mq = MQueue(env, vca.mqueue_memory, entries=64, name="vca-mq")
-    manager.register(mq)
-    server.bind(9000, [mq])
-    VcaLynxService(env, vca.nodes[0], mq, app)
+    runtime, _server = tb.lynx_on_bluefield(snic)
+    tb.env.process(runtime.start_gpu_service(
+        VcaNodeAccelerator(vca.nodes[0]), app, port=9000))
     return tb, Address("10.0.0.100", 9000)
 
 

@@ -15,7 +15,7 @@ from .memcached import (
     MISS,
     STORED,
 )
-from .sgx_echo import SgxEchoApp, VcaBridgeBaseline, VcaLynxService
+from .sgx_echo import SgxEchoApp, VcaBridgeBaseline
 from .lenet import LeNetApp
 from .facever import FaceVerificationApp
 from .knn import KnnApp, KnnDataset
@@ -35,7 +35,6 @@ __all__ = [
     "MISS",
     "STORED",
     "SgxEchoApp",
-    "VcaLynxService",
     "VcaBridgeBaseline",
     "LeNetApp",
     "FaceVerificationApp",

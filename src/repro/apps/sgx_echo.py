@@ -7,7 +7,10 @@ inside the enclave.  Crypto is real (:mod:`repro.apps.crypto.aes`).
 
 Two deployments:
 
-* :class:`VcaLynxService` — the Lynx path: the tiny I/O library is
+* the Lynx path — :class:`SgxEchoApp` is an ordinary
+  :class:`~repro.apps.base.ServerApp`, served by
+  ``LynxRuntime.start_gpu_service`` on a
+  :class:`~repro.hw.vca.VcaNodeAccelerator`: the tiny I/O library is
   statically linked into the enclave; the node polls an mqueue (in host
   memory, per the paper's RDMA-into-VCA workaround) and never touches a
   network stack.
@@ -20,15 +23,15 @@ import struct
 
 from ..config import DEFAULT_APP_TIMINGS, XEON_KERNEL
 from ..errors import ConfigError
-from ..lynx.iolib import AcceleratorIO
 from ..net.stack import NetworkStack
-from ..sim import LatencyRecorder, RateMeter
+from ..sim import RateMeter
+from .base import ServerApp
 from .crypto.aes import AES128
 
 MULTIPLIER = 7
 
 
-class SgxEchoApp:
+class SgxEchoApp(ServerApp):
     """The enclave logic: decrypt -> multiply -> encrypt."""
 
     name = "sgx-echo"
@@ -53,29 +56,16 @@ class SgxEchoApp:
         value = self.decrypt_value(ciphertext)
         return self._cipher.encrypt(struct.pack("<i", value * self.multiplier))
 
+    def handle(self, ctx, entry):
+        """Generator: serve one request on a VCA node (``ctx.gpu`` is its
+        :class:`~repro.hw.vca.VcaNodeAccelerator`).
 
-class VcaLynxService:
-    """The Lynx deployment: node polls its mqueue, enclave included."""
-
-    def __init__(self, env, node, mq, app):
-        self.env = env
-        self.node = node
-        self.mq = mq
-        self.app = app
-        self.name = "%s-lynx-sgx" % node.name
-        self.io = AcceleratorIO(env, node.mqueue_access_latency())
-        self.served = RateMeter(env, name="%s-served" % self.name)
-        env.process(self._loop(), name=self.name)
-
-    def _loop(self):
-        while True:
-            entry = yield from self.io.recv(self.mq)
-            result = self.app.process(entry.payload)
-            # The Lynx I/O library is statically linked into the TCB, so
-            # one enclave activation covers I/O and compute (§6.2).
-            yield from self.node.enclave_call(self.app.compute_us)
-            yield from self.io.send(self.mq, result, reply_to=entry)
-            self.served.tick()
+        The Lynx I/O library is statically linked into the TCB, so one
+        enclave activation covers I/O and compute (§6.2).
+        """
+        result = self.process(entry.payload)
+        yield from ctx.gpu.node.enclave_call(self.compute_us)
+        return result
 
 
 class VcaBridgeBaseline:

@@ -20,9 +20,7 @@ from . import ablations, breakdown, sweep
 from . import testbed as testbed_mod
 from .. import telemetry
 from ..config import DEFAULT_CONFIG
-from ..sim import kernel_totals, reset_kernel_totals
 from ..sim import trace as trace_mod
-from ..telemetry.export import format_kernel_stats
 
 
 def _print_trace(exp_id, needle, limit):
@@ -230,10 +228,6 @@ def main(argv=None):
                         help="fan sweep points across N worker processes "
                              "(default: $REPRO_JOBS or 1; results are "
                              "bit-identical to a serial run)")
-    parser.add_argument("--kernel-stats", action="store_true",
-                        help="after the runs, print the simulator kernel's "
-                             "own throughput counters (events processed, "
-                             "spawns, heap peak, events/sec)")
     parser.add_argument("--metrics", nargs="?", const="-", default=None,
                         metavar="PATH",
                         help="after the runs, dump the merged telemetry "
@@ -273,12 +267,10 @@ def main(argv=None):
                      % ", ".join(unknown))
 
     # The whole invocation runs inside its own telemetry scope, so the
-    # final --metrics / --kernel-stats dump covers exactly this run and
+    # final --metrics dump covers exactly this run and
     # repeated main() calls (tests, notebooks) do not bleed into each
     # other through the root registry.
     telemetry.push_scope()
-    if args.kernel_stats:
-        reset_kernel_totals()
 
     if args.trace_channel:
         testbed_mod.set_active_config(DEFAULT_CONFIG.with_(trace=True))
@@ -300,9 +292,7 @@ def main(argv=None):
 
         if args.extras:
             # Forward --jobs explicitly: the studies would otherwise
-            # fall back to the ambient sweep configuration, and callers
-            # invoking them outside this CLI (ablations.run, notebooks)
-            # used to silently run serial.
+            # fall back to the ambient sweep configuration.
             print(breakdown.run(fast=not args.full, seed=args.seed,
                                 jobs=jobs).render())
             print()
@@ -311,8 +301,6 @@ def main(argv=None):
                             jobs=jobs).render())
                 print()
 
-        if args.kernel_stats:
-            print(format_kernel_stats(kernel_totals()))
         if args.metrics is not None:
             snap = telemetry.snapshot()
             if args.metrics == "-":

@@ -21,8 +21,7 @@ from ..lynx.dispatch import make_policy
 from ..net import Address, ClosedLoopGenerator, OnOffPopulation
 from ..net.packet import UDP
 from .base import krps
-from .campaign import Campaign, Component, Knob, describe, merged_result, \
-    run_campaigns
+from .campaign import Campaign, Component, Knob, describe
 from .common import LYNX_BLUEFIELD, LYNX_XEON_6, deploy, \
     measure_closed_loop, measure_population
 from .testbed import Testbed
@@ -505,13 +504,6 @@ ALL_STUDIES = (gpu_centric_comparison, dispatch_policy_study,
                coalescing_study, ring_size_study, sweep_interval_study,
                connection_scaling_study, driver_contention_study,
                projected_innova_study)
-
-
-def run(fast=True, seed=42, jobs=None):
-    """Aggregate ablation runner (one ExperimentResult per study)."""
-    outcomes = run_campaigns([c.exp_id for c in ALL_STUDIES], fast=fast,
-                             seed=seed, jobs=jobs)
-    return merged_result(outcomes)
 
 
 # The study list is generated from the registry so it cannot drift from

@@ -54,7 +54,7 @@ from .base import ExperimentResult
 from .sweep import Point, run_points
 
 __all__ = ["Knob", "Component", "Campaign", "CampaignOutcome", "CAMPAIGNS",
-           "run_campaigns", "describe", "find_campaign", "run_id_for",
+           "describe", "find_campaign", "run_id_for",
            "snapshot_signals", "HARMFUL_EPS"]
 
 #: components whose mean importance falls below ``-HARMFUL_EPS`` are
@@ -529,35 +529,6 @@ def find_campaign(exp_id, module=None):
                              " (after importing %s)" % module if module
                              else ""))
     return campaign
-
-
-def run_campaigns(exp_ids=None, fast=True, seed=42, jobs=None):
-    """Run declared campaigns; returns their outcomes in order.
-
-    *exp_ids* of ``None`` runs every registered campaign in declaration
-    order; unknown ids raise :class:`~repro.errors.ConfigError`.
-    """
-    if exp_ids is None:
-        campaigns = list(CAMPAIGNS.values())
-    else:
-        unknown = [e for e in exp_ids if e not in CAMPAIGNS]
-        if unknown:
-            raise ConfigError("unknown campaign id(s): %s (declared: %s)"
-                              % (", ".join(unknown),
-                                 ", ".join(CAMPAIGNS) or "none"))
-        campaigns = [CAMPAIGNS[e] for e in exp_ids]
-    return [campaign.run(fast=fast, seed=seed, jobs=jobs)
-            for campaign in campaigns]
-
-
-def merged_result(outcomes, exp_id="ABL", title="Design-choice ablations",
-                  paper_ref="DESIGN.md"):
-    """Fold campaign outcomes into one aggregate ExperimentResult (the
-    shape ``ablations.run`` has always returned)."""
-    merged = ExperimentResult(exp_id, title, paper_ref)
-    for outcome in outcomes:
-        merged.note(outcome.result.render())
-    return merged
 
 
 def describe(campaigns=None):

@@ -11,12 +11,10 @@ from ..apps.vector_scale import (
     VectorScaleApp,
     encode_vector,
 )
-from ..baseline import HostCentricServer
-from ..config import K40M
-from ..net import Address, ClosedLoopGenerator
+from ..net import ClosedLoopGenerator
 from ..net.packet import UDP
 from .base import ExperimentResult
-from .testbed import Testbed
+from .common import HOST_CENTRIC, deploy
 
 PAPER_P99_RATIO = 13.0
 PAPER_AGGRESSOR_SLOWDOWN = 1.21
@@ -28,15 +26,11 @@ VICTIM_MEMORY_INTENSITY = 0.85
 
 
 def _run_config(with_aggressor, seed, measure):
-    tb = Testbed(seed=seed)
-    env = tb.env
-    host = tb.machine("10.0.0.1")
-    gpu = host.add_gpu(K40M)
-    app = VectorScaleApp()
-    server = HostCentricServer(env, host, [gpu], app, port=7777, cores=1)
+    dep = deploy(HOST_CENTRIC, app=VectorScaleApp(), seed=seed)
+    tb, env, host = dep.tb, dep.env, dep.host
     # The victim's serving path is cache-sensitive, and its buffers stay
     # resident between requests (persistent occupancy).
-    server.pool.default_memory_intensity = VICTIM_MEMORY_INTENSITY
+    dep.server.pool.default_memory_intensity = VICTIM_MEMORY_INTENSITY
     host.socket.llc.occupy(VICTIM_WORKING_SET)
     aggressor = None
     if with_aggressor:
@@ -44,7 +38,7 @@ def _run_config(with_aggressor, seed, measure):
         aggressor = MatrixProductAggressor(env, aggressor_pool)
     client = tb.client("10.0.1.1")
     payload = encode_vector(list(range(256)))
-    ClosedLoopGenerator(env, client, Address("10.0.0.1", 7777),
+    ClosedLoopGenerator(env, client, dep.address,
                         concurrency=4, payload_fn=lambda i: payload,
                         proto=UDP, timeout=100000)
     tb.warmup_then_measure([client.latency], 30000, measure)

@@ -7,24 +7,17 @@ host CPU, so the host-side LLC aggressor cannot hurt it.  The paper
 """
 
 from ..apps.vector_scale import MatrixProductAggressor, VectorScaleApp, encode_vector
-from ..config import K40M
-from ..net import Address, ClosedLoopGenerator
+from ..net import ClosedLoopGenerator
 from ..net.packet import UDP
 from .base import ExperimentResult
+from .common import LYNX_BLUEFIELD, deploy
 from .e02_noisy_neighbor import VICTIM_WORKING_SET
-from .testbed import Testbed
 
 
 def _run_config(with_aggressor, seed, measure):
-    tb = Testbed(seed=seed)
-    env = tb.env
-    host = tb.machine("10.0.0.1")
-    gpu = host.add_gpu(K40M)
-    snic = tb.bluefield("10.0.0.100")
-    runtime, server = tb.lynx_on_bluefield(snic)
-    app = VectorScaleApp()
-    env.process(runtime.start_gpu_service(gpu, app, port=7777, n_mqueues=4))
-    env.run(until=200)
+    dep = deploy(LYNX_BLUEFIELD, app=VectorScaleApp(), n_mqueues=4,
+                 seed=seed)
+    tb, env, host = dep.tb, dep.env, dep.host
     if with_aggressor:
         # the aggressor hammers the *host* LLC, where nothing of the
         # serving path lives any more
@@ -32,7 +25,7 @@ def _run_config(with_aggressor, seed, measure):
         MatrixProductAggressor(env, host.pool(count=2, name="aggressor"))
     client = tb.client("10.0.1.1")
     payload = encode_vector(list(range(256)))
-    ClosedLoopGenerator(env, client, Address("10.0.0.100", 7777),
+    ClosedLoopGenerator(env, client, dep.address,
                         concurrency=4, payload_fn=lambda i: payload,
                         proto=UDP, timeout=100000)
     tb.warmup_then_measure([client.latency], 30000, measure)

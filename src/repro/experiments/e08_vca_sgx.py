@@ -4,10 +4,14 @@ A 4-byte AES-encrypted value is decrypted, multiplied and re-encrypted
 inside an SGX enclave on a VCA node, at a 1K req/s offered load.
 Paper: Lynx reaches 56us 90th-percentile latency, ~4.3x lower than the
 host-bridge baseline.  Crypto is real (from-scratch AES-128).
+
+The Lynx half is the §5.4 generic path: ``LynxRuntime.start_gpu_service``
+on a :class:`~repro.hw.vca.VcaNodeAccelerator`, the same runtime
+contract a GPU service uses.
 """
 
-from ..apps.sgx_echo import SgxEchoApp, VcaBridgeBaseline, VcaLynxService
-from ..lynx.mqueue import MQueue
+from ..apps.sgx_echo import SgxEchoApp, VcaBridgeBaseline
+from ..hw import VcaNodeAccelerator
 from ..net import Address, OpenLoopGenerator
 from ..net.packet import UDP
 from .base import ExperimentResult
@@ -24,19 +28,15 @@ def _measure_lynx(app, seed, measure):
     tb.machine("10.0.0.1")
     vca = tb.vca()
     snic = tb.bluefield("10.0.0.100")
-    runtime, server = tb.lynx_on_bluefield(snic)
-    manager = runtime.attach_accelerator(vca.nodes[0],
-                                         memory=vca.mqueue_memory)
-    mq = MQueue(env, vca.mqueue_memory, entries=64, name="vca-mq")
-    manager.register(mq)
-    server.bind(9000, [mq])
-    service = VcaLynxService(env, vca.nodes[0], mq, app)
+    runtime, _server = tb.lynx_on_bluefield(snic)
+    env.process(runtime.start_gpu_service(
+        VcaNodeAccelerator(vca.nodes[0]), app, port=9000))
     client = tb.client("10.0.1.1")
     payload = app.encrypt_value(6)
     OpenLoopGenerator(env, client, Address("10.0.0.100", 9000),
                       OFFERED_PER_SEC / 1e6, lambda i: payload, proto=UDP)
     tb.warmup_then_measure([client.latency], 30000, measure)
-    return client.latency, service
+    return client.latency
 
 
 def _measure_bridge(app, seed, measure):
@@ -59,7 +59,7 @@ def run(fast=True, seed=42):
         "§6.2")
     measure = 200000 if fast else 1000000
     app = SgxEchoApp()
-    lynx_lat, service = _measure_lynx(app, seed, measure)
+    lynx_lat = _measure_lynx(app, seed, measure)
     bridge_lat = _measure_bridge(app, seed, measure)
     result.add(path="lynx (mqueue, enclave-linked I/O)",
                p90_us=round(lynx_lat.p90(), 1),

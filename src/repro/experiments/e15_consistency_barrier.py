@@ -11,27 +11,20 @@ the RDMA-operation inflation.
 
 from ..apps.base import SpinApp
 from ..config import GpuProfile, K40M
-from ..net import Address, ClosedLoopGenerator
+from ..net import ClosedLoopGenerator
 from ..net.packet import UDP
 from .base import ExperimentResult
-from .testbed import Testbed
+from .common import LYNX_BLUEFIELD, deploy
 
 PAPER_EXTRA_US = 5.0
 
 
 def _measure(profile, seed, measure):
-    tb = Testbed(seed=seed)
-    env = tb.env
-    host = tb.machine("10.0.0.1")
-    gpu = host.add_gpu(profile)
-    snic = tb.bluefield("10.0.0.100")
-    runtime, server = tb.lynx_on_bluefield(snic)
-    proc = env.process(runtime.start_gpu_service(
-        gpu, SpinApp(20.0), port=7777, n_mqueues=1))
-    env.run(until=200)
-    service = proc.value
+    dep = deploy(LYNX_BLUEFIELD, app=SpinApp(20.0), seed=seed,
+                 gpu_profile=profile)
+    tb, service = dep.tb, dep.service
     client = tb.client("10.0.9.1")
-    ClosedLoopGenerator(env, client, Address("10.0.0.100", 7777),
+    ClosedLoopGenerator(dep.env, client, dep.address,
                         concurrency=1, payload_fn=lambda i: b"x" * 64,
                         proto=UDP)
     tb.warmup_then_measure([client.latency], 10000.0, measure)

@@ -25,8 +25,7 @@ Telemetry (DESIGN.md §4.9): every point — inline or in a worker — runs
 inside its own registry scope; when it finishes, its full snapshot is
 merged into the parent registry **in declaration order**.  Serial and
 parallel runs therefore perform the *same* merge arithmetic in the same
-order, so merged metrics (``--kernel-stats``, ``--metrics``) are
-identical across ``--jobs N`` — wall-clock seconds excepted, as those
+order, so merged metrics (``--metrics``) are identical across ``--jobs N`` — wall-clock seconds excepted, as those
 measure the host, not the model.
 
 Worker-side state handling:

@@ -255,11 +255,10 @@ class FaultInjector:
         return pool
 
     def _counter(self, key):
-        counter = self._counters.get(key)
-        if counter is None:
-            counter = self._registry.counter("faults." + key)
-            self._counters[key] = counter
-        return counter
+        counters = self._counters
+        if key not in counters:
+            counters[key] = self._registry.counter("faults." + key)
+        return counters[key]
 
     def _hook(self, channel):
         if not isinstance(channel, Channel):

@@ -149,24 +149,24 @@ class LynxRuntime:
 
     # -- accelerator attachment ------------------------------------------------
 
-    def attach_accelerator(self, accel, memory=None, remote=False,
-                           needs_barrier=None):
+    def attach_accelerator(self, accel, remote=False):
         """Create the RC QP + Remote MQ Manager for an accelerator.
 
-        *remote* accelerators sit in another machine behind their own
-        RDMA NIC (§5.5) — the only difference is extra RDMA latency,
-        which is the point of the design.
+        The mqueues live in ``accel.memory`` (for a VCA node, the host
+        memory of the §5.4 workaround).  *remote* accelerators sit in
+        another machine behind their own RDMA NIC (§5.5) — the only
+        difference is extra RDMA latency, which is the point of the
+        design.
         """
         key = id(accel)
         if key in self._managers:
             return self._managers[key]
-        memory = memory if memory is not None else accel.memory
+        memory = accel.memory
         if not memory.exposed_on_pcie:
             raise ConfigError(
                 "accelerator memory must be BAR-exposed for peer DMA (§4.4)")
-        if needs_barrier is None:
-            needs_barrier = bool(getattr(
-                getattr(accel, "profile", None), "needs_write_barrier", False))
+        needs_barrier = bool(getattr(
+            getattr(accel, "profile", None), "needs_write_barrier", False))
         qp = self.server.nic.rdma.connect(memory, remote=remote,
                                           name="qp-%s" % accel.name)
         manager = RemoteMQManager(self.env, accel, qp, self.server.workers,
@@ -179,10 +179,10 @@ class LynxRuntime:
     # -- mqueue creation -----------------------------------------------------------
 
     def create_server_mqueues(self, accel, port, count, proto=UDP,
-                              policy=None, memory=None, remote=False):
+                              policy=None, remote=False):
         """Allocate *count* server mqueues in accelerator memory and
         bind them to *port* on the SNIC."""
-        manager = self.attach_accelerator(accel, memory=memory, remote=remote)
+        manager = self.attach_accelerator(accel, remote=remote)
         mqs = []
         for i in range(count):
             mq = MQueue(self.env, manager.qp.target,
@@ -195,10 +195,10 @@ class LynxRuntime:
         return mqs
 
     def create_client_mqueue(self, accel, destination, proto=TCP,
-                             memory=None, remote=False, name=None):
+                             remote=False, name=None):
         """Generator: allocate a client mqueue bound to *destination*
         and (for TCP) establish its static connection."""
-        manager = self.attach_accelerator(accel, memory=memory, remote=remote)
+        manager = self.attach_accelerator(accel, remote=remote)
         mq = MQueue(self.env, manager.qp.target,
                     entries=self.config.lynx.ring_entries, kind=CLIENT,
                     destination=destination, proto=proto,

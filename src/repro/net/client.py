@@ -122,7 +122,7 @@ class Client:
         self.name = name or "client-%s" % ip
         self.rng = rng
         self.rx = Channel(env, name="%s-rx" % self.name)
-        self.latency = LatencyRecorder(env, name="%s-latency" % self.name)
+        self.latency = LatencyRecorder(name="%s-latency" % self.name)
         self.responses = RateMeter(env, name="%s-rate" % self.name)
         self.sent = RateMeter(env, name="%s-sent" % self.name)
         # Telemetry (DESIGN.md §4.9): the live recorder/meters double as

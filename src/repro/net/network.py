@@ -29,41 +29,6 @@ SWITCH_LATENCY = 0.3
 SPINE_LATENCY = 0.5
 
 
-class _FabricCounters:
-    """Read-only aggregate over the per-endpoint wire channels.
-
-    Keeps the historical ``network.counters.get(key)`` surface while the
-    actual accounting lives on each wire Channel.
-    """
-
-    def __init__(self, network):
-        self._network = network
-
-    def get(self, key, default=0):
-        network = self._network
-        if key == "delivered":
-            return sum(ch.delivered for ch in network._channels.values())
-        if key == "dropped_rx_ring":
-            return sum(ch.dropped for ch in network._channels.values())
-        if key == "dropped_no_route":
-            return network.dropped_no_route
-        if key == "dropped_rack_down":
-            return getattr(network, "dropped_rack_down", 0)
-        if key == "dropped_spine":
-            return sum(hop.dropped
-                       for hop in (getattr(network, "_uplinks", ())
-                                   + getattr(network, "_downlinks", ())))
-        return default
-
-    def as_dict(self):
-        return {key: self.get(key) for key in
-                ("delivered", "dropped_rx_ring", "dropped_no_route",
-                 "dropped_rack_down", "dropped_spine")}
-
-    def __repr__(self):
-        return "<FabricCounters %r>" % (self.as_dict(),)
-
-
 class Network:
     """A single-switch Ethernet/InfiniBand fabric."""
 
@@ -73,7 +38,6 @@ class Network:
         #: per-destination wire channels (created at attach time)
         self._channels = {}
         self.dropped_no_route = 0
-        self.counters = _FabricCounters(self)
         # Telemetry (DESIGN.md §4.9): registered as a pull counter so
         # merged --jobs N snapshots keep no-route drops (the bare
         # attribute alone would silently vanish from worker merges).

@@ -11,11 +11,7 @@ Public surface::
 
 """
 
-from .environment import (
-    Environment,
-    kernel_totals,
-    reset_kernel_totals,
-)
+from .environment import Environment
 from .events import (
     Event,
     Timeout,
@@ -37,8 +33,6 @@ from .trace import Tracer, NullTracer
 
 __all__ = [
     "Environment",
-    "kernel_totals",
-    "reset_kernel_totals",
     "Event",
     "Timeout",
     "Process",

@@ -20,8 +20,9 @@ The loop is therefore written for CPython throughput:
   plain :class:`~.events.Timeout`, and a callback op's is a bare
   :meth:`Environment.defer` entry with no event object at all;
 * lightweight kernel counters (events processed, spawns, heap peak,
-  wall-clock) are maintained as plain int bumps and surfaced through
-  :meth:`kernel_stats` / :func:`kernel_totals`.
+  wall-clock) are maintained as plain int bumps and flushed into the
+  telemetry registry's ``sim.kernel.*`` instruments at the end of each
+  :meth:`Environment.run` (read them with ``--metrics``).
 
 Determinism note: eids are only ever compared, so each scheduled entry
 keeps its relative ``(time, priority, eid)`` order whether it carries an
@@ -44,8 +45,8 @@ from .events import (
 )
 from .trace import NullTracer
 
-#: Counter keys accumulated across environments (see :func:`kernel_totals`),
-#: surfaced through the telemetry registry as ``sim.kernel.<key>``.
+#: Counter keys accumulated across environments, surfaced through the
+#: telemetry registry as ``sim.kernel.<key>``.
 _TOTAL_KEYS = (
     "events_processed", "processes_spawned", "tasks_spawned",
     "requests_completed", "wall_seconds",
@@ -62,36 +63,6 @@ def active_backend():
 
 def resolve_frame_exec(_backend):
     return False
-
-
-def kernel_totals():
-    """Kernel counters summed over every environment run in this scope.
-
-    Thin shim over the telemetry registry: per-run counters are flushed
-    into ``sim.kernel.*`` instruments at the end of each
-    ``Environment.run()``, so a CLI can report simulator throughput
-    without holding references to the environments involved.  Keeps the
-    historical plain-dict shape (counter keys + ``heap_peak`` +
-    computed ``events_per_sec``).
-    """
-    reg = telemetry.registry()
-    totals = {}
-    for key in _TOTAL_KEYS:
-        inst = reg.get(_PREFIX + key)
-        totals[key] = inst.value if inst is not None else 0
-    peak = reg.get(_PREFIX + "heap_peak")
-    totals["heap_peak"] = peak.value if peak is not None else 0
-    wall = totals["wall_seconds"]
-    totals["events_per_sec"] = totals["events_processed"] / wall if wall > 0 else 0.0
-    reqs = totals["requests_completed"]
-    totals["events_per_request"] = (
-        totals["events_processed"] / reqs if reqs > 0 else 0.0)
-    return totals
-
-
-def reset_kernel_totals():
-    """Zero the ``sim.kernel.*`` instruments in the current scope."""
-    telemetry.registry().reset(prefix="sim.kernel")
 
 
 class Environment:
@@ -119,7 +90,7 @@ class Environment:
         #: the environment-wide tracer Channels snapshot at construction
         #: (testbeds install a real Tracer here before building hardware)
         self.tracer = NullTracer()
-        # Kernel counters (cheap plain-int bumps; see kernel_stats()).
+        # Kernel counters (cheap plain-int bumps; see _flush_totals()).
         self.events_processed = 0
         self.processes_spawned = 0
         self.tasks_spawned = 0
@@ -292,26 +263,6 @@ class Environment:
             self._flush_totals()
 
     # -- instrumentation -----------------------------------------------------
-
-    def kernel_stats(self):
-        """Kernel throughput counters for this environment.
-
-        ``events_per_sec`` divides events processed inside ``run()`` by
-        the wall-clock seconds spent there, so it measures the simulator
-        itself, not the model.
-        """
-        wall = self.wall_seconds
-        reqs = self.requests_completed
-        return {
-            "events_processed": self.events_processed,
-            "processes_spawned": self.processes_spawned,
-            "tasks_spawned": self.tasks_spawned,
-            "requests_completed": reqs,
-            "heap_peak": self.heap_peak,
-            "wall_seconds": wall,
-            "events_per_sec": self.events_processed / wall if wall > 0 else 0.0,
-            "events_per_request": self.events_processed / reqs if reqs > 0 else 0.0,
-        }
 
     def _flush_totals(self):
         """Fold this environment's counter deltas into the current

@@ -1,12 +1,12 @@
 """Measurement instruments bound to a simulation clock.
 
-All instruments support a *warmup* cut: state recorded before
-``reset(at_time)`` (or, for :class:`LatencyRecorder`, before its
-``start`` argument) is discarded, matching the paper's 2-second warmup
-methodology (§6).  ``at_time`` defaults to the environment's current
-time; passing it explicitly restarts the measurement window at a chosen
-simulated instant (e.g. a scheduled warmup boundary) even when the
-reset itself runs slightly later.
+Every instrument's warmup cut is ``reset(at_time=None)``, called at the
+end of warmup (the paper's 2-second warmup methodology, §6;
+``Testbed.warmup_then_measure`` calls it with no time).
+:class:`RateMeter` and :class:`TimeWeightedGauge` restart their
+measurement window at ``at_time``, which defaults to the environment's
+current time.  :class:`LatencyRecorder` samples carry no timestamp, so
+its reset drops every sample recorded so far and ignores ``at_time``.
 
 Every instrument also speaks the telemetry protocol
 (``kind``/``snapshot()``/``merge()``, DESIGN.md §4.9) so it can be
@@ -26,55 +26,29 @@ from ..telemetry import instruments as _ti
 class LatencyRecorder:
     """Collects individual samples and reports exact percentiles.
 
-    ``start`` is the warmup cut that :meth:`reset` sets: samples
-    recorded while ``env.now < start`` are discarded by :meth:`record`.
-    (Hot paths
-    that append to ``_samples`` directly — the client RX fast path —
-    bypass the cut and rely on :meth:`reset` at the warmup boundary
-    instead.)
+    Needs no clock: samples are untimed.  The client RX fast path
+    appends to ``_samples`` directly; tests call :meth:`record`.
     """
 
     kind = "histogram"
 
-    def __init__(self, env, name=None):
-        self.env = env
+    def __init__(self, name=None):
         self.name = name or "latency"
-        self.start = None
         self._samples = []
         self._merged = None
 
     def record(self, value):
-        """Append one latency sample (us); dropped before ``start``."""
-        if self.start is not None and self.env.now < self.start:
-            return
+        """Append one latency sample (us)."""
         self._samples.append(value)
 
-    def record_many(self, values):
-        """Bulk-append latency samples (us); all dropped before ``start``.
-
-        The batched twin of :meth:`record` for vectorized producers
-        (the population traffic plane records whole response batches in
-        one call): the samples land in the same exact-sample list, so
-        percentiles and snapshots are identical to repeated
-        :meth:`record` calls.
-        """
-        if self.start is not None and self.env.now < self.start:
-            return
-        arr = np.asarray(values, dtype=float)
-        if arr.size:
-            self._samples.extend(arr.tolist())
-
     def reset(self, at_time=None):
-        """Drop everything recorded so far (end of warmup).
+        """Drop every sample recorded so far (end of warmup).
 
-        ``at_time`` moves the warmup cut: samples recorded before that
-        simulated time (including future ones, if it lies ahead of the
-        clock) are discarded as well.
+        ``at_time`` is accepted for the common ``reset`` signature and
+        ignored: the samples carry no timestamp to cut at.
         """
         self._samples = []
         self._merged = None
-        if at_time is not None:
-            self.start = at_time
 
     @property
     def count(self):

@@ -56,7 +56,6 @@ from .export import (
     dump_metrics,
     dumps_campaign,
     dumps_metrics,
-    format_kernel_stats,
     format_snapshot,
     load_campaign,
     load_metrics,
@@ -70,7 +69,7 @@ __all__ = [
     "MetricsRegistry", "registry", "push_scope", "pop_scope", "scope",
     "reset_scopes",
     "SCHEMA", "CAMPAIGN_SCHEMA", "dump_metrics", "dumps_metrics",
-    "format_kernel_stats", "format_snapshot", "load_metrics",
+    "format_snapshot", "load_metrics",
     "dump_campaign", "dumps_campaign", "load_campaign",
     "relative_delta", "scalar_of",
 ]

@@ -23,7 +23,7 @@ import math
 from .instruments import materialize
 
 __all__ = ["SCHEMA", "CAMPAIGN_SCHEMA", "format_snapshot",
-           "format_kernel_stats", "dump_metrics", "dumps_metrics",
+           "dump_metrics", "dumps_metrics",
            "load_metrics", "dump_campaign", "dumps_campaign",
            "load_campaign"]
 
@@ -50,7 +50,7 @@ def _fmt_num(value):
 
 def _describe(snap):
     kind = snap["kind"]
-    if kind in ("counter", "peak"):
+    if kind in ("counter", "peak", "ratio"):
         return _fmt_num(snap["value"])
     if kind == "rate":
         acc = materialize(snap)
@@ -81,26 +81,6 @@ def format_snapshot(snapshot, prefix="", title="telemetry"):
         snap = snapshot[name]
         lines.append("  %-*s  %-9s  %s"
                      % (width, name, snap["kind"], _describe(snap)))
-    return "\n".join(lines)
-
-
-def format_kernel_stats(stats):
-    """Render a kernel counter block (see ``Environment.kernel_stats`` /
-    ``sim.kernel_totals``) as an aligned, human-readable table."""
-    lines = ["simulator kernel:"]
-    rows = [
-        ("events processed", "{:,}".format(stats.get("events_processed", 0))),
-        ("processes spawned", "{:,}".format(stats.get("processes_spawned", 0))),
-        ("detached tasks", "{:,}".format(stats.get("tasks_spawned", 0))),
-        ("heap peak", "{:,}".format(stats.get("heap_peak", 0))),
-        ("wall-clock in run()", "%.2f s" % stats.get("wall_seconds", 0.0)),
-        ("events/sec", "{:,.0f}".format(stats.get("events_per_sec", 0.0))),
-        ("requests completed", "{:,}".format(stats.get("requests_completed", 0))),
-        ("events/request", "%.2f" % stats.get("events_per_request", 0.0)),
-    ]
-    width = max(len(label) for label, _ in rows)
-    for label, value in rows:
-        lines.append("  %-*s  %s" % (width, label, value))
     return "\n".join(lines)
 
 

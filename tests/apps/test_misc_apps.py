@@ -5,7 +5,7 @@ import pytest
 
 from repro import Testbed
 from repro.apps.base import EchoApp, SpinApp
-from repro.apps.sgx_echo import SgxEchoApp, VcaBridgeBaseline, VcaLynxService
+from repro.apps.sgx_echo import SgxEchoApp, VcaBridgeBaseline
 from repro.apps.vector_scale import (
     MatrixProductAggressor,
     VectorScaleApp,
@@ -71,26 +71,20 @@ class TestSgxEcho:
 
     def test_lynx_vs_bridge_latency_gap(self):
         """§6.2: the Lynx path is several times faster than the bridge."""
+        from repro.hw import VcaNodeAccelerator
         from repro.net import Address, ClosedLoopGenerator
         from repro.net.packet import UDP
-        from repro.lynx.mqueue import MQueue
-        from repro.lynx.rmq import RemoteMQManager
 
-        # --- Lynx path ---
+        # --- Lynx path: the generic runtime on the VCA adapter ---
         tb = Testbed()
         env = tb.env
-        host = tb.machine("10.0.0.1")
+        tb.machine("10.0.0.1")
         vca = tb.vca()
         snic = tb.bluefield("10.0.0.100")
-        runtime, server = tb.lynx_on_bluefield(snic)
+        runtime, _server = tb.lynx_on_bluefield(snic)
         app = SgxEchoApp()
-        manager = runtime.attach_accelerator(
-            vca.nodes[0], memory=vca.mqueue_memory, needs_barrier=False)
-        mq = MQueue(env, vca.mqueue_memory,
-                    entries=64, name="vca-mq")
-        manager.register(mq)
-        server.bind(9000, [mq])
-        VcaLynxService(env, vca.nodes[0], mq, app)
+        env.process(runtime.start_gpu_service(
+            VcaNodeAccelerator(vca.nodes[0]), app, port=9000))
         client = tb.client("10.0.1.1")
         payload = app.encrypt_value(5)
         ClosedLoopGenerator(env, client, Address("10.0.0.100", 9000),

@@ -7,11 +7,10 @@ import pytest
 from repro import telemetry
 from repro.config import DEFAULT_CONFIG
 from repro.errors import ConfigError
-from repro.experiments import ablations
 from repro.experiments import campaign as campaign_mod
 from repro.experiments.campaign import (
-    CAMPAIGNS, Campaign, Component, Knob, find_campaign, run_campaigns,
-    run_id_for, snapshot_signals)
+    CAMPAIGNS, Campaign, Component, Knob, find_campaign, run_id_for,
+    snapshot_signals)
 from repro.telemetry.instruments import RateStat
 
 
@@ -278,18 +277,6 @@ class TestRegistryAndRunners:
         with pytest.raises(ConfigError):
             find_campaign("TOY-NO-SUCH")
 
-    def test_run_campaigns_unknown_id_rejected(self):
-        with pytest.raises(ConfigError):
-            run_campaigns(["TOY-NO-SUCH"])
-
-    def test_run_campaigns_returns_outcomes_in_order(self):
-        _toy_campaign("TOY-RUN1")
-        _toy_campaign("TOY-RUN2")
-        with telemetry.scope():
-            outs = run_campaigns(["TOY-RUN2", "TOY-RUN1"], fast=True,
-                                 seed=42)
-        assert [o.campaign.exp_id for o in outs] == ["TOY-RUN2", "TOY-RUN1"]
-
     def test_call_returns_experiment_result_with_outcome(self):
         camp = _toy_campaign("TOY-CALL")
         with telemetry.scope():
@@ -307,25 +294,6 @@ class TestRegistryAndRunners:
 
 
 class TestJobsForwarding:
-    def test_ablations_run_forwards_jobs(self, monkeypatch):
-        # Regression: ablations.run() used to drop the jobs argument on
-        # the floor, silently serializing the whole --extras suite.
-        camp = _toy_campaign("TOY-JOBS")
-        seen = []
-        real = campaign_mod.run_points
-
-        def spy(points, jobs=None):
-            seen.append(jobs)
-            return real(points, jobs=jobs)
-
-        monkeypatch.setattr(campaign_mod, "run_points", spy)
-        monkeypatch.setattr(ablations, "ALL_STUDIES", (camp,))
-        with telemetry.scope():
-            merged = ablations.run(fast=True, seed=42, jobs=3)
-        assert seen == [3]
-        assert merged.exp_id == "ABL"
-        assert "TOY-JOBS" in merged.notes[0]
-
     def test_campaign_call_forwards_jobs(self, monkeypatch):
         camp = _toy_campaign("TOY-JOBS2")
         seen = []

@@ -67,29 +67,29 @@ class TestMetricsFlag:
         assert main(["E01", "--metrics", "/dev/null"]) == 0
         assert len(telemetry.registry()) == root_before
 
-    def test_kernel_stats_still_prints_via_shim(self, capsys):
-        assert main(["E01", "--kernel-stats"]) == 0
-        out = capsys.readouterr().out
-        assert "simulator kernel:" in out
-        assert "events processed" in out
+    def test_bare_flag_reports_kernel_events(self, capsys):
+        assert main(["E01", "--metrics"]) == 0
+        line = next(ln for ln in capsys.readouterr().out.splitlines()
+                    if "sim.kernel.events_processed" in ln)
+        assert int(line.split()[-1].replace(",", "")) > 0
 
     @pytest.mark.parametrize("exp", ["E05", "E12", "E17", "E18"])
-    def test_kernel_stats_reports_events_per_request(self, capsys, exp):
+    def test_kernel_stats_reports_events_per_request(self, tmp_path, exp):
+        from repro.telemetry import load_metrics
+
         # Completions are counted where end-user responses resolve, so
         # every request plane reports them: the scalar client (E12) and
         # the population (E05, E17, E18), whether the server is Lynx, a
         # baseline or memcached.
         # E01 is a micro-benchmark with no data plane, so its
         # requests-completed is legitimately zero.
-        assert main([exp, "--kernel-stats"]) == 0
-        out = capsys.readouterr().out
+        path = tmp_path / "metrics.json"
+        assert main([exp, "--metrics", str(path)]) == 0
+        metrics = load_metrics(str(path))
         # An experiment that completes requests must report a non-zero
         # events-per-request figure (DESIGN.md §4.6).
-        line = next(ln for ln in out.splitlines() if "events/request" in ln)
-        assert float(line.split()[-1]) > 0
-        line = next(ln for ln in out.splitlines()
-                    if "requests completed" in ln)
-        assert int(line.split()[-1].replace(",", "")) > 0
+        assert metrics["sim.kernel.requests_completed"]["value"] > 0
+        assert metrics["sim.kernel.events_per_request"]["value"] > 0
 
 
 class TestCampaignSubcommand:

@@ -16,11 +16,7 @@ from repro.experiments import (
     sweep,
 )
 from repro.experiments.testbed import Testbed
-from repro.sim import (
-    Environment,
-    kernel_totals,
-    reset_kernel_totals,
-)
+from repro.sim import Environment
 from repro.sim import trace as trace_mod
 
 # --------------------------------------------------------------------------
@@ -47,6 +43,12 @@ def spin_simulation(seed, events=50):
     env.process(ticker(env))
     env.run()
     return seed, env.now
+
+
+def kernel_counter(key):
+    """``sim.kernel.<key>`` in the current registry scope (0 if absent)."""
+    snap = telemetry.snapshot("sim.kernel").get("sim.kernel." + key)
+    return 0 if snap is None else snap["value"]
 
 
 #: weak references to the testbed environments ``pinned_testbed`` built
@@ -178,26 +180,24 @@ class TestWorkerHygiene:
         trace_mod.Tracer(env, enabled=True)
         assert trace_mod.enabled_tracers()
         spin_simulation(seed=1)
-        assert kernel_totals()["events_processed"] > 0
+        assert kernel_counter("events_processed") > 0
         sweep._reset_worker_state()
         assert not trace_mod.enabled_tracers()
-        assert kernel_totals()["events_processed"] == 0
+        assert kernel_counter("events_processed") == 0
 
-    def test_kernel_totals_merge_across_registries(self):
+    def test_kernel_counters_merge_across_registries(self):
         """A worker's ``sim.kernel`` snapshot merges as the sweep merges
         it: counters add, ``heap_peak`` takes the max."""
-        reset_kernel_totals()
-        spin_simulation(seed=2)
-        base = kernel_totals()
-        registry = telemetry.registry()
-        snapshot = registry.snapshot(prefix="sim.kernel")
-        snapshot["sim.kernel.heap_peak"] = dict(
-            snapshot["sim.kernel.heap_peak"], value=base["heap_peak"] + 7)
-        registry.merge(snapshot)
-        merged = kernel_totals()
-        assert merged["events_processed"] == 2 * base["events_processed"]
-        assert merged["heap_peak"] == base["heap_peak"] + 7
-        reset_kernel_totals()
+        with telemetry.scope() as registry:
+            spin_simulation(seed=2)
+            events = kernel_counter("events_processed")
+            peak = kernel_counter("heap_peak")
+            snapshot = registry.snapshot(prefix="sim.kernel")
+            snapshot["sim.kernel.heap_peak"] = dict(
+                snapshot["sim.kernel.heap_peak"], value=peak + 7)
+            registry.merge(snapshot)
+            assert kernel_counter("events_processed") == 2 * events
+            assert kernel_counter("heap_peak") == peak + 7
 
 
 class TestRunPoints:
@@ -215,12 +215,11 @@ class TestRunPoints:
                 == sweep.run_points(points, jobs=1))
 
     def test_parallel_merges_worker_totals(self):
-        reset_kernel_totals()
-        sweep.run_points(self.points(), jobs=2)
-        # 5 points x (20..24 charges each) plus bookkeeping events all
-        # ran in workers; the merged block must reflect them.
-        assert kernel_totals()["events_processed"] >= 5 * 20
-        reset_kernel_totals()
+        with telemetry.scope():
+            sweep.run_points(self.points(), jobs=2)
+            # 5 points x (20..24 charges each) plus bookkeeping events
+            # all ran in workers; the merged counter must reflect them.
+            assert kernel_counter("events_processed") >= 5 * 20
 
     def test_oversized_pool_is_clamped(self):
         points = self.points(2)

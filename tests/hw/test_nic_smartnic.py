@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro import telemetry
 from repro.config import (
     BluefieldProfile,
     DEFAULT_CONFIG,
@@ -21,7 +22,13 @@ def env():
 
 
 @pytest.fixture
-def network(env):
+def reg():
+    with telemetry.scope() as reg:
+        yield reg
+
+
+@pytest.fixture
+def network(env, reg):
     return Network(env)
 
 
@@ -45,7 +52,7 @@ class TestNic:
         assert len(b.rx) == 1
         assert b.rx.try_get().payload == b"hello"
 
-    def test_rx_ring_drops_overflow(self, env, network, monkeypatch):
+    def test_rx_ring_drops_overflow(self, env, network, reg, monkeypatch):
         a = Nic(env, network, "10.0.0.1")
         monkeypatch.setattr(Nic, "RX_RING_ENTRIES", 2)
         b = Nic(env, network, "10.0.0.2")
@@ -54,14 +61,14 @@ class TestNic:
                                  Address("10.0.0.2", 2000), b"x"))
         env.run()
         assert len(b.rx) == 2
-        assert network.counters.get("dropped_rx_ring") == 3
+        assert reg.snapshot()["net.wire.10.0.0.2.drops"]["value"] == 3
 
-    def test_unroutable_message_counted(self, env, network):
+    def test_unroutable_message_counted(self, env, network, reg):
         a = Nic(env, network, "10.0.0.1")
         a.send_async(Message(Address("10.0.0.1", 1), Address("10.9.9.9", 2),
                              b"x"))
         env.run()
-        assert network.counters.get("dropped_no_route") == 1
+        assert reg.snapshot()["net.fabric.dropped_no_route"]["value"] == 1
 
 
 class TestBluefield:

@@ -1,27 +1,11 @@
 """VCA nodes as first-class Lynx accelerators (§5.4 portability)."""
 
-import pytest
-
 from repro import Testbed
 from repro.apps.base import EchoApp
 from repro.apps.sgx_echo import SgxEchoApp
-from repro.apps.base import ServerApp
 from repro.hw import VcaNodeAccelerator
-from repro.net import Address, ClosedLoopGenerator
+from repro.net import Address
 from repro.net.packet import UDP
-
-
-class EnclaveEchoApp(ServerApp):
-    """AES echo expressed as an ordinary ServerApp (adapter demo)."""
-
-    name = "enclave-echo"
-    gpu_duration = 4.0  # enclave compute per request, E3-us
-
-    def __init__(self):
-        self._sgx = SgxEchoApp()
-
-    def compute(self, payload):
-        return self._sgx.process(payload)
 
 
 def build(app):
@@ -54,19 +38,21 @@ class TestSameRuntimeApi:
         assert results == [b"v%d" % i for i in range(6)]
 
     def test_real_enclave_crypto_through_generic_api(self):
-        app = EnclaveEchoApp()
+        # E08's Lynx path: the SGX echo app on the generic runtime.
+        app = SgxEchoApp()
         tb, env, server, service, addr = build(app)
         client = tb.client("10.0.1.1")
         answers = []
 
         def drive(env):
-            ct = app._sgx.encrypt_value(6)
+            ct = app.encrypt_value(6)
             r = yield from client.request(ct, addr, proto=UDP)
-            answers.append(app._sgx.decrypt_value(r.payload))
+            answers.append(app.decrypt_value(r.payload))
 
         env.process(drive(env))
         env.run(until=50000)
         assert answers == [42]
+        assert service.gpu.node.enclave_calls == 1
 
     def test_dynamic_parallelism_app_on_vca_node(self):
         # Regression: a stock app with dynamic parallelism runs its

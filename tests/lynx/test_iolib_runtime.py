@@ -1,5 +1,7 @@
 """Accelerator I/O library and runtime setup validation."""
 
+from types import SimpleNamespace
+
 import pytest
 
 from repro import Testbed
@@ -87,9 +89,10 @@ class TestRuntimeValidation:
 
     def test_hidden_memory_rejected(self):
         tb, host, gpu, runtime, server = self._runtime()
-        hidden = MemoryRegion("hidden", exposed_on_pcie=False)
+        accel = SimpleNamespace(
+            memory=MemoryRegion("hidden", exposed_on_pcie=False))
         with pytest.raises(ConfigError, match="BAR-exposed"):
-            runtime.attach_accelerator(object(), memory=hidden)
+            runtime.attach_accelerator(accel)
 
     def test_unknown_backend_in_context(self):
         tb, host, gpu, runtime, server = self._runtime()

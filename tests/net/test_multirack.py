@@ -1,6 +1,8 @@
 """Multi-rack fabric (ToRs + spine) behaviour: routing, fault domains,
 hop accounting, and the no-route pull counter (DESIGN.md §4.15)."""
 
+import re
+
 import pytest
 
 from repro import telemetry
@@ -24,6 +26,20 @@ def env():
 
 def _msg(src_ip, dst_ip):
     return Message(Address(src_ip, 1), Address(dst_ip, 2), b"x")
+
+
+def _fabric_classes(snap):
+    """Frames per end-to-end class, summed over the registry names the
+    end-to-end benchmark folds (``net.wire.*``, ``net.fabric.*``)."""
+    def total(pattern):
+        return sum(v["value"] for k, v in snap.items()
+                   if re.fullmatch(pattern, k))
+
+    return {"delivered": total(r"net\.wire\..*\.delivered"),
+            "rx_ring": total(r"net\.wire\..*\.drops"),
+            "spine": total(r"net\.fabric\.tor\d+\.(up|down)\.drops"),
+            "no_route": total(r"net\.fabric\.dropped_no_route"),
+            "rack_down": total(r"net\.fabric\.dropped_rack_down")}
 
 
 # --------------------------------------------------------------------------
@@ -118,14 +134,16 @@ class TestRouting:
             network.inject_channel("10.0.0.1", "10.9.9.9")
 
     def test_spine_queue_drop_tail_on_the_uplink(self, env):
-        network, _a, b = self._fabric(env)
-        network.spine_queue = 2
-        for _ in range(8):
-            network.deliver(_msg("10.0.0.1", "10.0.1.1"))
-        env.run()
+        with telemetry.scope() as reg:
+            network, _a, b = self._fabric(env)
+            network.spine_queue = 2
+            for _ in range(8):
+                network.deliver(_msg("10.0.0.1", "10.0.1.1"))
+            env.run()
+            snap = reg.snapshot()
         assert len(b.rx._items) == 2
         assert network.uplink(0).dropped == 6
-        assert network.counters.get("dropped_spine") == 6
+        assert _fabric_classes(snap)["spine"] == 6
 
 
 class TestFaultDomains:
@@ -189,62 +207,58 @@ class TestConservation:
     def test_every_hop_counter_sums_to_offered(self, env):
         """offered == delivered + rx-ring + spine + no-route + rack-down,
         with every drop class exercised at once."""
-        network = MultiRackNetwork(env, racks=2)
-        network.spine_queue = 2
-        a = _Port(env, capacity=4)
-        b = _Port(env, capacity=4)
-        network.attach("10.0.0.1", a)
-        network.place("10.0.0.1", 0)
-        network.attach("10.0.1.1", b)
-        network.place("10.0.1.1", 1)
-        offered = 0
-        for _ in range(8):     # cross-rack burst: 6 die at the spine
-            network.deliver(_msg("10.0.0.1", "10.0.1.1"))
-            offered += 1
-        for _ in range(6):     # intra-rack burst: 2 die at the RX ring
-            network.deliver(_msg("10.0.0.9", "10.0.0.1"))
-            offered += 1
-        for _ in range(2):     # unknown destination
-            network.deliver(_msg("10.0.0.1", "10.9.9.9"))
-            offered += 1
-        env.run()
-        network.fail_rack(1)
-        for _ in range(3):     # routed into a dead rack
-            network.deliver(_msg("10.0.0.9", "10.0.1.1"))
-            offered += 1
-        env.run()
-        counters = network.counters
-        assert counters.get("dropped_spine") == 6
-        assert counters.get("dropped_rx_ring") == 2
-        assert counters.get("dropped_no_route") == 2
-        assert counters.get("dropped_rack_down") == 3
-        counted = sum(counters.get(key) for key in
-                      ("delivered", "dropped_rx_ring", "dropped_no_route",
-                       "dropped_rack_down", "dropped_spine"))
-        assert counted == offered
+        with telemetry.scope() as reg:
+            network = MultiRackNetwork(env, racks=2)
+            network.spine_queue = 2
+            a = _Port(env, capacity=4)
+            b = _Port(env, capacity=4)
+            network.attach("10.0.0.1", a)
+            network.place("10.0.0.1", 0)
+            network.attach("10.0.1.1", b)
+            network.place("10.0.1.1", 1)
+            offered = 0
+            for _ in range(8):     # cross-rack burst: 6 die at the spine
+                network.deliver(_msg("10.0.0.1", "10.0.1.1"))
+                offered += 1
+            for _ in range(6):     # intra-rack burst: 2 die at the RX ring
+                network.deliver(_msg("10.0.0.9", "10.0.0.1"))
+                offered += 1
+            for _ in range(2):     # unknown destination
+                network.deliver(_msg("10.0.0.1", "10.9.9.9"))
+                offered += 1
+            env.run()
+            network.fail_rack(1)
+            for _ in range(3):     # routed into a dead rack
+                network.deliver(_msg("10.0.0.9", "10.0.1.1"))
+                offered += 1
+            env.run()
+            counts = _fabric_classes(reg.snapshot())
+        assert counts == {"delivered": 6, "rx_ring": 2, "spine": 6,
+                          "no_route": 2, "rack_down": 3}
+        assert sum(counts.values()) == offered
 
     def test_mid_flight_rack_kill_counts_at_the_refusing_hop(self, env):
         # Frames already on the spine when the rack dies are refused at
         # the downlink (counted there), while newly routed frames count
         # rack-down — disjoint classes, so the sum still conserves.
-        network = MultiRackNetwork(env, racks=2)
-        b = _Port(env)
-        network.attach("10.0.1.1", b)
-        network.place("10.0.1.1", 1)
-        for _ in range(5):
-            network.deliver(_msg("10.0.0.9", "10.0.1.1"))
-        env.run(until=0.7)     # in flight on the downlink hop
-        network.fail_rack(1)
-        for _ in range(3):
-            network.deliver(_msg("10.0.0.9", "10.0.1.1"))
-        env.run()
+        with telemetry.scope() as reg:
+            network = MultiRackNetwork(env, racks=2)
+            b = _Port(env)
+            network.attach("10.0.1.1", b)
+            network.place("10.0.1.1", 1)
+            for _ in range(5):
+                network.deliver(_msg("10.0.0.9", "10.0.1.1"))
+            env.run(until=0.7)     # in flight on the downlink hop
+            network.fail_rack(1)
+            for _ in range(3):
+                network.deliver(_msg("10.0.0.9", "10.0.1.1"))
+            env.run()
+            counts = _fabric_classes(reg.snapshot())
         assert network.downlink(1).dropped == 5
-        assert network.dropped_rack_down == 3
-        assert network.counters.get("delivered") == 0
-        counted = sum(network.counters.get(key) for key in
-                      ("delivered", "dropped_rx_ring", "dropped_no_route",
-                       "dropped_rack_down", "dropped_spine"))
-        assert counted == 8
+        assert counts["spine"] == 5
+        assert counts["rack_down"] == 3
+        assert counts["delivered"] == 0
+        assert sum(counts.values()) == 8
 
 
 class TestTelemetry:

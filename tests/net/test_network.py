@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro import telemetry
 from repro.errors import NetworkError
 from repro.net import Network
 from repro.net.network import SWITCH_LATENCY, WIRE_LATENCY
@@ -43,30 +44,41 @@ class TestDelivery:
         assert port.rx.try_get() is msg
 
     def test_counters(self, env):
-        network = Network(env)
-        port = _Port(env, capacity=1)
-        network.attach("10.0.0.2", port)
-        dst = Address("10.0.0.2", 2)
-        for _ in range(3):
-            network.deliver(Message(Address("a", 1), dst, b"x"))
-        network.deliver(Message(Address("a", 1), Address("10.9.9.9", 2),
-                                b"x"))
-        env.run()
-        assert network.counters.get("delivered") == 1
-        assert network.counters.get("dropped_rx_ring") == 2
-        assert network.counters.get("dropped_no_route") == 1
+        with telemetry.scope() as reg:
+            network = Network(env)
+            port = _Port(env, capacity=1)
+            network.attach("10.0.0.2", port)
+            dst = Address("10.0.0.2", 2)
+            for _ in range(3):
+                network.deliver(Message(Address("a", 1), dst, b"x"))
+            network.deliver(Message(Address("a", 1), Address("10.9.9.9", 2),
+                                    b"x"))
+            env.run()
+            snap = reg.snapshot()
+        assert snap["net.wire.10.0.0.2.delivered"]["value"] == 1
+        assert snap["net.wire.10.0.0.2.drops"]["value"] == 2
+        assert snap["net.fabric.dropped_no_route"]["value"] == 1
 
     def test_conservation(self, env):
-        """offered == delivered + dropped_rx_ring + dropped_no_route."""
-        network = Network(env)
-        port = _Port(env, capacity=5)
-        network.attach("10.0.0.2", port)
-        offered = 12
-        for i in range(offered):
-            ip = "10.0.0.2" if i % 3 else "10.9.9.9"
-            network.deliver(Message(Address("a", 1), Address(ip, 2), b"x"))
-        env.run()
-        counted = (network.counters.get("delivered")
-                   + network.counters.get("dropped_rx_ring")
-                   + network.counters.get("dropped_no_route"))
-        assert counted == offered
+        """offered == wire deliveries + every drop counter, summed over
+        the registry names the end-to-end benchmark folds."""
+        with telemetry.scope() as reg:
+            network = Network(env)
+            for ip in ("10.0.0.2", "10.0.0.3"):
+                network.attach(ip, _Port(env, capacity=3))
+            offered = 12
+            for i in range(offered):
+                ip = ("10.9.9.9", "10.0.0.2", "10.0.0.3")[i % 3]
+                network.deliver(Message(Address("a", 1), Address(ip, 2),
+                                        b"x"))
+            env.run()
+            snap = reg.snapshot()
+        delivered = sum(v["value"] for k, v in snap.items()
+                        if k.startswith("net.wire.")
+                        and k.endswith(".delivered"))
+        drops = sum(v["value"] for k, v in snap.items()
+                    if (k.startswith("net.wire.") and k.endswith(".drops"))
+                    or k.startswith("net.fabric.dropped_"))
+        assert delivered == 6
+        assert drops == 4 + 2
+        assert delivered + drops == offered

@@ -2,8 +2,10 @@
 
 import pytest
 
+from repro import telemetry
 from repro.errors import SimulationError
 from repro.sim import Environment, Interrupt
+from repro.telemetry.export import format_snapshot
 
 
 @pytest.fixture
@@ -201,45 +203,45 @@ class TestKernelCounters:
         env.process(proc(env))
         env.detached(proc(env))
         env.run()
-        stats = env.kernel_stats()
-        assert stats["processes_spawned"] == 1
-        assert stats["tasks_spawned"] == 1
-        assert stats["events_processed"] > 0
-        assert stats["heap_peak"] >= 1
-        assert stats["wall_seconds"] >= 0.0
+        assert env.processes_spawned == 1
+        assert env.tasks_spawned == 1
+        assert env.events_processed > 0
+        assert env.heap_peak >= 1
+        assert env.wall_seconds >= 0.0
 
     def test_module_totals_flush_on_run(self):
-        from repro.sim import kernel_totals, reset_kernel_totals
-
-        reset_kernel_totals()
-        env = Environment()
-
         def proc(env):
             yield env.timeout(1.0)
 
-        env.process(proc(env))
-        env.run()
-        totals = kernel_totals()
-        assert totals["events_processed"] == env.events_processed
-        assert totals["processes_spawned"] == 1
-        # A second run must not double-count the first run's events.
-        env2 = Environment()
-        env2.process(proc(env2))
-        env2.run()
-        combined = kernel_totals()
-        assert combined["events_processed"] == (
+        with telemetry.scope() as reg:
+            env = Environment()
+            env.process(proc(env))
+            env.run()
+            totals = reg.snapshot("sim.kernel")
+            assert (totals["sim.kernel.events_processed"]["value"]
+                    == env.events_processed)
+            assert totals["sim.kernel.processes_spawned"]["value"] == 1
+            # A second run must not double-count the first run's events.
+            env2 = Environment()
+            env2.process(proc(env2))
+            env2.run()
+            combined = reg.snapshot("sim.kernel")
+        assert combined["sim.kernel.events_processed"]["value"] == (
             env.events_processed + env2.events_processed)
-        assert combined["events_per_sec"] >= 0.0
+        assert combined["sim.kernel.wall_seconds"]["value"] >= 0.0
 
-    def test_format_kernel_stats_renders(self, env):
-        from repro.telemetry.export import format_kernel_stats
-
+    def test_format_snapshot_renders_kernel_counters(self):
         def proc(env):
             yield env.timeout(1.0)
 
-        env.process(proc(env))
-        env.run()
-        text = format_kernel_stats(env.kernel_stats())
-        assert "events processed" in text
-        assert "events/sec" in text
-        assert "pooled" not in text
+        with telemetry.scope() as reg:
+            env = Environment()
+            env.process(proc(env))
+            env.run()
+            text = format_snapshot(reg.snapshot("sim.kernel"))
+        assert "sim.kernel.events_processed" in text
+        assert "sim.kernel.heap_peak" in text
+        # the derived ratio renders as a number, not a raw dict
+        line = next(ln for ln in text.splitlines()
+                    if "events_per_request" in ln)
+        assert "{" not in line

@@ -95,8 +95,7 @@ def test_unit_resource_serializes_total_time(durations):
                                  allow_nan=False), min_size=1, max_size=200))
 @settings(max_examples=60, deadline=None)
 def test_percentiles_bounded_and_monotone(values):
-    env = Environment()
-    rec = LatencyRecorder(env)
+    rec = LatencyRecorder()
     for v in values:
         rec.record(v)
     p50, p90, p99 = rec.p50(), rec.p90(), rec.p99()

@@ -229,8 +229,9 @@ def _run_fast_and_slow(twin):
             (7.0, "g", 2.0, 0)):
         env.defer(when, lambda _a, t=tag, h=hold, p=priority: claim(t, h, p))
     env.run()
-    stats = env.kernel_stats()
-    del stats["wall_seconds"], stats["events_per_sec"]
+    stats = {key: getattr(env, key) for key in (
+        "events_processed", "processes_spawned", "tasks_spawned",
+        "requests_completed", "heap_peak")}
     return (grants, env._eid, res.in_use, res.waiting,
             res.utilization.mean(), res.utilization.max(),
             res.queue_depth.mean(), res.queue_depth.max(),

@@ -14,8 +14,8 @@ def env():
 
 
 class TestLatencyRecorder:
-    def test_percentiles_match_numpy(self, env):
-        rec = LatencyRecorder(env)
+    def test_percentiles_match_numpy(self):
+        rec = LatencyRecorder()
         values = [3.0, 1.0, 4.0, 1.0, 5.0, 9.0, 2.0, 6.0]
         for v in values:
             rec.record(v)
@@ -24,78 +24,43 @@ class TestLatencyRecorder:
         assert rec.mean() == pytest.approx(np.mean(values))
         assert rec.min() == 1.0 and rec.max() == 9.0
 
-    def test_empty_recorder_is_nan(self, env):
-        rec = LatencyRecorder(env)
+    def test_empty_recorder_is_nan(self):
+        rec = LatencyRecorder()
         assert math.isnan(rec.p50())
         assert math.isnan(rec.mean())
 
-    def test_reset_discards_warmup(self, env):
-        rec = LatencyRecorder(env)
+    def test_reset_discards_warmup(self):
+        rec = LatencyRecorder()
         rec.record(1000.0)
         rec.reset()
         rec.record(2.0)
         assert rec.count == 1
         assert rec.p50() == 2.0
 
-    def test_summary_keys(self, env):
-        rec = LatencyRecorder(env)
+    def test_summary_keys(self):
+        rec = LatencyRecorder()
         rec.record(1.0)
         summary = rec.summary()
         assert set(summary) == {"count", "mean", "p50", "p90", "p99",
                                 "min", "max"}
 
-    def test_record_many_matches_repeated_record(self, env):
-        values = [3.0, 1.0, 4.0, 1.5, 5.0, 9.0]
-        one = LatencyRecorder(env)
-        for v in values:
-            one.record(v)
-        many = LatencyRecorder(env)
-        many.record_many(np.array(values))
-        assert many._samples == one._samples
-        assert many.p99() == one.p99()
-        assert many.snapshot() == one.snapshot()
-
-    def test_record_many_respects_warmup_cut(self, env):
-        rec = LatencyRecorder(env)
-        rec.reset(at_time=10.0)
-        rec.record_many([1.0, 2.0])   # env.now == 0 < start: dropped
-        assert rec.count == 0
-
-    def test_record_many_empty(self, env):
-        rec = LatencyRecorder(env)
-        rec.record_many([])
-        assert rec.count == 0
-
-    def test_start_argument_drops_warmup_samples(self, env):
-        # The docstring-promised warmup cut: samples recorded while
-        # env.now < start never enter the recorder.
-        rec = LatencyRecorder(env)
-        rec.reset(at_time=10.0)
-
-        def proc(env):
-            rec.record(999.0)          # t=0: warmup, dropped
-            yield env.timeout(10)
-            rec.record(5.0)            # t=10: measured
-
-        env.process(proc(env))
-        env.run()
-        assert rec.count == 1
-        assert rec.p50() == 5.0
-
-    def test_reset_at_time_installs_new_cut(self, env):
-        rec = LatencyRecorder(env)
+    def test_reset_at_time_drops_every_sample(self):
+        # Samples carry no timestamp: the cut is the reset itself, and
+        # a time argument (the common reset signature) moves nothing.
+        rec = LatencyRecorder()
         rec.record(999.0)
-        rec.reset(at_time=20.0)        # cut ahead of the clock (t=0)
-        rec.record(888.0)              # still warmup: env.now < 20
+        rec.reset(at_time=20.0)        # a time ahead of the clock (t=0)
         assert rec.count == 0
-        assert rec.start == 20.0
+        rec.record(888.0)              # recorded, not held back to t=20
+        assert rec.count == 1
+        assert rec.p50() == 888.0
 
-    def test_snapshot_is_mergeable_histogram(self, env):
-        rec = LatencyRecorder(env)
+    def test_snapshot_is_mergeable_histogram(self):
+        rec = LatencyRecorder()
         rec.record(100.0)
         snap = rec.snapshot()
         assert snap["kind"] == "histogram" and snap["count"] == 1
-        other = LatencyRecorder(env)
+        other = LatencyRecorder()
         other.record(200.0)
         other.merge(snap)
         merged = other.snapshot()
