@@ -18,7 +18,6 @@ from .memcached import (
 from .sgx_echo import SgxEchoApp, VcaBridgeBaseline
 from .lenet import LeNetApp
 from .facever import FaceVerificationApp
-from .knn import KnnApp, KnnDataset
 
 __all__ = [
     "ServerApp",
@@ -38,6 +37,4 @@ __all__ = [
     "VcaBridgeBaseline",
     "LeNetApp",
     "FaceVerificationApp",
-    "KnnApp",
-    "KnnDataset",
 ]

@@ -74,24 +74,27 @@ def image_bytes(digit, noise=0.0, shift=(0, 0), rng=None):
     return render_digit(digit, noise=noise, shift=shift, rng=rng).tobytes()
 
 
+#: pixel noise (fraction of full scale) on every streamed digit
+STREAM_NOISE = 0.02
+
+
 class MnistStream:
     """Deterministic stream of (payload, label) pairs for load clients."""
 
-    def __init__(self, seed=0, noise=0.02):
+    def __init__(self, seed=0):
         self._rng = np.random.default_rng(seed)
-        self.noise = noise
 
     def sample(self, index):
         digit = index % 10
         shift = (int(self._rng.integers(-1, 2)), int(self._rng.integers(-1, 2)))
-        return image_bytes(digit, noise=self.noise, shift=shift,
+        return image_bytes(digit, noise=STREAM_NOISE, shift=shift,
                            rng=self._rng), digit
 
 
 def template_set(max_shift=1):
     """Digit -> list of images, for LeNet prototype calibration.
 
-    Covers every glyph shift the default :class:`MnistStream` emits so
+    Covers every glyph shift :class:`MnistStream` emits so
     the prototype readout sees each variant.
     """
     out = {}

@@ -34,19 +34,18 @@ class LeNetApp(ServerApp):
     #: launch chain (§6.3)
     host_kernel_launches = 5
 
-    def __init__(self, calibrated=True, compute_for_real=True):
+    def __init__(self, compute_for_real=True):
         self.gpu_duration = DEFAULT_APP_TIMINGS.lenet_gpu
         self.model = LeNet5(seed=WEIGHT_SEED)
-        if calibrated:
-            cached = _CALIBRATION_CACHE.get(WEIGHT_SEED)
-            if cached is None:
-                self.model.calibrate_to_templates(template_set())
-                _CALIBRATION_CACHE[WEIGHT_SEED] = (
-                    self.model.fc3_w.copy(), self.model.fc3_b.copy())
-            else:
-                # calibrate_to_templates only rewrites the fc3 readout.
-                self.model.fc3_w = cached[0].copy()
-                self.model.fc3_b = cached[1].copy()
+        cached = _CALIBRATION_CACHE.get(WEIGHT_SEED)
+        if cached is None:
+            self.model.calibrate_to_templates(template_set())
+            _CALIBRATION_CACHE[WEIGHT_SEED] = (
+                self.model.fc3_w.copy(), self.model.fc3_b.copy())
+        else:
+            # calibrate_to_templates only rewrites the fc3 readout.
+            self.model.fc3_w = cached[0].copy()
+            self.model.fc3_b = cached[1].copy()
         #: throughput experiments can skip the numpy forward pass (the
         #: simulated timing is unchanged; the response becomes digit 0)
         self.compute_for_real = compute_for_real

@@ -128,88 +128,10 @@ def campaign_main(argv):
     return 0
 
 
-def slo_main(argv):
-    """The ``slo`` subcommand: one sustainable-load bisection.
-
-    Bisects offered λ for a (workload, design) pair under Poisson
-    population arrivals, as E17 does, and prints every probe plus the
-    knee.
-    """
-    from . import e17_slo_frontier as e17
-
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.experiments slo",
-        description="Bisect offered load to the highest rate whose p99 "
-                    "meets an SLO (the E17 search, single point, "
-                    "DESIGN.md §4.13).")
-    parser.add_argument("--workload", choices=e17.WORKLOADS,
-                        default="memcached")
-    parser.add_argument("--design", choices=e17.DESIGNS,
-                        default="lynx-bluefield")
-    parser.add_argument("--slo-us", type=float, default=None, metavar="US",
-                        help="p99 target (default: the workload's E17 "
-                             "target)")
-    parser.add_argument("--lo", type=float, default=None, metavar="RATE",
-                        help="bracket low end, requests/us")
-    parser.add_argument("--hi", type=float, default=None, metavar="RATE",
-                        help="bracket high end, requests/us")
-    parser.add_argument("--iters", type=int, default=7, metavar="N",
-                        help="bisection probes after the bracket ends "
-                             "(default 7)")
-    parser.add_argument("--measure", type=float, default=None, metavar="US",
-                        help="measure window per probe (default: the "
-                             "workload's full-preset window)")
-    parser.add_argument("--seed", type=int, default=42)
-    args = parser.parse_args(argv)
-    if args.iters < 1:
-        parser.error("--iters must be >= 1")
-
-    warmup, measure = e17.WINDOWS_FULL[args.workload]
-    if args.measure is not None:
-        measure = args.measure
-        warmup = min(warmup, measure / 2.0)
-    telemetry.push_scope()
-    try:
-        start = time.time()
-        # One point through the sweep executor, as E17 runs it, so the
-        # point's collector boundary frees each trial's testbed.
-        point = sweep.Point(
-            ("slo", args.workload, args.design), e17.measure_frontier,
-            dict(workload=args.workload, design=args.design, warmup=warmup,
-                 measure=measure, iters=args.iters, slo_us=args.slo_us,
-                 lo=args.lo, hi=args.hi),
-            seed=args.seed)
-        outcome, = sweep.run_points([point], jobs=1)
-        print("SLO frontier: %s on %s, arrivals=poisson, p99 <= %gus"
-              % (args.workload, args.design, outcome["slo_us"]))
-        print("%10s  %10s  %11s  %8s  %8s  %s"
-              % ("rate/us", "offered/s", "delivered/s", "p99 us",
-                 "goodput", "ok"))
-        for t in outcome["trials"]:
-            print("%10.4f  %10.0f  %11.0f  %8.1f  %8.3f  %s"
-                  % (t["rate_per_us"], t["offered_per_sec"],
-                     t["delivered_per_sec"], t["p_tail_us"],
-                     t["goodput_ratio"], "yes" if t["ok"] else "NO"))
-        if outcome["sustainable_per_sec"] > 0:
-            print("sustainable: %.0f req/s (p99 %.1fus at the knee, "
-                  "goodput %.3f)"
-                  % (outcome["sustainable_per_sec"],
-                     outcome["p99_at_knee_us"], outcome["goodput_at_knee"]))
-        else:
-            print("no sustainable rate in the bracket (lower --lo or "
-                  "relax --slo-us)")
-        print("(%.1fs)" % (time.time() - start))
-    finally:
-        telemetry.pop_scope()
-    return 0
-
-
 def main(argv=None):
     argv = sys.argv[1:] if argv is None else list(argv)
     if argv and argv[0] == "campaign":
         return campaign_main(argv[1:])
-    if argv and argv[0] == "slo":
-        return slo_main(argv[1:])
     parser = argparse.ArgumentParser(
         prog="python -m repro.experiments",
         description="Reproduce the Lynx (ASPLOS'20) evaluation.")

@@ -125,15 +125,11 @@ def _lenet_trial(design, rate, seed, warmup, measure):
 TRIALS = {"memcached": _memcached_trial, "lenet": _lenet_trial}
 
 
-def measure_frontier(workload, design, seed, warmup, measure, iters,
-                     slo_us=None, lo=None, hi=None):
+def measure_frontier(workload, design, seed, warmup, measure, iters):
     """One sweep point: the full bisection for (workload, design)."""
     trial_fn = TRIALS[workload]
-    if slo_us is None:
-        slo_us = SLO_US[workload]
-    blo, bhi = BRACKET[workload]
-    lo = blo if lo is None else lo
-    hi = bhi if hi is None else hi
+    slo_us = SLO_US[workload]
+    lo, hi = BRACKET[workload]
 
     def trial(rate, trial_seed):
         return trial_fn(design, rate, trial_seed, warmup, measure)

@@ -130,14 +130,14 @@ class Point:
 
     A picklable spec: *builder* is a module-level callable, *kwargs*
     its keyword arguments, and ``seed`` the per-point seed derived from
-    the experiment's root seed and the point *key* (unless given
-    explicitly).  The executor invokes ``builder(seed=point.seed,
-    **kwargs)`` — builders must accept a ``seed`` keyword.
+    the experiment's root seed and the point *key*.  The executor
+    invokes ``builder(seed=point.seed, **kwargs)`` — builders must
+    accept a ``seed`` keyword.
     """
 
     __slots__ = ("key", "builder", "kwargs", "seed")
 
-    def __init__(self, key, builder, kwargs=None, root_seed=42, seed=None):
+    def __init__(self, key, builder, kwargs=None, root_seed=42):
         self.key = key
         self.builder = builder
         self.kwargs = dict(kwargs or {})
@@ -145,7 +145,7 @@ class Point:
             raise ConfigError("pass the root seed via root_seed=, not "
                               "kwargs['seed'] — the executor injects the "
                               "derived per-point seed")
-        self.seed = derive_seed(root_seed, key) if seed is None else seed
+        self.seed = derive_seed(root_seed, key)
 
     def __call__(self):
         return self.builder(seed=self.seed, **self.kwargs)

@@ -59,8 +59,8 @@ class VcaNodeAccelerator:
     The paper's §5.4 point is that integrating the VCA took "4 lines of
     code": the accelerator-facing contract is tiny.  This adapter is the
     explicit form of that contract — ``memory``, ``poll_latency`` and
-    ``persistent_kernel`` — so ``LynxRuntime.start_gpu_service`` (and
-    pipelines) work on VCA nodes exactly as on GPUs.
+    ``persistent_kernel`` — so ``LynxRuntime.start_gpu_service`` works
+    on VCA nodes exactly as on GPUs.
     """
 
     def __init__(self, node):

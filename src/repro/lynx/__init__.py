@@ -18,7 +18,6 @@ from .rmq import RemoteMQManager
 from .server import LynxServer
 from .iolib import AcceleratorIO
 from .runtime import LynxRuntime, AppContext, GpuService
-from .pipeline import PipelineHandle, PipelineStage, start_pipeline
 
 __all__ = [
     "MQueue",
@@ -37,7 +36,4 @@ __all__ = [
     "LynxRuntime",
     "AppContext",
     "GpuService",
-    "PipelineStage",
-    "PipelineHandle",
-    "start_pipeline",
 ]

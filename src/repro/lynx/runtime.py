@@ -253,9 +253,9 @@ class LynxRuntime:
 
             procs = respawn()
         else:
-            # Apps with a custom handle() coroutine (backend RPCs,
-            # pipeline relays), and every app on a non-GPU accelerator,
-            # keep the interruptible generator loop.
+            # Apps with a custom handle() coroutine (backend RPCs), and
+            # every app on a non-GPU accelerator, keep the interruptible
+            # generator loop.
             def body_factory(tb):
                 return _service_loop(self.env, io, app, contexts[tb])
 
@@ -266,14 +266,6 @@ class LynxRuntime:
 
             procs = respawn()
         return GpuService(gpu, manager, mqs, contexts, procs, respawn=respawn)
-
-
-    def start_pipeline(self, stages, port, proto=UDP):
-        """Generator: compose accelerators into a pipeline (see
-        :mod:`repro.lynx.pipeline`)."""
-        from .pipeline import start_pipeline
-
-        return (yield from start_pipeline(self, stages, port, proto=proto))
 
 
 class _ThreadblockOp(Event):

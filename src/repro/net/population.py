@@ -569,14 +569,14 @@ class ClientPopulation:
 
     # -- measurement surface -----------------------------------------------
 
-    def reset(self, at_time=None):
+    def reset(self):
         """Warmup cut: flush pending responses, then zero every
         instrument and counter (in-flight requests stay in flight —
         the same semantics as ``Client.latency.reset()``)."""
         self._resolve_pending()
-        self.latency.reset(at_time)
-        self.responses.reset(at_time)
-        self.offered_meter.reset(at_time)
+        self.latency.reset()
+        self.responses.reset()
+        self.offered_meter.reset()
         self.offered = 0
         self.timeouts = 0
         self.errors = 0

@@ -1,8 +1,5 @@
-"""Reporting: ASCII charts and paper-figure rendering."""
+"""Reporting: the paper-anchor scorecard over the committed results."""
 
-from .charts import bar_chart, cdf_chart, line_chart
-from .figures import ALL_FIGURES
 from .scorecard import grade, render_scorecard, score_results_dir, score_rows
 
-__all__ = ["bar_chart", "cdf_chart", "line_chart", "ALL_FIGURES",
-           "grade", "score_rows", "score_results_dir", "render_scorecard"]
+__all__ = ["grade", "score_rows", "score_results_dir", "render_scorecard"]

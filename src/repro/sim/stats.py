@@ -1,12 +1,11 @@
 """Measurement instruments bound to a simulation clock.
 
-Every instrument's warmup cut is ``reset(at_time=None)``, called at the
-end of warmup (the paper's 2-second warmup methodology, §6;
-``Testbed.warmup_then_measure`` calls it with no time).
-:class:`RateMeter` and :class:`TimeWeightedGauge` restart their
-measurement window at ``at_time``, which defaults to the environment's
-current time.  :class:`LatencyRecorder` samples carry no timestamp, so
-its reset drops every sample recorded so far and ignores ``at_time``.
+The warmup cut is ``reset()``, called at the end of warmup (the
+paper's 2-second warmup methodology, §6), mostly by
+``Testbed.warmup_then_measure``.  :class:`RateMeter` restarts its
+measurement window at the environment's current time;
+:class:`LatencyRecorder` drops every sample recorded so far.
+:class:`TimeWeightedGauge` has no cut: it averages from construction.
 
 Every instrument also speaks the telemetry protocol
 (``kind``/``snapshot()``/``merge()``, DESIGN.md §4.9) so it can be
@@ -41,12 +40,8 @@ class LatencyRecorder:
         """Append one latency sample (us)."""
         self._samples.append(value)
 
-    def reset(self, at_time=None):
-        """Drop every sample recorded so far (end of warmup).
-
-        ``at_time`` is accepted for the common ``reset`` signature and
-        ignored: the samples carry no timestamp to cut at.
-        """
+    def reset(self):
+        """Drop every sample recorded so far (end of warmup)."""
         self._samples = []
         self._merged = None
 
@@ -136,10 +131,10 @@ class RateMeter:
         """Count *n* events."""
         self.count += n
 
-    def reset(self, at_time=None):
-        """Restart the measurement window (at ``at_time`` if given)."""
+    def reset(self):
+        """Restart the measurement window at the current time."""
         self.count = 0
-        self._start = self.env.now if at_time is None else at_time
+        self._start = self.env.now
         self._merged_count = 0
         self._merged_elapsed = 0.0
 

@@ -7,8 +7,7 @@ them with a single observer contract:
 
 * :mod:`~repro.telemetry.instruments` — typed instruments (monotonic
   counter, peak gauge, time-weighted gauge, mergeable log-bucketed
-  histogram, pull counters) sharing ``kind``/``snapshot``/``merge``/
-  ``reset(at_time)``;
+  histogram, pull counters) sharing ``kind``/``snapshot``/``merge``;
 * :mod:`~repro.telemetry.registry` — the hierarchical name → instrument
   registry plus the scope stack the sweep executor uses to keep
   ``--jobs N`` bit-identical;

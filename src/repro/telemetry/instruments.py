@@ -13,10 +13,12 @@ Every instrument speaks one small protocol:
     max, histogram buckets add bucket-wise.  (Float-valued fields such
     as a histogram's ``sum`` are exact only up to FP rounding; integer
     fields merge exactly in any order.)
-``reset(at_time=None)``
-    Zero the instrument **in place** — cached references stay valid —
-    optionally restarting any time window at ``at_time`` instead of the
-    instrument's own clock (the warmup cut).
+``reset()``
+    The warmup cut, only on the instruments a measurement window
+    reaches (:class:`LogHistogram` here; ``LatencyRecorder`` and
+    ``RateMeter`` in ``repro.sim.stats``): zero **in place** — cached
+    references stay valid — and restart any time window at the
+    instrument's own clock.
 
 Instruments are *read-only observers*: registering or snapshotting them
 never perturbs simulated state, so fixed-seed outputs stay bit-identical
@@ -52,9 +54,6 @@ class Counter:
     def merge(self, snap):
         self.value += snap["value"]
 
-    def reset(self, at_time=None):
-        self.value = 0
-
 
 class PeakGauge:
     """Tracks the maximum value ever :meth:`record`-ed."""
@@ -76,42 +75,32 @@ class PeakGauge:
         if snap["value"] > self.value:
             self.value = snap["value"]
 
-    def reset(self, at_time=None):
-        self.value = 0
-
 
 class PullCounter:
     """A counter whose value is *read* from live state at snapshot time.
 
     Wraps a zero-argument callable (typically a closure over a model
     object's plain-int attribute), so the hot path that bumps the
-    underlying attribute pays nothing for being observable.  ``reset``
-    captures the current reading as a baseline, implementing the warmup
-    cut without touching the model; ``merge`` accumulates foreign
-    snapshots on top of the live reading.
+    underlying attribute pays nothing for being observable.  ``merge``
+    accumulates foreign snapshots on top of the live reading.
     """
 
     kind = "counter"
-    __slots__ = ("_fn", "_base", "_merged")
+    __slots__ = ("_fn", "_merged")
 
     def __init__(self, fn):
         self._fn = fn
-        self._base = 0
         self._merged = 0
 
     @property
     def value(self):
-        return self._fn() - self._base + self._merged
+        return self._fn() + self._merged
 
     def snapshot(self):
         return {"kind": "counter", "value": self.value}
 
     def merge(self, snap):
         self._merged += snap["value"]
-
-    def reset(self, at_time=None):
-        self._base = self._fn()
-        self._merged = 0
 
 
 class PullPeak:
@@ -135,9 +124,6 @@ class PullPeak:
     def merge(self, snap):
         if snap["value"] > self._merged:
             self._merged = snap["value"]
-
-    def reset(self, at_time=None):
-        self._merged = 0
 
 
 class DerivedRatio:
@@ -176,9 +162,6 @@ class DerivedRatio:
     def merge(self, snap):
         pass
 
-    def reset(self, at_time=None):
-        pass
-
 
 class RatioHolder:
     """Accumulator twin of :class:`DerivedRatio` (latest reading wins).
@@ -200,9 +183,6 @@ class RatioHolder:
 
     def merge(self, snap):
         self.value = snap["value"]
-
-    def reset(self, at_time=None):
-        self.value = 0.0
 
 
 class TimeWeightedGauge:
@@ -247,28 +227,13 @@ class TimeWeightedGauge:
         if value > self._max:
             self._max = value
 
-    def reset(self, at_time=None):
-        """Restart time-weighted accounting at the current value.
-
-        ``at_time`` backdates (or forward-dates) the window start — the
-        warmup cut: accounting restarts as if the value had been held
-        constant since ``at_time``.
-        """
-        now = self._clock() if at_time is None else at_time
-        self._area = 0.0
-        self._start = now
-        self._last_change = now
-        self._max = self._value
-        self._merged_area = 0.0
-        self._merged_elapsed = 0.0
-
     def _window(self):
         now = self._clock()
         area = self._area + self._value * (now - self._last_change)
         return area, now - self._start
 
     def mean(self):
-        """Time-weighted mean since the last reset (merges included)."""
+        """Time-weighted mean since construction (merges included)."""
         area, elapsed = self._window()
         area += self._merged_area
         elapsed += self._merged_elapsed
@@ -277,7 +242,7 @@ class TimeWeightedGauge:
         return area / elapsed
 
     def max(self):
-        """Largest value seen since the last reset."""
+        """Largest value seen since construction."""
         return self._max
 
     def snapshot(self):
@@ -330,10 +295,6 @@ class RateStat:
     def merge(self, snap):
         self.count += snap["count"]
         self.elapsed += snap["elapsed"]
-
-    def reset(self, at_time=None):
-        self.count = 0
-        self.elapsed = 0.0
 
 
 class LogHistogram:
@@ -488,7 +449,7 @@ class LogHistogram:
             idx = int(key)
             buckets[idx] = buckets.get(idx, 0) + n
 
-    def reset(self, at_time=None):
+    def reset(self):
         self.count = 0
         self.zeros = 0
         self.sum = 0.0

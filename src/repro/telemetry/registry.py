@@ -86,8 +86,7 @@ class MetricsRegistry:
 
         *num* and *den* are the dotted names of counter instruments in
         this registry (created on demand).  Get-or-create, not replace:
-        counter resets are in-place, so the existing instrument's
-        operand references stay valid.
+        :meth:`merge` calls this for every incoming ratio snapshot.
         """
         inst = self._instruments.get(name)
         if isinstance(inst, DerivedRatio):
@@ -116,7 +115,7 @@ class MetricsRegistry:
             return list(self._instruments)
         return [n for n in self._instruments if _under(n, prefix)]
 
-    # -- snapshot / merge / reset -----------------------------------------
+    # -- snapshot / merge -------------------------------------------------
 
     def snapshot(self, prefix=""):
         """``{name: instrument.snapshot()}`` in registration order."""
@@ -149,15 +148,8 @@ class MetricsRegistry:
             else:
                 instruments[name] = materialize(snap)
 
-    def reset(self, prefix="", at_time=None):
-        """Zero matching instruments **in place** (cached refs stay valid)."""
-        for name, inst in self._instruments.items():
-            if prefix and not _under(name, prefix):
-                continue
-            inst.reset(at_time)
-
     def clear(self):
-        """Drop every instrument (worker hygiene, not the warmup cut)."""
+        """Drop every instrument (worker hygiene)."""
         self._instruments.clear()
 
 

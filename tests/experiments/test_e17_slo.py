@@ -10,7 +10,6 @@ from repro import telemetry
 from repro.errors import ConfigError
 from repro.experiments import e17_slo_frontier as e17
 from repro.experiments import sweep
-from repro.experiments.__main__ import slo_main
 from repro.experiments.common import HOST_CENTRIC, LYNX_BLUEFIELD
 from repro.experiments.slo import find_sustainable_load
 from repro.experiments.sweep import derive_seed
@@ -123,29 +122,31 @@ class TestBracketWidening:
 
         monkeypatch.setitem(e17.TRIALS, "memcached", fake)
 
-    def _frontier(self, lo, hi):
+    def _frontier(self, monkeypatch, lo, hi):
+        monkeypatch.setitem(e17.BRACKET, "memcached", (lo, hi))
         return e17.measure_frontier("memcached", HOST_CENTRIC, seed=42,
-                                    warmup=10.0, measure=10.0, iters=6,
-                                    lo=lo, hi=hi)
+                                    warmup=10.0, measure=10.0, iters=6)
 
     def test_saturated_bracket_widens_once_and_finds_the_knee(
             self, monkeypatch):
         self._pin_trial(monkeypatch, knee=0.3)
-        out = self._frontier(lo=0.05, hi=0.1)   # knee above the bracket
+        # knee above the bracket
+        out = self._frontier(monkeypatch, lo=0.05, hi=0.1)
         assert out["bracket_widened"]
         assert not out["bracket_saturated"]     # the widened search knelt
         assert out["sustainable_per_sec"] == pytest.approx(0.3e6, rel=0.05)
 
     def test_normal_knee_does_not_widen(self, monkeypatch):
         self._pin_trial(monkeypatch, knee=0.3)
-        out = self._frontier(lo=0.1, hi=0.9)
+        out = self._frontier(monkeypatch, lo=0.1, hi=0.9)
         assert not out["bracket_widened"]
         assert not out["bracket_saturated"]
         assert out["sustainable_per_sec"] == pytest.approx(0.3e6, rel=0.05)
 
     def test_widened_bracket_can_still_saturate(self, monkeypatch):
         self._pin_trial(monkeypatch, knee=10.0)
-        out = self._frontier(lo=0.05, hi=0.1)   # knee above 4*hi too
+        # knee above 4*hi too
+        out = self._frontier(monkeypatch, lo=0.05, hi=0.1)
         assert out["bracket_widened"]
         assert out["bracket_saturated"]         # reported, not hidden
         assert out["sustainable_per_sec"] == pytest.approx(0.4e6)
@@ -237,9 +238,8 @@ class TestTrialTelemetry:
         assert metrics(2) == serial
 
 
-class TestSloCli:
-    def test_trial_testbeds_dead_when_the_call_returns(self, monkeypatch,
-                                                       capsys):
+class TestPointFreesTrials:
+    def test_trial_testbeds_dead_when_the_call_returns(self, monkeypatch):
         built = []
         real = e17.Testbed
 
@@ -253,13 +253,13 @@ class TestSloCli:
         gc.collect()
         gc.disable()
         try:
-            assert slo_main(["--workload", "memcached", "--design",
-                             "host-centric", "--measure", "500",
-                             "--iters", "1"]) == 0
+            # One memcached/host-centric bisection through the sweep
+            # executor: the point's collector boundary frees every
+            # trial's testbed.
+            outcome, = sweep.run_points(_tiny_points(1), jobs=1)
+            assert len(outcome["trials"]) >= 2
             assert len(built) >= 2
             assert [ref() for ref in built] == [None] * len(built)
         finally:
             if was_enabled:
                 gc.enable()
-        assert "SLO frontier: memcached on host-centric" in \
-            capsys.readouterr().out

@@ -124,9 +124,6 @@ class TestPoint:
         point = sweep.Point("k", seed_and_kwargs, dict(tag="hello"))
         assert point() == (point.seed, "hello")
 
-    def test_explicit_seed_wins(self):
-        assert sweep.Point("k", double_seed, seed=5).seed == 5
-
     def test_seed_kwarg_rejected(self):
         with pytest.raises(ConfigError):
             sweep.Point("k", double_seed, dict(seed=1))

@@ -44,17 +44,6 @@ class TestLatencyRecorder:
         assert set(summary) == {"count", "mean", "p50", "p90", "p99",
                                 "min", "max"}
 
-    def test_reset_at_time_drops_every_sample(self):
-        # Samples carry no timestamp: the cut is the reset itself, and
-        # a time argument (the common reset signature) moves nothing.
-        rec = LatencyRecorder()
-        rec.record(999.0)
-        rec.reset(at_time=20.0)        # a time ahead of the clock (t=0)
-        assert rec.count == 0
-        rec.record(888.0)              # recorded, not held back to t=20
-        assert rec.count == 1
-        assert rec.p50() == 888.0
-
     def test_snapshot_is_mergeable_histogram(self):
         rec = LatencyRecorder()
         rec.record(100.0)
@@ -96,15 +85,6 @@ class TestRateMeter:
         meter = RateMeter(env)
         assert math.isnan(meter.per_us())
 
-    def test_reset_at_time_backdates_window(self, env):
-        meter = RateMeter(env)
-        meter.tick(100)
-        env.run(until=10)
-        meter.reset(at_time=5.0)       # warmup cut at t=5, reset at t=10
-        env.run(until=25)
-        meter.tick(10)
-        assert meter.per_us() == pytest.approx(10 / 20.0)
-
 
 class TestTimeWeightedGauge:
     def test_mean_weighs_by_time(self, env):
@@ -125,22 +105,3 @@ class TestTimeWeightedGauge:
         gauge.set(7)
         gauge.set(2)
         assert gauge.max() == 7
-
-    def test_reset(self, env):
-        gauge = TimeWeightedGauge(env)
-        gauge.set(100)
-        env.run(until=5)
-        gauge.reset()
-        env.run(until=10)
-        assert gauge.mean() == pytest.approx(100)
-        assert gauge.max() == 100
-
-    def test_reset_at_time_backdates_window(self, env):
-        gauge = TimeWeightedGauge(env)
-        gauge.set(100)
-        env.run(until=8)
-        gauge.reset(at_time=4.0)
-        env.run(until=12)
-        snap = gauge.snapshot()
-        assert snap["elapsed"] == pytest.approx(8.0)
-        assert gauge.mean() == pytest.approx(100.0)

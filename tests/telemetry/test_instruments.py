@@ -1,4 +1,4 @@
-"""Instrument protocol: kind / snapshot / merge / reset(at_time)."""
+"""Instrument protocol: kind / snapshot / merge."""
 
 import math
 
@@ -32,13 +32,6 @@ class TestCounter:
         c.merge({"kind": "counter", "value": 40})
         assert c.value == 42
 
-    def test_reset_in_place(self):
-        c = Counter()
-        alias = c  # cached reference must stay valid across reset
-        c.inc(9)
-        c.reset()
-        assert alias.value == 0
-
 
 class TestPeakGauge:
     def test_tracks_max(self):
@@ -64,13 +57,6 @@ class TestPullInstruments:
         state["hits"] = 7
         assert c.value == 7
         assert c.snapshot()["value"] == 7
-
-    def test_reset_captures_baseline(self):
-        state = {"hits": 10}
-        c = PullCounter(lambda: state["hits"])
-        c.reset()  # warmup cut: forget the first 10
-        state["hits"] = 25
-        assert c.value == 15
 
     def test_merge_accumulates_on_top_of_live(self):
         state = {"hits": 1}
@@ -102,19 +88,6 @@ class TestTimeWeightedGauge:
         clock["now"] = 8.0
         assert g.mean() == pytest.approx(5.0)
         assert g.max() == 10
-
-    def test_reset_at_time_backdates_window(self):
-        clock, tick = self.fake_clock()
-        g = TimeWeightedGauge(clock=tick)
-        g.set(100)
-        clock["now"] = 6.0
-        g.reset(at_time=2.0)  # warmup cut at t=2, reset ran at t=6
-        clock["now"] = 12.0
-        # Value held at 100 since the cut: mean over [2, 12] is 100.
-        assert g.mean() == pytest.approx(100.0)
-        snap = g.snapshot()
-        assert snap["elapsed"] == pytest.approx(10.0)
-        assert snap["area"] == pytest.approx(1000.0)
 
     def test_merge_combines_windows(self):
         clock, tick = self.fake_clock()
@@ -205,9 +178,3 @@ class TestRatioHolder:
         h = materialize({"kind": "ratio", "value": 2.5})
         assert isinstance(h, RatioHolder)
         assert h.value == 2.5
-
-    def test_reset(self):
-        h = RatioHolder()
-        h.merge({"kind": "ratio", "value": 9.0})
-        h.reset()
-        assert h.value == 0.0

@@ -16,7 +16,7 @@ EXAMPLES = sorted((Path(__file__).resolve().parent.parent
 
 
 def test_examples_found():
-    assert len(EXAMPLES) >= 9
+    assert len(EXAMPLES) >= 6
 
 
 @pytest.mark.parametrize("path", EXAMPLES, ids=lambda p: p.stem)

@@ -1,75 +1,6 @@
-"""ASCII chart rendering."""
+"""The paper-anchor scorecard and the campaign importance table."""
 
-import numpy as np
 import pytest
-
-from repro.errors import ConfigError
-from repro.report import ALL_FIGURES, bar_chart, cdf_chart, line_chart
-
-
-class TestBarChart:
-    def test_longest_bar_is_the_peak(self):
-        chart = bar_chart([("a", 10.0), ("b", 5.0)], width=20)
-        lines = chart.splitlines()
-        assert lines[0].count("█") == 20
-        assert lines[1].count("█") == 10
-
-    def test_labels_and_values_present(self):
-        chart = bar_chart([("lynx", 3.5), ("host", 2.8)], unit="K")
-        assert "lynx" in chart and "3.50K" in chart
-        assert "host" in chart and "2.80K" in chart
-
-    def test_title(self):
-        assert bar_chart([("a", 1)], title="T").splitlines()[0] == "T"
-
-    def test_none_value_rendered_as_dash(self):
-        chart = bar_chart([("a", 1.0), ("b", None)])
-        assert chart.splitlines()[1].endswith("-")
-
-    def test_empty_rejected(self):
-        with pytest.raises(ConfigError):
-            bar_chart([])
-
-
-class TestLineChart:
-    def test_markers_and_legend(self):
-        chart = line_chart({"up": [(0, 0), (10, 10)],
-                            "flat": [(0, 5), (10, 5)]})
-        assert "o up" in chart
-        assert "x flat" in chart
-        assert "o" in chart and "x" in chart
-
-    def test_axis_bounds_labelled(self):
-        chart = line_chart({"s": [(2, 1), (8, 3)]}, x_label="gpus")
-        assert "2.00" in chart and "8.00" in chart
-        assert "gpus" in chart
-
-    def test_empty_rejected(self):
-        with pytest.raises(ConfigError):
-            line_chart({})
-        with pytest.raises(ConfigError):
-            line_chart({"s": []})
-
-
-class TestCdfChart:
-    def test_monotone_marker_columns(self):
-        rng = np.random.default_rng(0)
-        chart = cdf_chart({"lat": rng.exponential(100, 500)})
-        assert "fraction of requests" in chart
-
-    def test_two_series(self):
-        chart = cdf_chart({"fast": [1, 2, 3] * 20, "slow": [5, 6, 9] * 20})
-        assert "fast" in chart and "slow" in chart
-
-    def test_empty_samples_rejected(self):
-        with pytest.raises(ConfigError):
-            cdf_chart({"empty": []})
-
-
-class TestFigureRegistry:
-    def test_every_paper_figure_present(self):
-        assert set(ALL_FIGURES) == {"fig5", "fig6", "fig7", "fig8a",
-                                    "fig8b", "fig8c", "fig9"}
 
 
 class TestScorecard:
@@ -122,49 +53,6 @@ class TestScorecard:
 
         with pytest.raises(ConfigError):
             score_results_dir("/nonexistent/dir")
-
-
-class TestChartProperties:
-    """Charts must render for arbitrary well-formed data."""
-
-    def test_bar_chart_random_values(self):
-        from hypothesis import given, settings, strategies as st
-
-        @given(values=st.lists(st.floats(min_value=0.001, max_value=1e9,
-                                         allow_nan=False),
-                               min_size=1, max_size=12))
-        @settings(max_examples=30, deadline=None)
-        def check(values):
-            rows = [("row-%d" % i, v) for i, v in enumerate(values)]
-            out = bar_chart(rows)
-            assert len(out.splitlines()) == len(values)
-
-        check()
-
-    def test_line_chart_random_points(self):
-        from hypothesis import given, settings, strategies as st
-
-        point = st.tuples(st.floats(min_value=-1e6, max_value=1e6,
-                                    allow_nan=False),
-                          st.floats(min_value=0, max_value=1e6,
-                                    allow_nan=False))
-
-        @given(pts=st.lists(point, min_size=1, max_size=40))
-        @settings(max_examples=30, deadline=None)
-        def check(pts):
-            out = line_chart({"s": pts})
-            assert "s" in out
-
-        check()
-
-
-class TestFigureSmoke:
-    def test_figure5_renders(self):
-        from repro.report.figures import figure5
-
-        out = figure5(fast=True)
-        assert "Figure 5" in out
-        assert "rdma+rdma" in out
 
 
 class TestImportanceTable:
