@@ -13,9 +13,12 @@ Every occupancy of a pool core is one *leg*: request a core, charge the
 (LLC-adjusted) duration, release.  Generator code runs a leg with
 ``yield from pool.run_calibrated(...)``/``run_compute(...)``; callback
 state machines use :meth:`CorePool.run_then`, which takes the same
-steps in the same order, minus the grant event of an idle core (the
-claim runs its first step inline).  :func:`_llc_leg` is the one place
-the LLC occupancy and penalty rule lives.
+steps in the same order, minus the grant event of an idle core.  A leg
+with no LLC effect claims an idle core with one
+:meth:`~repro.sim.Resource.try_hold`, which pushes the charge entry
+itself; any other leg claims through ``acquire_then`` on a pooled
+:class:`_CoreLeg`, whose grant runs the LLC rule.  :func:`_llc_leg` is
+the one place the LLC occupancy and penalty rule lives.
 """
 
 from ..errors import ConfigError
@@ -45,8 +48,10 @@ class _CoreLeg:
 
     acquire a core -> (LLC rule) charge -> release LLC token and core ->
     callback: the steps of :meth:`CorePool.run_calibrated`, in its
-    order.  A core found idle runs :meth:`_granted` inside
-    ``acquire_then``; a contended one runs it from the grant entry.
+    order.  A leg with no LLC effect that finds a core idle needs no
+    record: ``Resource.try_hold`` carries it.  A core found idle runs
+    :meth:`_granted` inside ``acquire_then``; a contended one runs it
+    from the grant entry.
     """
 
     __slots__ = ("pool", "duration", "mi", "ws", "token", "callback",
@@ -100,6 +105,8 @@ class CorePool:
         self._res = Resource(env, count, name=self.name)
         #: idle run_then leg records (steady state allocates none)
         self._legs = []
+        # Bound once: every one-frame run_then claim hands it over.
+        self._release = self._released
         #: pool-wide cache behaviour of calibrated (serving-path) work
         self.default_memory_intensity = 0.0
         self.default_working_set = 0
@@ -190,15 +197,32 @@ class CorePool:
         """
         if duration < 0:
             raise ConfigError("negative duration")
+        mi = (self.default_memory_intensity if memory_intensity is None
+              else memory_intensity)
+        ws = self.default_working_set if working_set is None else working_set
+        llc = self.llc
+        # A leg with no LLC effect (nothing to occupy, and a penalty()
+        # that would return 1.0 without a draw: no memory intensity, or
+        # an LLC whose working sets fit) claims an idle core in one
+        # frame; its charge entry is the one _granted would defer.  An
+        # intensity above 1 still goes to penalty(), which rejects it.
+        if ((llc is None or (ws <= 0 and (
+                mi <= 0.0 or (mi <= 1.0 and llc._total <= llc.size_bytes))))
+                and self._res.try_hold(duration, self._release, callback)):
+            return
         legs = self._legs
         leg = legs.pop() if legs else _CoreLeg(self)
         leg.duration = duration
-        leg.mi = (self.default_memory_intensity if memory_intensity is None
-                  else memory_intensity)
-        leg.ws = (self.default_working_set if working_set is None
-                  else working_set)
+        leg.mi = mi
+        leg.ws = ws
         leg.callback = callback
         self._res.acquire_then(leg.granted, priority)
+
+    def _released(self, callback):
+        """End of a :meth:`Resource.try_hold` leg: free the core, then
+        continue the caller."""
+        self._res.release_slot()
+        callback()
 
 
 class CpuSocket:

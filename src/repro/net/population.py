@@ -16,7 +16,8 @@ every per-request quantity in struct-of-arrays numpy columns:
   (Zipf-sampled keys for memcached, pre-rendered tensors for the
   accelerator apps), sampled per chunk with one ``searchsorted``;
 * in-flight requests live in an :class:`InFlightTable` — msg-id /
-  send-time / deadline columns, no per-request object — and response
+  send-time / deadline columns, no per-request object, each row staged
+  with plain list appends (most frames hold one arrival) — and response
   latencies are resolved in batches straight into a telemetry
   :class:`~repro.telemetry.instruments.LogHistogram` via
   ``record_many``;
@@ -33,7 +34,6 @@ arrival time ``t`` reaches the wire channel at
 in ``tests/net/test_population.py`` pins.
 """
 
-import itertools
 import math
 
 import numpy as np
@@ -196,8 +196,8 @@ class InFlightTable:
 
     Columns: request ``msg_id`` (monotonically increasing — the global
     Message counter only moves forward), send time and deadline, plus a
-    done flag.  Injection frames stage into a python list and
-    bulk-materialize into the columns at resolve/expiry boundaries;
+    done flag.  Injection frames stage into one python list per column
+    and bulk-materialize into the columns at resolve/expiry boundaries;
     responses resolve ids to rows with one ``searchsorted`` per batch.
     No per-request objects, no ``_waiters`` dict.
     """
@@ -209,7 +209,10 @@ class InFlightTable:
         self._grow_to(self.CAPACITY)
         self._n = 0
         self._live = 0
-        self._staged = []
+        #: staged rows, one list per column (see append_run)
+        self._staged_msg = []
+        self._staged_send = []
+        self._staged_deadline = []
 
     def _grow_to(self, capacity):
         self._msg = np.zeros(capacity, dtype=np.int64)
@@ -221,16 +224,20 @@ class InFlightTable:
         """Stage one injection frame of consecutive message ids.
 
         The pump creates a frame's Messages back to back, so their ids
-        are ``first_id, first_id + 1, ...`` — one ``extend`` stages the
-        whole run without per-message python calls.  A
+        are ``first_id, first_id + 1, ...``.  Most frames hold one
+        arrival, so each row is staged with plain appends to the three
+        column lists, building no iterator per frame.  A
         ``deadline_offset`` of None means no deadline.
         """
-        if deadline_offset is None:
-            deadlines = itertools.repeat(math.inf)
-        else:
-            deadlines = (t + deadline_offset for t in send_times)
-        self._staged.extend(zip(itertools.count(first_id), send_times,
-                                deadlines))
+        msg = self._staged_msg
+        send = self._staged_send
+        deadline = self._staged_deadline
+        for t in send_times:
+            msg.append(first_id)
+            first_id += 1
+            send.append(t)
+            deadline.append(math.inf if deadline_offset is None
+                            else t + deadline_offset)
         self._live += len(send_times)
 
     @property
@@ -239,7 +246,7 @@ class InFlightTable:
         return self._live
 
     def _materialize(self):
-        staged = self._staged
+        staged = self._staged_msg
         if not staged:
             return
         k = len(staged)
@@ -249,13 +256,14 @@ class InFlightTable:
             self._compact(n + k)
             n = self._n
             cap = self._msg.size
-        cols = np.asarray(staged, dtype=np.float64)
-        self._msg[n:n + k] = cols[:, 0].astype(np.int64)
-        self._send[n:n + k] = cols[:, 1]
-        self._deadline[n:n + k] = cols[:, 2]
+        self._msg[n:n + k] = staged
+        self._send[n:n + k] = self._staged_send
+        self._deadline[n:n + k] = self._staged_deadline
         self._done[n:n + k] = False
         self._n = n + k
         staged.clear()
+        self._staged_send.clear()
+        self._staged_deadline.clear()
 
     def _compact(self, need):
         """Drop resolved rows; grow if the live set still needs room."""

@@ -50,7 +50,9 @@ class _TransferLeg:
 
     Each step pushes the next one's schedule entry itself: the slot (and
     eid) ``Environment.defer`` would take, one frame fewer.  An idle
-    issue slot runs :meth:`_granted` inside ``acquire_then``.
+    issue slot is held through ``Resource.try_hold``, which pushes
+    :meth:`_occupied` itself; a busy one runs :meth:`_granted` from its
+    ``acquire_then`` grant.
     """
 
     __slots__ = ("channel", "nbytes", "occupancy", "latency", "callback",
@@ -232,10 +234,10 @@ class Channel(Store):
         leg.latency = latency
         leg.callback = callback
         issue = self.issue
-        if issue is not None:
-            issue.acquire_then(leg.granted)
-        else:
+        if issue is None:
             leg._granted(None)
+        elif not issue.try_hold(occupancy, leg.occupied):
+            issue.acquire_then(leg.granted)
 
     def push(self, item, nbytes=0):
         """Fire-and-forget: land *item* in the sink after the hop latency.
@@ -276,16 +278,26 @@ class Channel(Store):
         ``deque.extend``.  Any other sink state
         falls back to the per-item landing loop, which preserves
         ``push``'s exact drop-tail and getter-wake semantics item by
-        item.  *nbytes* is the byte total of the whole burst.
+        item.  A one-item burst (most population frames) is a
+        :meth:`push`: the same entry, ``_land`` looked up at push time.
+        *nbytes* is the byte total of the whole burst.
         """
         count = len(items)
+        if count == 1:
+            # A one-item burst is a push: same entry, same landing.
+            self.push(items[0], nbytes)
+            return
         if count == 0:
             return
         self.sent += count
         self.bytes_moved += nbytes
         self._in_flight.extend(items)
         self._burst_counts.append(count)
-        self.env.defer(self.latency, self._land_many)
+        env = self.env
+        eid = env._eid
+        env._eid = eid + 1
+        heappush(env._queue, (env.now + self.latency, NORMAL, eid,
+                              self._land_many, None))
 
     def _land_many(self, _event):
         count = self._burst_counts.popleft()
@@ -365,6 +377,8 @@ class Channel(Store):
     def recv_batch(self, max_items=0):
         """Drain up to *max_items* immediately-available items (0 = all).
 
+        An empty buffer returns at once: ``try_get`` would find nothing.
+
         Bulk fast path: with no parked putters and no tracer,
         ``try_get`` reduces to one ``popleft`` — no events, no counters
         — so the whole drain is a single list copy.  The per-item loop
@@ -372,7 +386,9 @@ class Channel(Store):
         bounded channels with parked putters (each pop admits one).
         """
         items = self._items
-        if items and not self._putters and self._tracer is None:
+        if not items:
+            return []
+        if not self._putters and self._tracer is None:
             if max_items <= 0 or max_items >= len(items):
                 out = list(items)
                 items.clear()

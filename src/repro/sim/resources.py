@@ -13,7 +13,11 @@ Callback state machines use :meth:`Resource.acquire_then` and
 :meth:`Resource.release_slot` instead: a claim that finds a slot free
 and no waiter parked runs its callback at once, a parked one is granted
 in the slot (and eid) a :class:`Request` grant would take, and the
-waiter heap serves both kinds in one priority/FIFO order.
+waiter heap serves both kinds in one priority/FIFO order.  A claim that
+knows how long it will hold the slot tries :meth:`Resource.try_hold`
+first: on a free slot with no waiter parked it takes the slot and
+pushes the end-of-hold entry in one frame; otherwise it changes nothing
+and the caller falls back to ``acquire_then``.
 """
 
 import heapq
@@ -89,6 +93,27 @@ class Resource:
         """Create a claim; the returned event fires when a slot is granted."""
         return Request(self, priority)
 
+    def try_hold(self, duration, handler, arg=None):
+        """Hold a free slot for *duration*, then run ``handler(arg)``.
+
+        The one-frame claim: when a slot is free and no waiter is
+        parked, take it, move the utilization gauge and push *handler*
+        at ``now + duration``: the entry (and eid) the charge after an
+        inline :meth:`acquire_then` grant would take.  *handler* runs
+        holding the slot and returns it with :meth:`release_slot`.
+        Returns False, having changed nothing, when the claim would
+        park; the caller then claims through :meth:`acquire_then`.
+        """
+        if self._in_use >= self.capacity or self._waiters:
+            return False
+        env = self.env
+        now = env.now
+        self._take(now)
+        eid = env._eid
+        env._eid = eid + 1
+        heappush(env._queue, (now + duration, NORMAL, eid, handler, arg))
+        return True
+
     def acquire_then(self, callback, priority=0):
         """Callback twin of :meth:`request`: ``callback(None)`` runs
         holding a slot, which the owner returns with :meth:`release_slot`.
@@ -99,23 +124,14 @@ class Resource:
         none is scheduled (DESIGN.md §4.6 relay-collapse rule).  Any
         other claim queues behind the waiters by the same (priority,
         FIFO) order and is granted in the schedule slot a
-        :class:`Request` would fire in, without an event object.
+        :class:`Request` would fire in, without an event object.  A
+        claim that knows its hold time before it is granted uses
+        :meth:`try_hold` instead.
         """
-        in_use = self._in_use
-        if in_use >= self.capacity or self._waiters:
+        if self._in_use >= self.capacity or self._waiters:
             self._park(priority, None, callback)
             return
-        in_use += 1
-        self._in_use = in_use
-        gauge = self.utilization
-        value = in_use / self.capacity
-        if value != gauge._value:
-            now = self.env.now
-            gauge._area += gauge._value * (now - gauge._last_change)
-            gauge._value = value
-            gauge._last_change = now
-            if value > gauge._max:
-                gauge._max = value
+        self._take(self.env.now)
         callback(None)
 
     def release_slot(self):
@@ -152,7 +168,12 @@ class Resource:
             # redundant on this, the hottest resource path.
             req._ok = True
             req._value = req
-            self._grant(_fire, req)
+            env = self.env
+            now = env.now
+            self._take(now)
+            eid = env._eid
+            env._eid = eid + 1
+            heappush(env._queue, (now, NORMAL, eid, _fire, req))
         else:
             self._park(req.priority, req, None)
 
@@ -169,23 +190,18 @@ class Resource:
             if value > gauge._max:
                 gauge._max = value
 
-    def _grant(self, handler, arg):
-        """Take a slot and schedule ``handler(arg)`` at the current time."""
+    def _take(self, now):
+        """Take one slot and move the utilization gauge."""
         in_use = self._in_use + 1
         self._in_use = in_use
         gauge = self.utilization
         value = in_use / self.capacity
         if value != gauge._value:
-            now = self.env.now
             gauge._area += gauge._value * (now - gauge._last_change)
             gauge._value = value
             gauge._last_change = now
             if value > gauge._max:
                 gauge._max = value
-        env = self.env
-        eid = env._eid
-        env._eid = eid + 1
-        heappush(env._queue, (env.now, NORMAL, eid, handler, arg))
 
     def _do_release(self, req):
         if req._value is PENDING:
@@ -199,19 +215,26 @@ class Resource:
     def _regrant(self):
         """Hand freed slots to the waiters, then settle both gauges."""
         waiters = self._waiters
+        env = self.env
+        now = env.now
+        queue = env._queue
         while waiters and self._in_use < self.capacity:
             _, _, req, callback = heapq.heappop(waiters)
             if req is None:
-                self._grant(callback, None)
+                handler, arg = callback, None
             elif req._value is PENDING:
                 req._ok = True
                 req._value = req
-                self._grant(_fire, req)
-            # else: a triggered (cancelled) request is skipped
+                handler, arg = _fire, req
+            else:
+                continue  # a triggered (cancelled) request is skipped
+            self._take(now)
+            eid = env._eid
+            env._eid = eid + 1
+            heappush(queue, (now, NORMAL, eid, handler, arg))
         gauge = self.queue_depth
         value = len(waiters)
         if value != gauge._value:
-            now = self.env.now
             gauge._area += gauge._value * (now - gauge._last_change)
             gauge._value = value
             gauge._last_change = now
@@ -220,7 +243,6 @@ class Resource:
         gauge = self.utilization
         value = self._in_use / self.capacity
         if value != gauge._value:
-            now = self.env.now
             gauge._area += gauge._value * (now - gauge._last_change)
             gauge._value = value
             gauge._last_change = now

@@ -161,19 +161,28 @@ def _serve(monkeypatch, reference, proto=UDP, trace=False,
     """Drive a two-core memcached with two closed-loop clients; return
     everything observable: response timestamps, counters, the trace and
     the kernel's event-id sequence, plus the number of claims that
-    found a core or the NIC-TX slot idle through ``acquire_then`` (each
-    runs inline, without the grant event a ``Request`` schedules).
+    found a core or the NIC-TX slot idle through ``acquire_then`` or
+    ``try_hold`` (each runs inline, without the grant event a
+    ``Request`` schedules).
     *llc* overrides the module's ``(WORKING_SET, MEMORY_INTENSITY)``."""
     idle_grants = []
     acquire_then = Resource.acquire_then
+    try_hold = Resource.try_hold
 
     def counting(res, callback, priority=0):
         if res.in_use < res.capacity and not res.waiting:
             idle_grants.append(res.name)
         acquire_then(res, callback, priority)
 
+    def counting_hold(res, duration, handler, arg=None):
+        held = try_hold(res, duration, handler, arg)
+        if held:
+            idle_grants.append(res.name)
+        return held
+
     with telemetry.scope(), monkeypatch.context() as patch:
         patch.setattr(Resource, "acquire_then", counting)
+        patch.setattr(Resource, "try_hold", counting_hold)
         if llc is not None:
             patch.setattr(memcached, "WORKING_SET", llc[0])
             patch.setattr(memcached, "MEMORY_INTENSITY", llc[1])

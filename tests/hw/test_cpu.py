@@ -6,7 +6,7 @@ from repro.config import BLUEFIELD_ARM, DEFAULT_CACHE, XEON_E5_2620
 from repro.errors import ConfigError
 from repro.hw.cache import LLCModel
 from repro.hw.cpu import CorePool, CpuSocket
-from repro.sim import Environment, RngRegistry
+from repro.sim import Environment, Resource, RngRegistry
 
 
 @pytest.fixture
@@ -187,8 +187,34 @@ class TestRunThenParity:
         else:
             assert [t for _, t, _ in done] == [10.0, 12.0, 17.0]
 
-    def test_leg_records_are_recycled(self, env):
-        pool = CorePool(env, XEON_E5_2620, count=1)
+    def test_llc_pressure_takes_the_general_path(self, monkeypatch):
+        """An over-subscribed LLC: a leg with memory intensity draws its
+        penalty, so it claims through ``acquire_then``, bit for bit the
+        generator's schedule, and ``try_hold`` takes nothing."""
+        held = []
+        try_hold = Resource.try_hold
+
+        def counting(res, duration, handler, arg=None):
+            ok = try_hold(res, duration, handler, arg)
+            if ok:
+                held.append(res.name)
+            return ok
+
+        monkeypatch.setattr(Resource, "try_hold", counting)
+        got, collapsed = _run_legs("callback", 0, 150)
+        want, _ = _run_legs("generator", 0, 150)
+        assert held == [] and collapsed == 1
+        assert got[1] == want[1] - collapsed
+        assert (got[0], got[2]) == (want[0], want[2])
+        # The penalty was drawn: every leg runs longer than its cost.
+        assert [t for _, t, _ in got[0]] != [10.0, 12.0, 17.0]
+
+    def test_leg_records_are_recycled(self, env, rng):
+        """A leg with an LLC effect (here a working set to occupy) runs
+        on a pooled record, which the next leg reuses."""
+        pool = CorePool(env, XEON_E5_2620, count=1,
+                        llc=LLCModel(env, 100, DEFAULT_CACHE, rng))
+        pool.default_working_set = 10
         order = []
 
         def second():
@@ -198,3 +224,17 @@ class TestRunThenParity:
         env.run()
         assert order == [3.0]
         assert len(pool._legs) == 1
+
+    def test_leg_without_llc_effect_takes_no_record(self, env):
+        """An idle core and no LLC effect: ``Resource.try_hold`` pushes
+        the charge entry itself, with no leg record and no grant."""
+        pool = CorePool(env, XEON_E5_2620, count=1)
+        order = []
+
+        def second():
+            order.append(env.now)
+
+        pool.run_then(1.0, lambda: pool.run_then(2.0, second))
+        env.run()
+        assert order == [3.0]
+        assert pool._legs == [] and env._eid == 2

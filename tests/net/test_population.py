@@ -1,9 +1,12 @@
 """The flyweight population traffic plane (DESIGN.md §4.13)."""
 
+import itertools
 import json
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.errors import ConfigError
 from repro.net import (
@@ -155,6 +158,100 @@ class TestInFlightTable:
         assert table.in_flight == 500
         lat, misses = table.resolve([998], [2000.0])
         assert misses == 0 and lat == pytest.approx([1002.0])
+
+
+class _SmallTable(InFlightTable):
+    #: small enough that a few frames force a compaction
+    CAPACITY = 16
+
+
+class _ZipStagedTable(_SmallTable):
+    """Reference copy of the staging the table used to do: one ``(id,
+    send, deadline)`` tuple per row, built through ``itertools.count``,
+    ``zip`` and a generator, materialized through one float64 array."""
+
+    def __init__(self):
+        super().__init__()
+        self._rows = []
+
+    def append_run(self, first_id, send_times, deadline_offset):
+        if deadline_offset is None:
+            deadlines = itertools.repeat(math.inf)
+        else:
+            deadlines = (t + deadline_offset for t in send_times)
+        self._rows.extend(zip(itertools.count(first_id), send_times,
+                              deadlines))
+        self._live += len(send_times)
+
+    def _materialize(self):
+        staged = self._rows
+        if not staged:
+            return
+        k = len(staged)
+        n = self._n
+        if n + k > self._msg.size:
+            self._compact(n + k)
+            n = self._n
+        cols = np.asarray(staged, dtype=np.float64)
+        self._msg[n:n + k] = cols[:, 0].astype(np.int64)
+        self._send[n:n + k] = cols[:, 1]
+        self._deadline[n:n + k] = cols[:, 2]
+        self._done[n:n + k] = False
+        self._n = n + k
+        staged.clear()
+
+
+_times = st.floats(min_value=0.0, max_value=1e4, allow_nan=False)
+_steps = st.lists(st.one_of(
+    st.tuples(st.just("frame"), st.lists(_times, min_size=1, max_size=8),
+              st.one_of(st.none(), st.floats(min_value=0.0, max_value=1e3)),
+              st.integers(min_value=0, max_value=3)),
+    st.tuples(st.just("resolve"), st.lists(st.integers(0, 10**6),
+                                           max_size=6), _times),
+    st.tuples(st.just("kill"), st.lists(st.integers(0, 10**6),
+                                        max_size=3)),
+    st.tuples(st.just("expire"), _times),
+), max_size=40)
+
+
+class TestStagingProperty:
+    """Per-row appends stage exactly what the zip staging did: the same
+    columns, ``resolve``, ``kill`` and ``expire`` results, whatever the
+    frame sizes, deadlines and interleaving."""
+
+    @given(steps=_steps)
+    @settings(max_examples=150, deadline=None)
+    def test_matches_zip_staging(self, steps):
+        got, want = _SmallTable(), _ZipStagedTable()
+        next_id = 1
+        for step in steps:
+            kind = step[0]
+            if kind == "frame":
+                _, send_times, offset, gap = step
+                for table in (got, want):
+                    table.append_run(next_id, list(send_times), offset)
+                next_id += len(send_times) + gap
+            elif kind == "resolve":
+                # Mostly ids sent so far, sometimes ones never sent.
+                ids = [i % (next_id + 2) for i in step[1]]
+                times = [step[2]] * len(ids)
+                (lat_g, miss_g), (lat_w, miss_w) = (
+                    got.resolve(ids, times), want.resolve(ids, times))
+                assert np.array_equal(lat_g, lat_w) and miss_g == miss_w
+            elif kind == "kill":
+                ids = [i % (next_id + 2) for i in step[1]]
+                assert got.kill(ids) == want.kill(ids)
+            else:
+                assert got.expire(step[1]) == want.expire(step[1])
+            assert got.in_flight == want.in_flight
+        got._materialize()
+        want._materialize()
+        n = want._n
+        assert got._n == n
+        for column in ("_msg", "_send", "_deadline", "_done"):
+            a, b = getattr(got, column), getattr(want, column)
+            assert a.dtype == b.dtype and a.size == b.size
+            assert np.array_equal(a[:n], b[:n])
 
 
 def _spin_deployment(seed=42):

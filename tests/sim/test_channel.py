@@ -1,5 +1,6 @@
 """The unified Channel hop (DESIGN.md §4.7)."""
 
+from collections import deque
 from types import SimpleNamespace
 
 import pytest
@@ -305,6 +306,70 @@ class TestPushMany:
             assert sink.recv_batch() == ["a", "b"]
         finally:
             clear_enabled_tracers()
+
+
+def _one_item(case, burst):
+    """Land one item through ``push`` or a one-item ``push_many``;
+    return every observable: the event ids, the sink, both channels'
+    counters, a parked getter's log, the trace and the fault hook's
+    stall buffer."""
+    from repro.faults.injector import _WireHook
+
+    env = Environment()
+    if case == "traced":
+        env.tracer = Tracer(env, enabled=True)
+    try:
+        sink = Channel(env, name="rx", capacity=1)
+        wire = Channel(env, name="wire", latency=2.0, sink=sink)
+        got = []
+        if case == "getter":
+            sink.get_then(lambda item: got.append((item, env.now)))
+        elif case == "full":
+            sink.try_put("resident")
+        if burst:
+            wire.push_many(["x"], nbytes=64)
+        else:
+            wire.push("x", nbytes=64)
+        hook = None
+        if case == "hook":
+            # A stall window opens while the item is in flight.
+            hook = _WireHook(SimpleNamespace(rng=None), wire)
+            hook.begin_stall(buffer_limit=4)
+        env.run()
+        return (env._eid, env.events_processed, env.now, sink.items,
+                sink.total_put, wire.sent, wire.delivered, wire.dropped,
+                wire.bytes_moved, got, hook.hold if hook else None,
+                env.tracer.records if case == "traced" else None)
+    finally:
+        clear_enabled_tracers()
+
+
+class TestOneItemBurst:
+    """A one-item ``push_many`` takes ``push``'s entry and landing, so
+    it behaves exactly like ``push``."""
+
+    @pytest.mark.parametrize("case", ["getter", "full", "traced", "hook"])
+    def test_matches_push(self, case):
+        got = _one_item(case, burst=True)
+        assert got == _one_item(case, burst=False)
+        eid, events, now, items = got[:4]
+        assert (eid, now) == ((2, 2.0) if case == "getter" else (1, 2.0))
+        if case == "getter":
+            assert got[9] == [("x", 2.0)] and items == ()
+        elif case == "full":
+            assert items == ("resident",) and got[7] == 1
+        else:
+            # The item was pushed before the stall window opened, so it
+            # lands as pushed, past the hook.
+            assert items == ("x",) and got[10] in (None, [])
+        if case == "traced":
+            assert [rec[2] for rec in got[11]] == ["enq", "deliver"]
+
+    def test_one_item_burst_schedules_no_burst_landing(self, env):
+        wire = Channel(env, name="wire", latency=1.0)
+        wire.push_many(["x"])
+        assert wire._burst_counts == deque()
+        assert [entry[3] for entry in env._queue] == [wire._land]
 
 
 class TestCredits:

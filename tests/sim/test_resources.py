@@ -4,6 +4,7 @@ import pytest
 
 from repro.errors import SimulationError
 from repro.sim import Environment, Interrupt, Resource
+from repro.sim.events import NORMAL
 
 
 @pytest.fixture
@@ -192,6 +193,108 @@ class TestAcquireThenParity:
         res = Resource(env, 1)
         with pytest.raises(SimulationError):
             res.release_slot()
+
+
+
+def _run_holds(twin):
+    """:func:`_run_claims`'s one slot, holder and five waiters, each
+    claim holding the slot 1us.
+
+    With *twin* ``"hold"`` the holder, ``w2`` and ``w4`` claim with
+    ``try_hold`` and fall back to ``acquire_then`` when it refuses; with
+    ``"event"`` every claim is a :class:`Request`.  Also returns the
+    claims ``try_hold`` took: each pushes its release entry itself, one
+    event id fewer than a Request's grant and timer.
+    """
+    env = Environment()
+    res = Resource(env, 1)
+    grants = []
+    held = []
+
+    def claim(tag, priority, hold_twin):
+        def release(_arg, req=None):
+            if req is None:
+                res.release_slot()
+            else:
+                req.release()
+
+        def granted(_arg, req=None):
+            grants.append((tag, env.now))
+            env.defer(1.0, lambda _a: release(_a, req))
+
+        if hold_twin:
+            claimed_at = env.now
+            if res.try_hold(1.0, release):
+                grants.append((tag, claimed_at))
+                held.append(tag)
+            else:
+                res.acquire_then(granted, priority)
+            return None
+        req = res.request(priority)
+        req.callbacks.append(lambda evt: granted(evt, req))
+        return req
+
+    hold = twin == "hold"
+    claim("holder", 0, hold)
+    claim("w1", 0, False)
+    claim("w2", 0, hold)
+    claim("w3", -1, False)
+    claim("w4", -1, hold)
+    cancelled = claim("w5", -2, False)
+    env.defer(0.5, lambda _a: cancelled.cancel())
+    env.run()
+    return (grants, env._eid, res.in_use, res.utilization.mean(),
+            res.utilization.max(), res.queue_depth.mean(),
+            res.queue_depth.max()), held
+
+
+class TestTryHoldParity:
+    """``try_hold`` takes the slot a free claim would, moves both gauges
+    as ``request`` does and shares the waiter order; it only drops the
+    grant event of an idle slot."""
+
+    def test_matches_request(self):
+        got, held = _run_holds("hold")
+        want, _ = _run_holds("event")
+        # Only the holder finds the slot free; w2 and w4 park through
+        # acquire_then.
+        assert held == ["holder"]
+        assert got[1] == want[1] - 1
+        assert got[:1] + got[2:] == want[:1] + want[2:]
+        grants, _, in_use, util_mean, util_max, _, depth_max = got
+        # Priority first, FIFO within a priority; the cancelled w5 is
+        # skipped.
+        assert grants == [("holder", 0.0), ("w3", 1.0), ("w4", 2.0),
+                          ("w1", 3.0), ("w2", 4.0)]
+        assert in_use == 0 and depth_max == 5
+        assert util_mean == 1.0 and util_max == 1.0
+
+    def test_idle_hold_pushes_one_entry(self, env):
+        res = Resource(env, 2)
+        seen = []
+        assert res.try_hold(3.0, lambda arg: seen.append((arg, env.now)),
+                            "tag")
+        assert res.in_use == 1 and res.utilization._value == 0.5
+        assert [entry[:3] for entry in env._queue] == [(3.0, NORMAL, 0)]
+        env.run()
+        assert seen == [("tag", 3.0)] and res.in_use == 1
+
+    def test_refuses_behind_a_parked_waiter(self, env):
+        """A free slot with a waiter parked: ``try_hold`` changes
+        nothing, so the claim can park behind it (the state is built
+        directly, as the resource never leaves it)."""
+        res = Resource(env, 2)
+        res._park(0, None, lambda _a: None)
+        assert not res.try_hold(1.0, lambda _a: None)
+        assert res.in_use == 0 and res.waiting == 1
+        assert env._queue == [] and env._eid == 0
+        assert res.utilization._value == 0.0
+
+    def test_refuses_when_full(self, env):
+        res = Resource(env, 1)
+        assert res.try_hold(1.0, lambda _a: None)
+        assert not res.try_hold(1.0, lambda _a: None)
+        assert res.in_use == 1 and env._eid == 1
 
 
 def _run_fast_and_slow(twin):
